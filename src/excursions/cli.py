@@ -8,8 +8,13 @@ its hash, the seed and wall-clock time.  Result JSON contains only
 deterministic fields: identical configurations (seed included)
 reproduce it byte for byte.
 
-A JSON config file can set any flag's value; explicit flags win.
-``EXCURSION_IIA_THREADS`` caps replicate-level parallelism.
+A JSON config file can set any flag's value; explicit flags win.  Each
+value it sets must have the type of the flag's default.
+
+``iia`` and ``table1`` draw and fit every (level, side, replicate) as one
+task of a single thread pool; ``EXCURSION_IIA_THREADS``, a positive
+integer, caps its size (default ``min(4, cpu_count)``).  Seeds are
+spawned before any task runs, so results do not depend on the pool size.
 """
 
 from __future__ import annotations
@@ -29,10 +34,10 @@ import numpy as np
 from . import __version__
 from .clipped import arcsin_covariance, clipped_covariance
 from .covmodel import diffusion_covariance
-from .errors import DomainError, ExcursionError
+from .errors import DomainError, ExcursionError, FitError
 from .gpsim import persistency_from_trajectories, rice_crossing_rate
 from .iia import build_iia, sample_excursion
-from .persistency import batch_ci, fit_persistency
+from .persistency import aggregate_fits, batch_ci, fit_persistency
 from .slepian import sample_slepian_path
 from .switchproc import estimate_characteristics, interval_from_spec, simulate_switch_paths
 
@@ -50,11 +55,16 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _max_workers(n_items: int) -> int:
-    cap = os.environ.get("EXCURSION_IIA_THREADS")
+    raw = os.environ.get("EXCURSION_IIA_THREADS")
+    if not raw:
+        return max(1, min(n_items, 4, os.cpu_count() or 1))
     try:
-        cap = int(cap) if cap else min(4, os.cpu_count() or 1)
+        cap = int(raw)
     except ValueError:
-        cap = 1
+        cap = 0
+    if cap < 1:
+        raise DomainError(
+            f"EXCURSION_IIA_THREADS must be a positive integer, got {raw!r}")
     return max(1, min(n_items, cap))
 
 
@@ -70,18 +80,53 @@ def _parallel_map(fn, items):
 # configuration plumbing
 # ---------------------------------------------------------------------------
 
+# the type a config file must give each key that has no default or a
+# None default; the others take the type of their default
+_CONFIG_TYPES = {"seed": int, "level": float, "levels": str, "samples_path": str,
+                 "out": str, "cdf_csv": str, "samples_csv": str}
+
+
+def _check_config_type(key, value, default) -> None:
+    if value is None and default is None:
+        return
+    want = type(default) if default is not None else _CONFIG_TYPES[key]
+    if want is float:
+        ok = isinstance(value, (int, float)) and not isinstance(value, bool)
+    elif want is int:
+        ok = isinstance(value, int) and not isinstance(value, bool)
+    else:
+        ok = isinstance(value, want)
+    if not ok:
+        raise DomainError(f"config key {key!r} must be of type {want.__name__}, "
+                          f"got {value!r}")
+
+
+def _load_config(path: str) -> dict:
+    try:
+        with open(path) as fh:
+            loaded = json.load(fh)
+    except OSError as exc:
+        raise DomainError(f"cannot read config file {path}: {exc.strerror}") from exc
+    except ValueError as exc:
+        raise DomainError(f"config file {path} is not valid JSON: {exc}") from exc
+    if not isinstance(loaded, dict):
+        raise DomainError(f"config file {path} must hold a JSON object")
+    return loaded
+
+
 def _merged_config(defaults: dict, ns: argparse.Namespace) -> dict:
     explicit = {k: v for k, v in vars(ns).items()
                 if k not in ("func", "config") and v is not argparse.SUPPRESS}
     cfg = dict(defaults)
     path = getattr(ns, "config", None)
     if path:
-        with open(path) as fh:
-            loaded = json.load(fh)
+        loaded = _load_config(path)
         unknown = set(loaded) - set(defaults) - {"seed", "level", "levels",
                                                  "samples_path"}
         if unknown:
             raise DomainError(f"unknown config keys: {sorted(unknown)}")
+        for key, value in loaded.items():
+            _check_config_type(key, value, defaults.get(key))
         cfg.update(loaded)
     cfg.update(explicit)
     cfg.setdefault("seed", DEFAULT_SEED)
@@ -154,30 +199,43 @@ def _model_from(cfg: dict):
 # subcommand implementations
 # ---------------------------------------------------------------------------
 
-def _level_estimates(model, level, samples, reps, grid_max, grid_step, seed_seq,
+def _level_estimates(model, levels, level_seeds, samples, reps, grid_max, grid_step,
                      min_tail=50):
-    """Build the approximation at one level and fit both sides."""
-    iia = build_iia(model, level, t_max=grid_max, step=grid_step)
-    side_seeds = seed_seq.spawn(2)
+    """Build the approximation at each level and fit both sides of each.
 
-    def run_side(args):
-        side, root = args
-        rep_seeds = root.spawn(reps)
-        return batch_ci(lambda i: sample_excursion(iia, side, samples, rep_seeds[i]),
-                        reps, min_tail)
+    Returns one ``(iia, above, below)`` per level.  Every (level, side,
+    replicate) draw and fit is one task of a single pool, so levels
+    overlap as well as sides and replicates.  Each level seed spawns
+    one seed per side and each side seed one per replicate.
+    """
+    if reps < 2:
+        raise DomainError("need at least two replicates")
+    iias = [build_iia(model, u, t_max=grid_max, step=grid_step) for u in levels]
+    tasks = [(iia, side, i, rep_seed)
+             for iia, sseq in zip(iias, level_seeds)
+             for side, root in zip(("above", "below"), sseq.spawn(2))
+             for i, rep_seed in enumerate(root.spawn(reps))]
 
-    above, below = _parallel_map(run_side,
-                                 [("above", side_seeds[0]), ("below", side_seeds[1])])
-    return iia, above, below
+    def fit(task):
+        iia, side, i, rep_seed = task
+        try:
+            return fit_persistency(sample_excursion(iia, side, samples, rep_seed),
+                                   min_tail)
+        except FitError as exc:
+            raise FitError(f"u = {iia.level:g}, {side} side, replicate {i}: {exc}") \
+                from exc
+
+    fits = _parallel_map(fit, tasks)
+    sides = [aggregate_fits(fits[j:j + reps]) for j in range(0, len(fits), reps)]
+    return [(iia, sides[2 * k], sides[2 * k + 1]) for k, iia in enumerate(iias)]
 
 
 def _cmd_iia(cfg: dict) -> int:
     started = time.monotonic()
     model = _model_from(cfg)
-    seed_seq = np.random.SeedSequence(cfg["seed"])
-    iia, above, below = _level_estimates(
-        model, cfg["level"], cfg["samples"], cfg["reps"],
-        cfg["grid_max"], cfg["grid_step"], seed_seq)
+    [(iia, above, below)] = _level_estimates(
+        model, [cfg["level"]], [np.random.SeedSequence(cfg["seed"])],
+        cfg["samples"], cfg["reps"], cfg["grid_max"], cfg["grid_step"])
     result = {
         "level": cfg["level"],
         "alpha": iia.alpha,
@@ -203,7 +261,7 @@ def _cmd_iia(cfg: dict) -> int:
     _write_manifest(cfg, cfg.get("out"), {
         "alpha": "iia.build_iia",
         "theta_plus/theta_minus": "iia.sample_excursion + persistency.fit_persistency",
-        "ci_plus/ci_minus": "persistency.batch_ci",
+        "ci_plus/ci_minus": "persistency.aggregate_fits",
     }, started)
     return 0
 
@@ -314,19 +372,29 @@ def _cmd_slepian_sample(cfg: dict) -> int:
     return 0
 
 
+def _load_samples(path: str) -> np.ndarray:
+    """First CSV column as floats; a non-numeric first line is the header."""
+    raw = []
+    try:
+        with open(path) as fh:
+            for number, line in enumerate(fh, 1):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    raw.append(float(line.split(",")[0]))
+                except ValueError:
+                    if number > 1:
+                        raise DomainError(
+                            f"{path}, line {number}: not a number: {line[:40]!r}") from None
+    except OSError as exc:
+        raise DomainError(f"cannot read samples file {path}: {exc.strerror}") from exc
+    return np.asarray(raw)
+
+
 def _cmd_persistency(cfg: dict) -> int:
     started = time.monotonic()
-    raw = []
-    with open(cfg["samples_path"]) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                raw.append(float(line.split(",")[0]))
-            except ValueError:
-                continue  # header line
-    samples = np.asarray(raw)
+    samples = _load_samples(cfg["samples_path"])
     reps = cfg["reps"]
     if reps > 1:
         chunks = np.array_split(samples, reps)
@@ -350,18 +418,15 @@ def _cmd_table1(cfg: dict) -> int:
     levels = [float(x) for x in str(cfg["levels"]).split(",")]
     level_seeds = np.random.SeedSequence(cfg["seed"]).spawn(len(levels))
 
-    rows = []
-    for level, sseq in zip(levels, level_seeds):
-        _, above, below = _level_estimates(
-            model, level, cfg["samples"], cfg["reps"],
-            cfg["grid_max"], cfg["grid_step"], sseq)
-        rows.append({
-            "level": level,
-            "theta_plus": above.mean_theta, "ci_plus": above.half_width,
-            "theta_minus": below.mean_theta, "ci_minus": below.half_width,
-        })
+    estimates = _level_estimates(model, levels, level_seeds, cfg["samples"],
+                                 cfg["reps"], cfg["grid_max"], cfg["grid_step"])
+    rows = [{
+        "level": level,
+        "theta_plus": above.mean_theta, "ci_plus": above.half_width,
+        "theta_minus": below.mean_theta, "ci_minus": below.half_width,
+    } for level, (_, above, below) in zip(levels, estimates)]
     _emit_table(rows, cfg, started,
-                provenance="iia.sample_excursion + persistency.batch_ci")
+                provenance="iia.sample_excursion + persistency.aggregate_fits")
     return 0
 
 

@@ -47,6 +47,9 @@ __all__ = ["IIAModel", "build_iia", "sample_excursion", "psi_hat"]
 # per-step downticks smaller than this are roundoff, not violations
 MONOTONE_TOL = 1e-12
 
+# extra (divisor) draws per inverse-CDF call in sample_excursion
+_EXTRA_CHUNK = 1 << 18
+
 
 @dataclass(frozen=True, eq=False)
 class IIAModel:
@@ -169,12 +172,20 @@ def sample_excursion(iia: IIAModel, side: str, n: int, seed) -> np.ndarray:
     nu = rng.geometric(p, size=n)
     out = np.asarray(inverse_cdf_sample(first, first_tail, rng.random(n)))
     n_extra = nu - 1
-    total_extra = int(n_extra.sum())
-    if total_extra > 0:
-        draws = np.asarray(inverse_cdf_sample(extra, extra_tail,
-                                              rng.random(total_extra)))
-        owner = np.repeat(np.arange(n), n_extra)
-        out += np.bincount(owner, weights=draws, minlength=n)
+    ends = np.cumsum(n_extra)
+    # the extra draws go in runs of whole owners, about _EXTRA_CHUNK
+    # draws each, which bounds their temporaries; the uniforms are read
+    # in the order one call would read them, and each owner's sum is
+    # accumulated in the same order, so the result does not change
+    lo, done = 0, 0
+    while lo < n:
+        hi = max(int(np.searchsorted(ends, done + _EXTRA_CHUNK, side="right")), lo + 1)
+        count = int(ends[hi - 1]) - done
+        if count > 0:
+            draws = inverse_cdf_sample(extra, extra_tail, rng.random(count))
+            owner = np.repeat(np.arange(hi - lo), n_extra[lo:hi])
+            out[lo:hi] += np.bincount(owner, weights=draws, minlength=hi - lo)
+        lo, done = hi, done + count
     return out
 
 

@@ -14,6 +14,17 @@ numerical Laplace transforms of tabulated functions with exponential
 tail corrections, Gaver-Stehfest inversion, and monotone inverse-CDF
 sampling with tail extrapolation.  These are the kernels every other
 module builds on.
+
+A :class:`Grid` exposes read-only copies of its arrays, so anything
+derived from them can be computed once and cached on the grid.  The
+inverse-CDF sampler uses this twice: a grid is checked to be a CDF
+(nondecreasing, starting at zero) on its first use as one, and large
+draws find their segment through a guide table (an indexed search,
+Chen & Asau 1974; Devroye 1986, section III.2) built on that first
+large draw.  The table only replaces the bisection inside
+``np.interp``; every quantile is the same expression on the same
+segment, so the samples equal ``np.interp(u, cdf.values, cdf.points)``
+bit for bit.
 """
 
 from __future__ import annotations
@@ -21,7 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable
 
 import numpy as np
@@ -62,15 +73,22 @@ class Grid:
 
     Invariants are enforced at construction: ``points`` strictly
     increasing with ``points[0] >= 0``, equal lengths, at least two
-    entries.
+    entries.  Both arrays are read-only views of private copies of the
+    inputs, which lets the CDF check and the inverse table below be
+    cached.
     """
 
     points: np.ndarray
     values: np.ndarray
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
-        vals = np.asarray(self.values, dtype=float)
+        # np.interp copies a read-only array on every call, so it is
+        # given the writable copies _pts and _vals, which nothing writes
+        object.__setattr__(self, "_pts", np.array(self.points, dtype=float))
+        object.__setattr__(self, "_vals", np.array(self.values, dtype=float))
+        pts, vals = self._pts.view(), self._vals.view()
+        pts.flags.writeable = False
+        vals.flags.writeable = False
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "values", vals)
         if pts.ndim != 1 or vals.ndim != 1 or pts.shape != vals.shape:
@@ -88,7 +106,31 @@ class Grid:
         return len(self.points)
 
     def interpolate(self, t):
-        return np.interp(t, self.points, self.values)
+        return np.interp(t, self._pts, self._vals)
+
+    @cached_property
+    def _cdf_end(self) -> float:
+        """Final value of the grid read as a CDF, checked on first use.
+
+        Raises :class:`MonotonicityViolation` if the values decrease
+        anywhere and :class:`DomainError` if they do not start at zero;
+        nothing is cached then, so every later use raises again.
+        """
+        vals = self.values
+        bad = np.diff(vals) < 0.0
+        if bad.any():
+            idx = int(np.argmax(bad))
+            raise MonotonicityViolation(
+                f"cdf decreases at index {idx + 1}", which="cdf", index=idx + 1,
+                t=float(self.points[idx + 1]))
+        if abs(vals[0]) > 1e-12:
+            raise DomainError("cdf must start at zero")
+        return float(vals[-1])
+
+    @cached_property
+    def _inverse(self) -> _GuideTable:
+        self._cdf_end
+        return _GuideTable.build(self._vals, self._pts)
 
 
 @dataclass(frozen=True)
@@ -302,6 +344,62 @@ def gaver_stehfest_invert(psi, t: float, order: int = 14) -> float:
 # inverse-CDF sampling
 # ---------------------------------------------------------------------------
 
+# draws per pass of the guide-table lookup; bounds its temporaries
+_CHUNK = 1 << 16
+
+
+@dataclass(frozen=True, eq=False)
+class _GuideTable:
+    """Guide table for inverting a nondecreasing piecewise-linear CDF.
+
+    The unit interval is cut into ``size`` equal-probability buckets,
+    ``size`` the power of two at or above the knot count, so that the
+    bucket of a draw ``u`` is exactly ``floor(u * size)``.  ``guide[k]``
+    is the last knot at or below the bucket's lower edge.  When at most
+    one more knot lies inside the bucket, a draw's segment is
+    ``guide[k]`` or the one after it, the segment ``np.interp`` finds by
+    bisection, and the quantile is the expression ``np.interp``
+    evaluates there.  The other buckets are flagged ``wide`` and left to
+    ``np.interp``: those that hold two knots or more, lie below the
+    first knot or reach the last one, or whose candidate segments have
+    an infinite slope (``np.interp`` answers an exact hit on such a
+    segment with the knot itself, where the expression gives NaN).
+    """
+
+    size: int
+    guide: np.ndarray
+    wide: np.ndarray
+    slopes: np.ndarray
+
+    @classmethod
+    def build(cls, vals: np.ndarray, pts: np.ndarray) -> _GuideTable:
+        n = len(vals)
+        size = 1 << (n - 1).bit_length()
+        edges = np.arange(size + 1) / size
+        lo = np.searchsorted(vals, edges[:-1], side="right") - 1
+        hi = np.searchsorted(vals, edges[1:], side="left") - 1
+        # the padding slope and the clipped guide keep the lookups of
+        # wide-bucket draws in bounds; their results are discarded
+        with np.errstate(divide="ignore"):
+            slopes = np.append(np.diff(pts) / np.diff(vals), 0.0)
+        guide = np.clip(lo, 0, n - 2)
+        steep = ~np.isfinite(slopes)
+        wide = ((hi - lo > 1) | (lo < 0) | (hi >= n - 1)
+                | steep[guide] | steep[guide + 1])
+        return cls(size=size, guide=guide, wide=wide, slopes=slopes)
+
+    def lookup(self, u: np.ndarray, vals: np.ndarray, pts: np.ndarray) -> np.ndarray:
+        """``np.interp(u, vals, pts)`` for one chunk of draws in (0, 1)."""
+        k = (u * self.size).astype(np.intp)
+        j = self.guide[k]
+        j += u >= vals[1:][j]
+        out = self.slopes[j] * (u - vals[j]) + pts[j]
+        redo = self.wide[k]
+        if redo.any():
+            out[redo] = np.interp(u[redo], vals, pts)
+        return out
+
+
 def inverse_cdf_sample(cdf: Grid, tail_rate: float | None, uniform):
     """Monotone piecewise-linear inversion of a tabulated CDF.
 
@@ -310,18 +408,15 @@ def inverse_cdf_sample(cdf: Grid, tail_rate: float | None, uniform):
     with the given ``tail_rate`` extrapolates the quantile; without a
     tail rate the final CDF value must already be within 1e-9 of one,
     and such draws clamp to the last grid point.
+
+    Below the final CDF level the result equals
+    ``np.interp(u, cdf.values, cdf.points)`` bit for bit.  Draws at
+    least as many as the grid's knots go through the grid's cached
+    guide table (see :class:`_GuideTable`) in chunks of ``_CHUNK``;
+    fewer draws, scalars included, use ``np.interp`` directly.  The
+    grid is checked to be a CDF once, on its first use here.
     """
-    vals = cdf.values
-    diffs = np.diff(vals)
-    bad = diffs < 0.0
-    if bad.any():
-        idx = int(np.argmax(bad))
-        raise MonotonicityViolation(
-            f"cdf decreases at index {idx + 1}", which="cdf", index=idx + 1,
-            t=float(cdf.points[idx + 1]))
-    if abs(vals[0]) > 1e-12:
-        raise DomainError("cdf must start at zero")
-    f_end = vals[-1]
+    f_end = cdf._cdf_end
     if tail_rate is None and f_end < 1.0 - 1e-9:
         raise DomainError(
             "cdf does not reach one and no tail rate was supplied")
@@ -331,10 +426,17 @@ def inverse_cdf_sample(cdf: Grid, tail_rate: float | None, uniform):
     u = np.asarray(uniform, dtype=float)
     scalar = u.ndim == 0
     u = np.atleast_1d(u)
-    if np.any((u <= 0.0) | (u >= 1.0)):
+    if not np.all((u > 0.0) & (u < 1.0)):
         raise DomainError("uniform draws must lie strictly inside (0, 1)")
 
-    out = np.interp(u, vals, cdf.points)
+    vals, pts = cdf._vals, cdf._pts
+    if u.size < len(vals):
+        out = np.interp(u, vals, pts)
+    else:
+        table = cdf._inverse
+        out = np.empty_like(u)
+        for lo in range(0, u.size, _CHUNK):
+            out[lo:lo + _CHUNK] = table.lookup(u[lo:lo + _CHUNK], vals, pts)
     over = u > f_end
     if over.any():
         if tail_rate is None:

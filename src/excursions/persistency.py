@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy.stats import t as student_t
@@ -23,7 +23,7 @@ from .errors import DomainError, FitError
 from .numerics import Grid
 
 __all__ = ["SurvivalFit", "BatchEstimate", "empirical_survival",
-           "fit_persistency", "batch_ci"]
+           "fit_persistency", "aggregate_fits", "batch_ci"]
 
 
 @dataclass(frozen=True)
@@ -102,22 +102,15 @@ def fit_persistency(samples, min_tail_count: int = 50) -> SurvivalFit:
     )
 
 
-def batch_ci(replicate_runner: Callable[[int], np.ndarray], reps: int = 10,
-             min_tail_count: int = 50) -> BatchEstimate:
-    """Fit independent replicates and aggregate to a 95% interval.
+def aggregate_fits(fits: Sequence[SurvivalFit]) -> BatchEstimate:
+    """Average independent replicate fits to a 95% interval.
 
-    ``replicate_runner(i)`` must return the sample set of replicate i
-    (callers derive per-replicate seeds).  The half-width uses the t
-    quantile with ``reps - 1`` degrees of freedom.
+    The half-width uses the t quantile with ``len(fits) - 1`` degrees
+    of freedom.
     """
+    reps = len(fits)
     if reps < 2:
         raise DomainError("need at least two replicates")
-    fits = []
-    for i in range(reps):
-        try:
-            fits.append(fit_persistency(replicate_runner(i), min_tail_count))
-        except FitError as exc:
-            raise FitError(f"replicate {i}: {exc}") from exc
     thetas = np.asarray([f.theta for f in fits])
     mean = float(thetas.mean())
     sd = float(thetas.std(ddof=1))
@@ -127,3 +120,21 @@ def batch_ci(replicate_runner: Callable[[int], np.ndarray], reps: int = 10,
         half_width=q * sd / math.sqrt(reps),
         replicates=tuple(fits),
     )
+
+
+def batch_ci(replicate_runner: Callable[[int], np.ndarray], reps: int = 10,
+             min_tail_count: int = 50) -> BatchEstimate:
+    """Fit independent replicates and aggregate to a 95% interval.
+
+    ``replicate_runner(i)`` must return the sample set of replicate i
+    (callers derive per-replicate seeds); see :func:`aggregate_fits`.
+    """
+    if reps < 2:
+        raise DomainError("need at least two replicates")
+    fits = []
+    for i in range(reps):
+        try:
+            fits.append(fit_persistency(replicate_runner(i), min_tail_count))
+        except FitError as exc:
+            raise FitError(f"replicate {i}: {exc}") from exc
+    return aggregate_fits(fits)

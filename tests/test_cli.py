@@ -169,3 +169,52 @@ def test_module_entry_point():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.strip()
+
+
+def test_config_file_errors_exit_one(tmp_path, capsys):
+    base = ["iia", "--level", "0"] + FAST_IIA
+    assert run(base + ["--config", str(tmp_path / "missing.json")]) == 1
+    bad_json = tmp_path / "bad.json"
+    bad_json.write_text("{samples: 5")
+    assert run(base + ["--config", str(bad_json)]) == 1
+    wrong_type = tmp_path / "typed.json"
+    for payload in ({"samples": "many"}, {"reps": 2.5}, {"grid_max": True},
+                    {"level": "zero"}, [1, 2]):
+        wrong_type.write_text(json.dumps(payload))
+        assert run(base + ["--config", str(wrong_type)]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "'samples' must be of type int" in err
+
+
+def test_thread_cap_must_be_a_positive_integer(tmp_path, monkeypatch, capsys):
+    for value in ("abc", "0", "-2", "1.5"):
+        monkeypatch.setenv("EXCURSION_IIA_THREADS", value)
+        assert run(["iia", "--level", "0"] + FAST_IIA) == 1
+    assert "EXCURSION_IIA_THREADS" in capsys.readouterr().err
+
+
+def test_persistency_rejects_non_numeric_line_after_header(tmp_path, capsys):
+    csv = tmp_path / "lengths.csv"
+    values = [repr(float(x)) for x in np.random.default_rng(3).exponential(2.0, 500)]
+    csv.write_text("length\n" + "\n".join(values[:10] + ["oops"] + values[10:]) + "\n")
+    assert run(["persistency", "--samples", str(csv), "--reps", "2"]) == 1
+    assert "line 12" in capsys.readouterr().err
+    assert run(["persistency", "--samples", str(tmp_path / "none.csv")]) == 1
+
+
+@pytest.mark.parametrize("args", [
+    ["table1", "--levels", "0,1.25"] + FAST_IIA,
+    ["iia", "--level", "1"] + FAST_IIA,
+])
+def test_results_do_not_depend_on_thread_count(tmp_path, monkeypatch, capsys, args):
+    outputs = []
+    for threads in ("1", None, "3"):
+        if threads is None:
+            monkeypatch.delenv("EXCURSION_IIA_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("EXCURSION_IIA_THREADS", threads)
+        out = tmp_path / f"res{threads}.json"
+        assert run(args + ["--seed", "21", "--out", str(out)]) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1] == outputs[2]

@@ -229,6 +229,107 @@ def test_inverse_cdf_monotonicity_violation():
     assert err.value.index == 2
 
 
+def test_inverse_cdf_bad_cdf_raises_on_every_call():
+    # the CDF check is cached only when it passes; large draws (which
+    # build the guide table) and scalars fail alike
+    dip = Grid(points=np.arange(5.0), values=np.array([0.0, 0.2, 0.1, 0.6, 1.0]))
+    for u in (0.5, np.full(100, 0.5), 0.5):
+        with pytest.raises(MonotonicityViolation):
+            inverse_cdf_sample(dip, None, u)
+    shifted = Grid(points=np.arange(3.0), values=np.array([0.1, 0.5, 1.0]))
+    for u in (np.full(100, 0.5), 0.5):
+        with pytest.raises(DomainError, match="start at zero"):
+            inverse_cdf_sample(shifted, None, u)
+
+
+def test_inverse_cdf_rejects_nan_draws():
+    g = _exp_cdf_grid()
+    with pytest.raises(DomainError):
+        inverse_cdf_sample(g, 1.0, np.full(5000, np.nan))
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+# CDF increments mixing plateaus, subnormal steps (infinite segment
+# slopes) and ordinary steps
+_cdf_steps = st.lists(
+    st.one_of(st.just(0.0), st.sampled_from([5e-324, 1e-300, 1e-17]),
+              st.floats(1e-6, 1.0)),
+    min_size=1, max_size=40).filter(lambda xs: max(xs) >= 1e-6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(steps=_cdf_steps,
+       start=st.sampled_from([0.0, 1e-13, -1e-13]),
+       scale=st.floats(0.5, 1.5),
+       span=st.sampled_from([10.0, 1e305]),
+       seed=st.integers(0, 2**32 - 1))
+def test_inverse_cdf_equals_np_interp_bitwise(steps, start, scale, span, seed):
+    rng = np.random.default_rng(seed)
+    cum = np.concatenate(([0.0], np.cumsum(steps)))
+    vals = start + cum / cum[-1] / scale
+    # span 1e305 makes the slopes of the smallest steps overflow
+    pts = np.concatenate(([0.0], np.cumsum(rng.uniform(1e-4, 1.0, len(steps)) * span)))
+    g = Grid(points=pts, values=vals)
+    size = 1 << (len(vals) - 1).bit_length()
+    # knots and their successors, bucket edges, midpoints and draws
+    # spread over every bucket, all below f_end
+    u = np.concatenate((vals, np.nextafter(vals, 2.0), np.arange(1, size) / size,
+                        0.5 * (vals[1:] + vals[:-1]),
+                        ((np.arange(size)[:, None] + rng.random((size, 8))) / size).ravel()))
+    u = u[(u > 0.0) & (u < min(vals[-1], 1.0))]
+    if u.size == 0:
+        return
+    u = np.resize(u, max(u.size, len(vals)))    # the guide-table path
+    assert np.array_equal(_bits(inverse_cdf_sample(g, 1.0, u)),
+                          _bits(np.interp(u, vals, pts)))
+    for x in u[:5]:                             # scalars
+        assert _bits(inverse_cdf_sample(g, 1.0, float(x))) == \
+            _bits(np.interp(x, vals, pts))
+
+
+def test_inverse_cdf_exact_hit_on_steep_segment():
+    # a knot on a bucket edge followed by a segment whose slope
+    # overflows: np.interp answers the knot itself, not inf * 0
+    vals = np.array([0.0, 0.5, np.nextafter(0.5, 1.0), 1.0])
+    pts = np.array([0.0, 1.0, 1e305, 2e305])
+    g = Grid(points=pts, values=vals)
+    u = np.full(8, 0.5)
+    assert np.array_equal(inverse_cdf_sample(g, None, u), np.interp(u, vals, pts))
+
+
+def test_inverse_cdf_bitwise_over_several_chunks():
+    # an IIA-like CDF with a long flat tail, drawn in more than one chunk
+    t = np.linspace(0.0, 200.0, 20_001)
+    f = np.minimum(1.0 - np.exp(-0.3 * t) * (1.0 + 0.2 * np.sin(t)), 1.0)
+    f = np.maximum.accumulate(np.maximum(f, 0.0))
+    f[0] = 0.0
+    g = Grid(points=t, values=f)
+    u = np.random.default_rng(8).random(3 * (1 << 16) + 17)
+    below = u < f[-1]
+    got = inverse_cdf_sample(g, 0.3, u)
+    assert np.array_equal(_bits(got[below]), _bits(np.interp(u[below], f, t)))
+
+
+def test_inverse_cdf_tail_branch_unchanged():
+    t = np.linspace(0.0, 3.0, 301)
+    g = Grid(points=t, values=1.0 - np.exp(-t))
+    f_end = g.values[-1]
+    u = np.concatenate((np.full(400, f_end),
+                        f_end + (1.0 - f_end) * np.linspace(0.01, 0.99, 400)))
+    got = inverse_cdf_sample(g, 0.7, u)
+    want = np.interp(u, g.values, t)
+    over = u > f_end
+    want[over] = t[-1] + np.log((1.0 - f_end) / (1.0 - u[over])) / 0.7
+    assert np.array_equal(_bits(got), _bits(want))
+    assert np.all(got[~over] == t[-1])
+    complete = Grid(points=t, values=np.append(1.0 - np.exp(-t[:-1]), 1.0 - 1e-10))
+    clamped = inverse_cdf_sample(complete, None, np.full(400, 1.0 - 1e-11))
+    assert np.all(clamped == t[-1])
+
+
 def test_inverse_cdf_requires_tail_or_complete_cdf():
     t = np.linspace(0.0, 2.0, 201)
     g = Grid(points=t, values=1.0 - np.exp(-t))
@@ -247,3 +348,16 @@ def test_grid_invariants():
         Grid(points=np.array([0.0, 1.0]), values=np.zeros(3))
     with pytest.raises(DomainError):
         Grid(points=np.array([0.0]), values=np.array([1.0]))
+
+
+def test_grid_arrays_are_read_only_copies():
+    pts = np.linspace(0.0, 1.0, 11)
+    vals = pts.copy()
+    g = Grid(points=pts, values=vals)
+    for arr in (g.points, g.values):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 5.0
+    assert pts.flags.writeable and vals.flags.writeable
+    pts[0] = vals[0] = 7.0
+    assert g.points[0] == 0.0 and g.values[0] == 0.0
