@@ -12,9 +12,12 @@ A JSON config file can set any flag's value; explicit flags win.  Each
 value it sets must have the type of the flag's default.
 
 ``iia`` and ``table1`` draw and fit every (level, side, replicate) as one
-task of a single thread pool; ``EXCURSION_IIA_THREADS``, a positive
-integer, caps its size (default ``min(4, cpu_count)``).  Seeds are
-spawned before any task runs, so results do not depend on the pool size.
+task of a single thread pool; ``table2`` and ``gp-sim`` simulate every
+(level, replicate) trajectory batch and extract its excursions as one
+task of the same kind of pool, then fit each (level, side) in replicate
+order.  ``EXCURSION_IIA_THREADS``, a positive integer, caps the pool's
+size (default ``min(4, cpu_count)``).  Seeds are spawned before any task
+runs, so results do not depend on the pool size.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from . import __version__
 from .clipped import arcsin_covariance, clipped_covariance
 from .covmodel import diffusion_covariance
 from .errors import DomainError, ExcursionError, FitError
-from .gpsim import persistency_from_trajectories, rice_crossing_rate
+from .gpsim import pooled_excursions, rice_crossing_rate
 from .iia import build_iia, sample_excursion
 from .persistency import aggregate_fits, batch_ci, fit_persistency
 from .slepian import sample_slepian_path
@@ -230,6 +233,41 @@ def _level_estimates(model, levels, level_seeds, samples, reps, grid_max, grid_s
     return [(iia, sides[2 * k], sides[2 * k + 1]) for k, iia in enumerate(iias)]
 
 
+def _trajectory_estimates(model, levels, level_seeds, n_traj, traj_len, dt, reps):
+    """Trajectory-side persistency (above, below) at each level.
+
+    Every (level, replicate) batch of ``n_traj // reps`` trajectories is
+    one task of a single pool; each level seed spawns one seed per
+    replicate, as :func:`gpsim.persistency_from_trajectories` does.
+    """
+    if reps < 2:
+        raise DomainError("need at least two replicates")
+    if n_traj < reps:
+        raise DomainError("need at least one trajectory per replicate")
+    per_rep = n_traj // reps
+    tasks = [(u, rep_seed) for u, sseq in zip(levels, level_seeds)
+             for rep_seed in sseq.spawn(reps)]
+    pools = _parallel_map(
+        lambda task: pooled_excursions(model, task[0], dt, traj_len, per_rep, task[1]),
+        tasks)
+    by_level = [pools[j:j + reps] for j in range(0, len(pools), reps)]
+    return [tuple(batch_ci(lambda i: level[i][side], reps) for side in (0, 1))
+            for level in by_level]
+
+
+def _parse_levels(text) -> list[float]:
+    levels = []
+    for item in str(text).split(","):
+        try:
+            u = float(item)
+        except ValueError:
+            u = math.nan
+        if not math.isfinite(u):
+            raise DomainError(f"--levels entries must be finite numbers, got {item!r}")
+        levels.append(u)
+    return levels
+
+
 def _cmd_iia(cfg: dict) -> int:
     started = time.monotonic()
     model = _model_from(cfg)
@@ -269,9 +307,9 @@ def _cmd_iia(cfg: dict) -> int:
 def _cmd_gp_sim(cfg: dict) -> int:
     started = time.monotonic()
     model = _model_from(cfg)
-    above, below = persistency_from_trajectories(
-        model, cfg["level"], cfg["n_traj"], cfg["len"], cfg["dt"],
-        cfg["seed"], reps=cfg["reps"])
+    [(above, below)] = _trajectory_estimates(
+        model, [cfg["level"]], [np.random.SeedSequence(cfg["seed"])],
+        cfg["n_traj"], cfg["len"], cfg["dt"], cfg["reps"])
     result = {
         "level": cfg["level"],
         "theta_plus": above.mean_theta,
@@ -415,7 +453,7 @@ def _cmd_persistency(cfg: dict) -> int:
 def _cmd_table1(cfg: dict) -> int:
     started = time.monotonic()
     model = _model_from(cfg)
-    levels = [float(x) for x in str(cfg["levels"]).split(",")]
+    levels = _parse_levels(cfg["levels"])
     level_seeds = np.random.SeedSequence(cfg["seed"]).spawn(len(levels))
 
     estimates = _level_estimates(model, levels, level_seeds, cfg["samples"],
@@ -433,21 +471,18 @@ def _cmd_table1(cfg: dict) -> int:
 def _cmd_table2(cfg: dict) -> int:
     started = time.monotonic()
     model = _model_from(cfg)
-    levels = [float(x) for x in str(cfg["levels"]).split(",")]
+    levels = _parse_levels(cfg["levels"])
     level_seeds = np.random.SeedSequence(cfg["seed"]).spawn(len(levels))
 
-    rows = []
-    for level, sseq in zip(levels, level_seeds):
-        above, below = persistency_from_trajectories(
-            model, level, cfg["n_traj"], cfg["len"], cfg["dt"],
-            sseq, reps=cfg["reps"])
-        rows.append({
-            "level": level,
-            "theta_plus": above.mean_theta, "ci_plus": above.half_width,
-            "theta_minus": below.mean_theta, "ci_minus": below.half_width,
-        })
+    estimates = _trajectory_estimates(model, levels, level_seeds, cfg["n_traj"],
+                                      cfg["len"], cfg["dt"], cfg["reps"])
+    rows = [{
+        "level": level,
+        "theta_plus": above.mean_theta, "ci_plus": above.half_width,
+        "theta_minus": below.mean_theta, "ci_minus": below.half_width,
+    } for level, (above, below) in zip(levels, estimates)]
     _emit_table(rows, cfg, started,
-                provenance="gpsim.persistency_from_trajectories")
+                provenance="gpsim.pooled_excursions + persistency.batch_ci")
     return 0
 
 

@@ -6,7 +6,10 @@ independent real paths are read off the real and imaginary parts of a
 transformed complex normal vector.  The target covariance is exact on
 the grid as long as the embedding eigenvalues are non-negative; tiny
 negative eigenvalues (total magnitude below 1e-8 of the trace) are
-clipped, anything worse raises.
+clipped, anything worse raises.  Paths are made in chunks of up to 64
+(32 complex rows); each call holds one float and one complex chunk
+buffer, scales the normal draws straight into the complex buffer's real
+and imaginary parts and transforms it in place.
 
 A spectral synthesis route is available as an independent cross-check
 for models that carry a spectrum, so simulator bias can be bounded by
@@ -42,6 +45,7 @@ __all__ = [
     "simulate_gp_spectral",
     "extract_excursions",
     "rice_crossing_rate",
+    "pooled_excursions",
     "persistency_from_trajectories",
 ]
 
@@ -77,6 +81,13 @@ class ExcursionSet:
     crossing_count: int
 
 
+def _check_grid(dt: float, n: int) -> None:
+    if not (math.isfinite(dt) and dt > 0.0):
+        raise DomainError(f"dt must be finite and positive, got {dt!r}")
+    if n < 2:
+        raise DomainError(f"need at least two samples, got {n!r}")
+
+
 def _embedding(model: CovarianceModel, dt: float, n: int):
     # pad with lags until the covariance is numerically dead so the
     # periodization does not wrap correlation back into the window
@@ -100,13 +111,22 @@ def _embedding(model: CovarianceModel, dt: float, n: int):
 
 
 def _paths_from_embedding(lam: np.ndarray, m: int, n: int, count: int, rng):
+    # the draws per chunk are all real parts, then all imaginary parts,
+    # so the paths equal fft((a + 1j*b) * scale) bit for bit
     scale = np.sqrt(lam / m)
     out = np.empty((count, n))
+    rows = min(32, (count + 1) // 2)
+    draws = np.empty((rows, m))
+    z_buf = np.empty((rows, m), dtype=complex)
     done = 0
     while done < count:
-        k = min(32, (count - done + 1) // 2)
-        z = rng.standard_normal((k, m)) + 1j * rng.standard_normal((k, m))
-        w = np.fft.fft(z * scale, axis=1)
+        k = min(rows, (count - done + 1) // 2)
+        normal, w = draws[:k], z_buf[:k]
+        rng.standard_normal(out=normal)
+        np.multiply(normal, scale, out=w.real)
+        rng.standard_normal(out=normal)
+        np.multiply(normal, scale, out=w.imag)
+        np.fft.fft(w, axis=1, out=w)
         take = min(k, count - done)
         out[done:done + take] = w.real[:take, :n]
         done += take
@@ -119,10 +139,7 @@ def _paths_from_embedding(lam: np.ndarray, m: int, n: int, count: int, rng):
 
 def simulate_gp(model: CovarianceModel, dt: float, n: int, seed) -> Trajectory:
     """One stationary Gaussian trajectory with exact grid covariance."""
-    if not dt > 0.0:
-        raise DomainError("dt must be positive")
-    if n < 2:
-        raise DomainError("need at least two samples")
+    _check_grid(dt, n)
     lam, m = _embedding(model, dt, n)
     rng = np.random.default_rng(seed)
     values = _paths_from_embedding(lam, m, n, 1, rng)[0]
@@ -132,6 +149,7 @@ def simulate_gp(model: CovarianceModel, dt: float, n: int, seed) -> Trajectory:
 def simulate_gp_batch(model: CovarianceModel, dt: float, n: int,
                       count: int, seed) -> np.ndarray:
     """``count`` independent trajectories as a (count, n) array."""
+    _check_grid(dt, n)
     if count < 1:
         raise DomainError("count must be positive")
     lam, m = _embedding(model, dt, n)
@@ -151,8 +169,7 @@ def simulate_gp_spectral(model: CovarianceModel, dt: float, n: int, seed) -> Tra
     """
     if model.spectrum is None:
         raise DomainError(f"model {model.name} has no spectral density")
-    if not dt > 0.0 or n < 2:
-        raise DomainError("need dt > 0 and n >= 2")
+    _check_grid(dt, n)
     m = 1 << int(math.ceil(math.log2(4 * n)))
     dw = 2.0 * math.pi / (m * dt)
     w = np.arange(m // 2 + 1) * dw
@@ -200,6 +217,21 @@ def rice_crossing_rate(model: CovarianceModel, u: float) -> float:
     return math.sqrt(-model.r_pp0) / math.pi * math.exp(-0.5 * u * u)
 
 
+def pooled_excursions(model: CovarianceModel, u: float, dt: float, n: int,
+                      count: int, seed) -> tuple[np.ndarray, np.ndarray]:
+    """Pooled (above, below) excursion lengths of ``count`` trajectories.
+
+    One replicate of :func:`persistency_from_trajectories`: simulates the
+    batch from ``seed`` and concatenates each row's lengths in row order.
+    """
+    above, below = [], []
+    for row in simulate_gp_batch(model, dt, n, count, seed):
+        exc = extract_excursions(Trajectory(dt=dt, values=row, model_name=model.name), u)
+        above.append(exc.above_lengths)
+        below.append(exc.below_lengths)
+    return np.concatenate(above), np.concatenate(below)
+
+
 def persistency_from_trajectories(model: CovarianceModel, u: float,
                                   n_traj: int, traj_len: int, dt: float,
                                   seed, reps: int = 10,
@@ -214,22 +246,7 @@ def persistency_from_trajectories(model: CovarianceModel, u: float,
     """
     if n_traj < reps:
         raise DomainError("need at least one trajectory per replicate")
-    per_rep = n_traj // reps
-    seeds = spawn_seeds(seed, reps)
-
-    pools_above: list[np.ndarray] = []
-    pools_below: list[np.ndarray] = []
-    for rep in range(reps):
-        batch = simulate_gp_batch(model, dt, traj_len, per_rep, seeds[rep])
-        above, below = [], []
-        for row in batch:
-            exc = extract_excursions(
-                Trajectory(dt=dt, values=row, model_name=model.name), u)
-            above.append(exc.above_lengths)
-            below.append(exc.below_lengths)
-        pools_above.append(np.concatenate(above))
-        pools_below.append(np.concatenate(below))
-
-    est_above = batch_ci(lambda i: pools_above[i], reps, min_tail_count)
-    est_below = batch_ci(lambda i: pools_below[i], reps, min_tail_count)
-    return est_above, est_below
+    pools = [pooled_excursions(model, u, dt, traj_len, n_traj // reps, s)
+             for s in spawn_seeds(seed, reps)]
+    return (batch_ci(lambda i: pools[i][0], reps, min_tail_count),
+            batch_ci(lambda i: pools[i][1], reps, min_tail_count))

@@ -203,9 +203,14 @@ def test_persistency_rejects_non_numeric_line_after_header(tmp_path, capsys):
     assert run(["persistency", "--samples", str(tmp_path / "none.csv")]) == 1
 
 
+FAST_TRAJ = ["--n-traj", "40", "--len", "8000", "--reps", "4"]
+
+
 @pytest.mark.parametrize("args", [
     ["table1", "--levels", "0,1.25"] + FAST_IIA,
     ["iia", "--level", "1"] + FAST_IIA,
+    ["table2", "--levels", "0,0.5"] + FAST_TRAJ,
+    ["gp-sim", "--level", "0.5"] + FAST_TRAJ,
 ])
 def test_results_do_not_depend_on_thread_count(tmp_path, monkeypatch, capsys, args):
     outputs = []
@@ -218,3 +223,19 @@ def test_results_do_not_depend_on_thread_count(tmp_path, monkeypatch, capsys, ar
         assert run(args + ["--seed", "21", "--out", str(out)]) == 0
         outputs.append(out.read_bytes())
     assert outputs[0] == outputs[1] == outputs[2]
+
+
+@pytest.mark.parametrize("command, extra", [("table1", FAST_IIA), ("table2", FAST_TRAJ)])
+@pytest.mark.parametrize("levels", ["0,abc", "0,,1", "0,inf", "nan", ""])
+def test_bad_levels_exit_one(capsys, command, extra, levels):
+    assert run([command, "--levels", levels] + extra) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "--levels" in err
+
+
+@pytest.mark.parametrize("dt", ["0", "-0.05", "nan", "inf"])
+def test_bad_time_step_exits_one(capsys, dt):
+    assert run(["table2", "--levels", "0", "--dt", dt] + FAST_TRAJ) == 1
+    assert run(["gp-sim", "--level", "0", "--dt", dt] + FAST_TRAJ) == 1
+    assert "dt must be finite and positive" in capsys.readouterr().err

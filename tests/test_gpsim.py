@@ -5,7 +5,7 @@ import pytest
 
 from excursions.covmodel import diffusion_covariance
 from excursions.errors import DomainError, EmptyExcursionSet
-from excursions.gpsim import (Trajectory, extract_excursions,
+from excursions.gpsim import (Trajectory, _embedding, extract_excursions,
                               persistency_from_trajectories, rice_crossing_rate,
                               simulate_gp, simulate_gp_batch, simulate_gp_spectral)
 
@@ -129,3 +129,38 @@ def test_trajectory_validation():
         simulate_gp(M2, -0.1, 100, seed=0)
     with pytest.raises(DomainError):
         simulate_gp(M2, 0.1, 1, seed=0)
+
+
+@pytest.mark.parametrize("count", [1, 2, 63, 64, 65, 150])
+def test_batch_equals_out_of_place_reference(count):
+    # the sampler as it was before its buffers were reused in place:
+    # chunks of up to 32 complex rows, real draws then imaginary draws
+    dt, n, seed = 0.05, 300, 17
+    lam, m = _embedding(M2, dt, n)
+    rng = np.random.default_rng(seed)
+    scale = np.sqrt(lam / m)
+    ref = np.empty((count, n))
+    done = 0
+    while done < count:
+        k = min(32, (count - done + 1) // 2)
+        z = rng.standard_normal((k, m)) + 1j * rng.standard_normal((k, m))
+        w = np.fft.fft(z * scale, axis=1)
+        take = min(k, count - done)
+        ref[done:done + take] = w.real[:take, :n]
+        done += take
+        if done < count:
+            take = min(k, count - done)
+            ref[done:done + take] = w.imag[:take, :n]
+            done += take
+    assert np.array_equal(simulate_gp_batch(M2, dt, n, count, seed), ref)
+
+
+@pytest.mark.parametrize("dt, n", [(0.0, 100), (-0.05, 100), (math.nan, 100),
+                                   (math.inf, 100), (0.05, 1), (0.05, 0)])
+def test_grid_checked_before_simulation(dt, n):
+    with pytest.raises(DomainError):
+        simulate_gp_batch(M2, dt, n, 4, seed=0)
+    with pytest.raises(DomainError):
+        simulate_gp(M2, dt, n, seed=0)
+    with pytest.raises(DomainError):
+        simulate_gp_spectral(M2, dt, n, seed=0)
