@@ -8,15 +8,27 @@ its hash, the seed and wall-clock time.  Result JSON contains only
 deterministic fields: identical configurations (seed included)
 reproduce it byte for byte.
 
-A JSON config file can set any flag's value; explicit flags win.  Each
-value it sets must have the type of the flag's default.
+``_COMMANDS`` is the one source of truth for the options.  Each
+subcommand lists rows ``(key, type, default[, help])``, and ``--seed``
+is one more row of every subcommand.  The rows generate the flag
+``--key`` (dashes for underscores), the defaults of the effective
+configuration and the checks on a ``--config`` file.  A ``bool`` type is
+a switch, a tuple type lists the allowed values, and a ``_Required``
+default marks ``--level`` and the ``persistency`` ``--samples``, which
+must be given on the command line.
+
+A JSON config file can set the subcommand's optional keys and ``seed``;
+explicit flags win.  Each value it sets must have the declared type
+(``None`` where the default is ``None``); any other key or value is a
+``DomainError``.
 
 ``iia`` and ``table1`` draw and fit every (level, side, replicate) as one
 task of a single thread pool; ``table2`` and ``gp-sim`` simulate every
-(level, replicate) trajectory batch and extract its excursions as one
-task of the same kind of pool, then fit each (level, side) in replicate
-order.  ``EXCURSION_IIA_THREADS``, a positive integer, caps the pool's
-size (default ``min(4, cpu_count)``).  Seeds are spawned before any task
+(level, replicate) trajectory batch, extract its excursions and fit both
+sides as one task of the same kind of pool.  Both fit through ``_fit``
+and average replicates with ``persistency.aggregate_fits``.
+``EXCURSION_IIA_THREADS``, a positive integer, caps the pool's size
+(default ``min(4, cpu_count)``).  Seeds are spawned before any task
 runs, so results do not depend on the pool size.
 """
 
@@ -24,12 +36,15 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import contextlib
 import hashlib
+import itertools
 import json
 import math
 import os
 import sys
 import time
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -45,9 +60,11 @@ from .slepian import sample_slepian_path
 from .switchproc import estimate_characteristics, interval_from_spec, simulate_switch_paths
 
 DEFAULT_SEED = 12345
-DEFAULT_LEVELS = (0.0, 0.5, 1.0, 1.25)
 
 USAGE_EXIT = 64
+
+_MODELS = {"diffusion": diffusion_covariance}
+_SIDES = ("above", "below")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -83,25 +100,19 @@ def _parallel_map(fn, items):
 # configuration plumbing
 # ---------------------------------------------------------------------------
 
-# the type a config file must give each key that has no default or a
-# None default; the others take the type of their default
-_CONFIG_TYPES = {"seed": int, "level": float, "levels": str, "samples_path": str,
-                 "out": str, "cdf_csv": str, "samples_csv": str}
+@dataclass(frozen=True)
+class _Required:
+    """Default of an option that must be given on the command line."""
+
+    flag: str | None = None     # the flag, when it is not ``--key``
 
 
-def _check_config_type(key, value, default) -> None:
-    if value is None and default is None:
-        return
-    want = type(default) if default is not None else _CONFIG_TYPES[key]
-    if want is float:
-        ok = isinstance(value, (int, float)) and not isinstance(value, bool)
-    elif want is int:
-        ok = isinstance(value, int) and not isinstance(value, bool)
-    else:
-        ok = isinstance(value, want)
-    if not ok:
-        raise DomainError(f"config key {key!r} must be of type {want.__name__}, "
-                          f"got {value!r}")
+def _has_type(value, kind) -> bool:
+    if isinstance(kind, tuple):
+        return value in kind
+    if isinstance(value, bool) and kind is not bool:
+        return False
+    return isinstance(value, (int, float) if kind is float else kind)
 
 
 def _load_config(path: str) -> dict:
@@ -117,22 +128,26 @@ def _load_config(path: str) -> dict:
     return loaded
 
 
-def _merged_config(defaults: dict, ns: argparse.Namespace) -> dict:
-    explicit = {k: v for k, v in vars(ns).items()
-                if k not in ("func", "config") and v is not argparse.SUPPRESS}
-    cfg = dict(defaults)
-    path = getattr(ns, "config", None)
-    if path:
-        loaded = _load_config(path)
-        unknown = set(loaded) - set(defaults) - {"seed", "level", "levels",
-                                                 "samples_path"}
+def _merged_config(ns: argparse.Namespace) -> dict:
+    """Defaults, then the ``--config`` file, then the explicit flags."""
+    options = _options(ns.command)
+    cfg = {key: default for key, _, default, *_ in options
+           if not isinstance(default, _Required)}
+    if ns.config:
+        loaded = _load_config(ns.config)
+        unknown = sorted(set(loaded) - set(cfg))
         if unknown:
-            raise DomainError(f"unknown config keys: {sorted(unknown)}")
+            raise DomainError(f"config keys {unknown} are not optional settings "
+                              f"of {ns.command}")
+        kinds = {key: kind for key, kind, *_ in options}
         for key, value in loaded.items():
-            _check_config_type(key, value, defaults.get(key))
+            kind = kinds[key]
+            if not (value is None and cfg[key] is None or _has_type(value, kind)):
+                want = (f"one of {list(kind)}" if isinstance(kind, tuple)
+                        else f"of type {kind.__name__}")
+                raise DomainError(f"config key {key!r} must be {want}, got {value!r}")
         cfg.update(loaded)
-    cfg.update(explicit)
-    cfg.setdefault("seed", DEFAULT_SEED)
+    cfg.update((k, v) for k, v in vars(ns).items() if k != "config")
     return cfg
 
 
@@ -147,63 +162,61 @@ def _config_hash(cfg: dict) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-def _write_json(payload: dict, out: str | None) -> None:
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    if out:
-        path = Path(out)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _write_manifest(cfg: dict, out: str | None, provenance: dict,
-                    started: float) -> None:
+def _output(out: str | None):
+    """A text stream to the file ``out``, or to stdout when ``out`` is not given."""
     if not out:
+        return contextlib.nullcontext(sys.stdout)
+    path = Path(out)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    return open(path, "w")
+
+
+def _write_json(payload: dict, out: str | None) -> None:
+    with _output(out) as fh:
+        fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+
+
+def _write_manifest(cfg: dict, provenance: dict, started: float) -> None:
+    if not cfg["out"]:
         return
-    manifest = {
+    _write_json({
         "artifact_version": __version__,
         "config": cfg,
         "config_hash": _config_hash(cfg),
-        "seed": cfg.get("seed"),
+        "seed": cfg["seed"],
         "wall_clock_seconds": round(time.monotonic() - started, 3),
         "provenance": provenance,
-    }
-    path = Path(str(out) + ".manifest.json")
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+    }, cfg["out"] + ".manifest.json")
 
 
 def _fmt_cell(x) -> str:
-    if isinstance(x, (float, np.floating)):
-        return repr(float(x))
-    if isinstance(x, np.integer):
-        return str(int(x))
-    return str(x)
+    return repr(float(x)) if isinstance(x, (float, np.floating)) else str(x)
 
 
-def _write_csv(out: str, header: str, rows) -> None:
-    path = Path(out)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as fh:
+def _write_csv(out: str | None, header: str, rows) -> None:
+    with _output(out) as fh:
         fh.write(header + "\n")
         for row in rows:
             fh.write(",".join(_fmt_cell(x) for x in row) + "\n")
 
 
 def _model_from(cfg: dict):
-    name = cfg.get("model", "diffusion")
-    if name == "diffusion":
-        return diffusion_covariance(int(cfg.get("dim", 2)))
-    raise DomainError(f"unknown model {name!r}")
+    return _MODELS[cfg["model"]](cfg["dim"])
 
 
 # ---------------------------------------------------------------------------
-# subcommand implementations
+# subcommand implementations; each returns the provenance of its manifest
 # ---------------------------------------------------------------------------
 
-def _level_estimates(model, levels, level_seeds, samples, reps, grid_max, grid_step,
-                     min_tail=50):
+def _fit(samples, u, side, i):
+    """Tail fit of one replicate; an error names the level, side and replicate."""
+    try:
+        return fit_persistency(samples)
+    except (DomainError, FitError) as exc:
+        raise type(exc)(f"u = {u:g}, {side} side, replicate {i}: {exc}") from exc
+
+
+def _level_estimates(model, cfg, levels, level_seeds):
     """Build the approximation at each level and fit both sides of each.
 
     Returns one ``(iia, above, below)`` per level.  Every (level, side,
@@ -211,48 +224,51 @@ def _level_estimates(model, levels, level_seeds, samples, reps, grid_max, grid_s
     overlap as well as sides and replicates.  Each level seed spawns
     one seed per side and each side seed one per replicate.
     """
+    reps = cfg["reps"]
     if reps < 2:
         raise DomainError("need at least two replicates")
-    iias = [build_iia(model, u, t_max=grid_max, step=grid_step) for u in levels]
+    iias = [build_iia(model, u, t_max=cfg["grid_max"], step=cfg["grid_step"])
+            for u in levels]
     tasks = [(iia, side, i, rep_seed)
              for iia, sseq in zip(iias, level_seeds)
-             for side, root in zip(("above", "below"), sseq.spawn(2))
+             for side, root in zip(_SIDES, sseq.spawn(2))
              for i, rep_seed in enumerate(root.spawn(reps))]
 
-    def fit(task):
-        iia, side, i, rep_seed = task
-        try:
-            return fit_persistency(sample_excursion(iia, side, samples, rep_seed),
-                                   min_tail)
-        except FitError as exc:
-            raise FitError(f"u = {iia.level:g}, {side} side, replicate {i}: {exc}") \
-                from exc
+    def task(args):
+        iia, side, i, rep_seed = args
+        return _fit(sample_excursion(iia, side, cfg["samples"], rep_seed),
+                    iia.level, side, i)
 
-    fits = _parallel_map(fit, tasks)
+    fits = _parallel_map(task, tasks)
     sides = [aggregate_fits(fits[j:j + reps]) for j in range(0, len(fits), reps)]
     return [(iia, sides[2 * k], sides[2 * k + 1]) for k, iia in enumerate(iias)]
 
 
-def _trajectory_estimates(model, levels, level_seeds, n_traj, traj_len, dt, reps):
+def _trajectory_estimates(model, cfg, levels, level_seeds):
     """Trajectory-side persistency (above, below) at each level.
 
     Every (level, replicate) batch of ``n_traj // reps`` trajectories is
-    one task of a single pool; each level seed spawns one seed per
-    replicate, as :func:`gpsim.persistency_from_trajectories` does.
+    one task of a single pool, which also fits both sides; each level
+    seed spawns one seed per replicate, as
+    :func:`gpsim.persistency_from_trajectories` does.
     """
+    reps = cfg["reps"]
     if reps < 2:
         raise DomainError("need at least two replicates")
-    if n_traj < reps:
+    if cfg["n_traj"] < reps:
         raise DomainError("need at least one trajectory per replicate")
-    per_rep = n_traj // reps
-    tasks = [(u, rep_seed) for u, sseq in zip(levels, level_seeds)
-             for rep_seed in sseq.spawn(reps)]
-    pools = _parallel_map(
-        lambda task: pooled_excursions(model, task[0], dt, traj_len, per_rep, task[1]),
-        tasks)
-    by_level = [pools[j:j + reps] for j in range(0, len(pools), reps)]
-    return [tuple(batch_ci(lambda i: level[i][side], reps) for side in (0, 1))
-            for level in by_level]
+    per_rep = cfg["n_traj"] // reps
+    tasks = [(u, i, rep_seed) for u, sseq in zip(levels, level_seeds)
+             for i, rep_seed in enumerate(sseq.spawn(reps))]
+
+    def task(args):
+        u, i, rep_seed = args
+        pools = pooled_excursions(model, u, cfg["dt"], cfg["len"], per_rep, rep_seed)
+        return tuple(_fit(lengths, u, side, i) for side, lengths in zip(_SIDES, pools))
+
+    fits = _parallel_map(task, tasks)
+    return [tuple(aggregate_fits(side) for side in zip(*fits[j:j + reps]))
+            for j in range(0, len(fits), reps)]
 
 
 def _parse_levels(text) -> list[float]:
@@ -268,12 +284,9 @@ def _parse_levels(text) -> list[float]:
     return levels
 
 
-def _cmd_iia(cfg: dict) -> int:
-    started = time.monotonic()
-    model = _model_from(cfg)
+def _cmd_iia(cfg: dict) -> dict:
     [(iia, above, below)] = _level_estimates(
-        model, [cfg["level"]], [np.random.SeedSequence(cfg["seed"])],
-        cfg["samples"], cfg["reps"], cfg["grid_max"], cfg["grid_step"])
+        _model_from(cfg), cfg, [cfg["level"]], [np.random.SeedSequence(cfg["seed"])])
     result = {
         "level": cfg["level"],
         "alpha": iia.alpha,
@@ -286,30 +299,27 @@ def _cmd_iia(cfg: dict) -> int:
         "seed": cfg["seed"],
         "config_hash": _config_hash(cfg),
     }
-    _write_json(result, cfg.get("out"))
-    if cfg.get("cdf_csv"):
+    _write_json(result, cfg["out"])
+    if cfg["cdf_csv"]:
         _write_csv(cfg["cdf_csv"], "t,f_x,f_y",
                    zip(iia.f_x_cdf.points, iia.f_x_cdf.values, iia.f_y_cdf.values))
-    if cfg.get("samples_csv"):
+    if cfg["samples_csv"]:
         extra_seeds = np.random.SeedSequence(cfg["seed"]).spawn(3)
-        for side, s in (("above", extra_seeds[1]), ("below", extra_seeds[2])):
+        for side, s in zip(_SIDES, extra_seeds[1:]):
             draws = sample_excursion(iia, side, min(cfg["samples"], 100_000), s)
             _write_csv(f"{cfg['samples_csv']}.{side}.csv", "length",
-                       ((float(x),) for x in draws))
-    _write_manifest(cfg, cfg.get("out"), {
+                       ((x,) for x in draws))
+    return {
         "alpha": "iia.build_iia",
         "theta_plus/theta_minus": "iia.sample_excursion + persistency.fit_persistency",
         "ci_plus/ci_minus": "persistency.aggregate_fits",
-    }, started)
-    return 0
+    }
 
 
-def _cmd_gp_sim(cfg: dict) -> int:
-    started = time.monotonic()
+def _cmd_gp_sim(cfg: dict) -> dict:
     model = _model_from(cfg)
     [(above, below)] = _trajectory_estimates(
-        model, [cfg["level"]], [np.random.SeedSequence(cfg["seed"])],
-        cfg["n_traj"], cfg["len"], cfg["dt"], cfg["reps"])
+        model, cfg, [cfg["level"]], [np.random.SeedSequence(cfg["seed"])])
     result = {
         "level": cfg["level"],
         "theta_plus": above.mean_theta,
@@ -323,17 +333,15 @@ def _cmd_gp_sim(cfg: dict) -> int:
         "seed": cfg["seed"],
         "config_hash": _config_hash(cfg),
     }
-    _write_json(result, cfg.get("out"))
-    _write_manifest(cfg, cfg.get("out"), {
+    _write_json(result, cfg["out"])
+    return {
         "theta_plus/theta_minus":
-            "gpsim.simulate_gp_batch + gpsim.extract_excursions + persistency.batch_ci",
+            "gpsim.pooled_excursions + persistency.aggregate_fits",
         "rice_rate": "gpsim.rice_crossing_rate",
-    }, started)
-    return 0
+    }
 
 
-def _cmd_switch_sim(cfg: dict) -> int:
-    started = time.monotonic()
+def _cmd_switch_sim(cfg: dict) -> dict:
     plus = interval_from_spec(cfg["plus"])
     minus = interval_from_spec(cfg["minus"])
     paths = simulate_switch_paths(plus, minus, cfg["paths"], cfg["horizon"],
@@ -341,73 +349,41 @@ def _cmd_switch_sim(cfg: dict) -> int:
                                   p0=cfg["p0"])
     grid = np.linspace(0.0, cfg["horizon"], cfg["grid_points"])
     est = estimate_characteristics(paths, grid)
-    rows = zip(est.grid, est.p_plus, est.se_p_plus, est.p_minus, est.se_p_minus,
-               est.e_plus, est.se_e_plus, est.e_minus, est.se_e_minus,
-               est.covariance, est.se_covariance,
-               est.counts_plus, est.se_counts_plus,
-               est.counts_minus, est.se_counts_minus)
-    header = ("t,p_plus,se_p_plus,p_minus,se_p_minus,e_plus,se_e_plus,"
-              "e_minus,se_e_minus,covariance,se_covariance,"
-              "counts_plus,se_counts_plus,counts_minus,se_counts_minus")
-    if cfg.get("out"):
-        _write_csv(cfg["out"], header, rows)
-    else:
-        sys.stdout.write(header + "\n")
-        for row in rows:
-            sys.stdout.write(",".join(repr(float(x)) for x in row) + "\n")
-    _write_manifest(cfg, cfg.get("out"), {
-        "curves": "switchproc.simulate_switch_paths + switchproc.estimate_characteristics",
-    }, started)
-    return 0
+    _write_csv(cfg["out"],
+               "t,p_plus,se_p_plus,p_minus,se_p_minus,e_plus,se_e_plus,"
+               "e_minus,se_e_minus,covariance,se_covariance,"
+               "counts_plus,se_counts_plus,counts_minus,se_counts_minus",
+               zip(est.grid, est.p_plus, est.se_p_plus, est.p_minus, est.se_p_minus,
+                   est.e_plus, est.se_e_plus, est.e_minus, est.se_e_minus,
+                   est.covariance, est.se_covariance,
+                   est.counts_plus, est.se_counts_plus,
+                   est.counts_minus, est.se_counts_minus))
+    return {"curves": "switchproc.simulate_switch_paths + switchproc.estimate_characteristics"}
 
 
-def _cmd_clipped_cov(cfg: dict) -> int:
-    started = time.monotonic()
+def _cmd_clipped_cov(cfg: dict) -> dict:
     model = _model_from(cfg)
     n = int(round(cfg["t_max"] / cfg["step"]))
     t = np.linspace(0.0, n * cfg["step"], n + 1)
-    vals = clipped_covariance(model, cfg["level"], t)
+    columns = [t, clipped_covariance(model, cfg["level"], t)]
+    header = "t,value"
     if cfg["level"] == 0.0:
-        ref = arcsin_covariance(model, t)
-        rows = zip(t, vals, ref)
-        header = "t,value,arcsin_reference"
-    else:
-        rows = zip(t, vals)
-        header = "t,value"
-    if cfg.get("out"):
-        _write_csv(cfg["out"], header, rows)
-    else:
-        sys.stdout.write(header + "\n")
-        for row in rows:
-            sys.stdout.write(",".join(repr(float(x)) for x in row) + "\n")
-    _write_manifest(cfg, cfg.get("out"),
-                    {"value": "clipped.clipped_covariance"}, started)
-    return 0
+        columns.append(arcsin_covariance(model, t))
+        header += ",arcsin_reference"
+    _write_csv(cfg["out"], header, zip(*columns))
+    return {"value": "clipped.clipped_covariance"}
 
 
-def _cmd_slepian_sample(cfg: dict) -> int:
-    started = time.monotonic()
+def _cmd_slepian_sample(cfg: dict) -> dict:
     model = _model_from(cfg)
     n = int(round(cfg["grid_max"] / cfg["grid_step"]))
     grid = np.linspace(0.0, n * cfg["grid_step"], n + 1)
     paths = sample_slepian_path(model, cfg["level"], grid, cfg["paths"], cfg["seed"])
-    rows = []
-    for rep, p in enumerate(paths):
-        total = p.total
-        for i in range(len(grid)):
-            rows.append((float(grid[i]), float(p.deterministic_part[i]),
-                         float(p.slope_part[i]), float(p.residual_part[i]),
-                         float(total[i]), rep))
-    header = "t,deterministic,slope_component,residual,total,replicate_id"
-    if cfg.get("out"):
-        _write_csv(cfg["out"], header, rows)
-    else:
-        sys.stdout.write(header + "\n")
-        for row in rows:
-            sys.stdout.write(",".join(str(x) for x in row) + "\n")
-    _write_manifest(cfg, cfg.get("out"),
-                    {"paths": "slepian.sample_slepian_path"}, started)
-    return 0
+    _write_csv(cfg["out"], "t,deterministic,slope_component,residual,total,replicate_id",
+               (row for rep, p in enumerate(paths)
+                for row in zip(grid, p.deterministic_part, p.slope_part,
+                               p.residual_part, p.total, itertools.repeat(rep))))
+    return {"paths": "slepian.sample_slepian_path"}
 
 
 def _load_samples(path: str) -> np.ndarray:
@@ -430,8 +406,7 @@ def _load_samples(path: str) -> np.ndarray:
     return np.asarray(raw)
 
 
-def _cmd_persistency(cfg: dict) -> int:
-    started = time.monotonic()
+def _cmd_persistency(cfg: dict) -> dict:
     samples = _load_samples(cfg["samples_path"])
     reps = cfg["reps"]
     if reps > 1:
@@ -444,210 +419,118 @@ def _cmd_persistency(cfg: dict) -> int:
                   "r_squared": fit.r_squared}
     result.update({"n_samples": int(len(samples)), "seed": cfg["seed"],
                    "config_hash": _config_hash(cfg)})
-    _write_json(result, cfg.get("out"))
-    _write_manifest(cfg, cfg.get("out"),
-                    {"theta": "persistency.fit_persistency"}, started)
-    return 0
+    _write_json(result, cfg["out"])
+    return {"theta": "persistency.fit_persistency"}
 
 
-def _cmd_table1(cfg: dict) -> int:
-    started = time.monotonic()
-    model = _model_from(cfg)
+def _cmd_table(cfg: dict) -> dict:
+    """``table1`` (approximation side) or ``table2`` (trajectory side)."""
     levels = _parse_levels(cfg["levels"])
     level_seeds = np.random.SeedSequence(cfg["seed"]).spawn(len(levels))
-
-    estimates = _level_estimates(model, levels, level_seeds, cfg["samples"],
-                                 cfg["reps"], cfg["grid_max"], cfg["grid_step"])
+    if cfg["command"] == "table1":
+        estimates, source = _level_estimates, "iia.sample_excursion"
+    else:
+        estimates, source = _trajectory_estimates, "gpsim.pooled_excursions"
     rows = [{
         "level": level,
         "theta_plus": above.mean_theta, "ci_plus": above.half_width,
         "theta_minus": below.mean_theta, "ci_minus": below.half_width,
-    } for level, (_, above, below) in zip(levels, estimates)]
-    _emit_table(rows, cfg, started,
-                provenance="iia.sample_excursion + persistency.aggregate_fits")
-    return 0
-
-
-def _cmd_table2(cfg: dict) -> int:
-    started = time.monotonic()
-    model = _model_from(cfg)
-    levels = _parse_levels(cfg["levels"])
-    level_seeds = np.random.SeedSequence(cfg["seed"]).spawn(len(levels))
-
-    estimates = _trajectory_estimates(model, levels, level_seeds, cfg["n_traj"],
-                                      cfg["len"], cfg["dt"], cfg["reps"])
-    rows = [{
-        "level": level,
-        "theta_plus": above.mean_theta, "ci_plus": above.half_width,
-        "theta_minus": below.mean_theta, "ci_minus": below.half_width,
-    } for level, (above, below) in zip(levels, estimates)]
-    _emit_table(rows, cfg, started,
-                provenance="gpsim.pooled_excursions + persistency.batch_ci")
-    return 0
-
-
-def _emit_table(rows: list[dict], cfg: dict, started: float, provenance: str) -> None:
-    result = {"rows": rows, "seed": cfg["seed"], "config_hash": _config_hash(cfg)}
+    } for level, (*_, above, below)
+        in zip(levels, estimates(_model_from(cfg), cfg, levels, level_seeds))]
     line = "u = %-5g  theta+ = %.4f (+-%.4f)   theta- = %.4f (+-%.4f)"
     for r in rows:
         print(line % (r["level"], r["theta_plus"], r["ci_plus"],
                       r["theta_minus"], r["ci_minus"]))
-    if cfg.get("out"):
-        _write_json(result, cfg["out"])
-    _write_manifest(cfg, cfg.get("out"), {"rows": provenance}, started)
+    if cfg["out"]:
+        _write_json({"rows": rows, "seed": cfg["seed"], "config_hash": _config_hash(cfg)},
+                    cfg["out"])
+    return {"rows": source + " + persistency.aggregate_fits"}
 
 
 # ---------------------------------------------------------------------------
-# parser
+# option table and parser
 # ---------------------------------------------------------------------------
 
-_DEFAULTS = {
-    "iia": {"model": "diffusion", "dim": 2, "samples": 1_000_000, "reps": 10,
-            "grid_max": 200.0, "grid_step": 0.01, "out": None,
-            "cdf_csv": None, "samples_csv": None, "level": None},
-    "gp-sim": {"model": "diffusion", "dim": 2, "n_traj": 1000, "len": 10_000,
-               "dt": 0.05, "reps": 10, "out": None, "level": None},
-    "switch-sim": {"plus": "exp:1.0", "minus": "exp:1.0", "p0": 0.5,
-                   "stationary": False, "paths": 1000, "horizon": 10.0,
-                   "grid_points": 51, "out": None},
-    "clipped-cov": {"model": "diffusion", "dim": 2, "t_max": 20.0,
-                    "step": 0.05, "out": None, "level": None},
-    "slepian-sample": {"model": "diffusion", "dim": 2, "grid_max": 20.0,
-                       "grid_step": 0.05, "paths": 10, "out": None,
-                       "level": None},
-    "persistency": {"reps": 10, "min_tail": 50, "out": None,
-                    "samples_path": None},
-    "table1": {"model": "diffusion", "dim": 2, "samples": 1_000_000,
-               "reps": 10, "grid_max": 200.0, "grid_step": 0.01,
-               "levels": "0,0.5,1,1.25", "out": None},
-    "table2": {"model": "diffusion", "dim": 2, "n_traj": 1000, "len": 10_000,
-               "dt": 0.05, "reps": 10, "levels": "0,0.5,1,1.25", "out": None},
+_SEED = ("seed", int, DEFAULT_SEED)
+_MODEL = (("model", tuple(_MODELS), "diffusion"), ("dim", int, 2))
+_LEVEL = ("level", float, _Required())
+_LEVELS = ("levels", str, "0,0.5,1,1.25")
+_IIA_SIZES = (("samples", int, 1_000_000), ("reps", int, 10),
+              ("grid_max", float, 200.0), ("grid_step", float, 0.01))
+_TRAJ_SIZES = (("n_traj", int, 1000), ("len", int, 10_000), ("dt", float, 0.05),
+               ("reps", int, 10))
+_OUT = ("out", str, None)
+
+# subcommand -> (handler, help, option rows after --seed)
+_COMMANDS = {
+    "iia": (_cmd_iia, "level-excursion approximation at one level", (
+        *_MODEL, _LEVEL, *_IIA_SIZES, _OUT,
+        ("cdf_csv", str, None, "write the tabulated divisor CDFs"),
+        ("samples_csv", str, None, "prefix for per-side excursion sample files"))),
+    "gp-sim": (_cmd_gp_sim, "trajectory-based persistency estimation",
+               (*_MODEL, _LEVEL, *_TRAJ_SIZES, _OUT)),
+    "switch-sim": (_cmd_switch_sim, "switch-process simulation and characteristics", (
+        ("plus", str, "exp:1.0", "e.g. exp:1.0, erlang:2:1.0, det:1.0"),
+        ("minus", str, "exp:1.0"), ("p0", float, 0.5), ("stationary", bool, False),
+        ("paths", int, 1000), ("horizon", float, 10.0), ("grid_points", int, 51), _OUT)),
+    "clipped-cov": (_cmd_clipped_cov, "clipped covariance curve",
+                    (*_MODEL, _LEVEL, ("t_max", float, 20.0), ("step", float, 0.05), _OUT)),
+    "slepian-sample": (_cmd_slepian_sample, "crossing-decomposition path samples", (
+        *_MODEL, _LEVEL, ("grid_max", float, 20.0), ("grid_step", float, 0.05),
+        ("paths", int, 10), _OUT)),
+    "persistency": (_cmd_persistency, "tail fit of an excursion sample CSV", (
+        ("samples_path", str, _Required("--samples"), "CSV of excursion lengths, one per line"),
+        ("reps", int, 10), ("min_tail", int, 50), _OUT)),
+    "table1": (_cmd_table, "approximation-side persistency table",
+               (*_MODEL, *_IIA_SIZES, _LEVELS, _OUT)),
+    "table2": (_cmd_table, "trajectory-side persistency table",
+               (*_MODEL, *_TRAJ_SIZES, _LEVELS, _OUT)),
 }
 
-_HANDLERS = {
-    "iia": _cmd_iia,
-    "gp-sim": _cmd_gp_sim,
-    "switch-sim": _cmd_switch_sim,
-    "clipped-cov": _cmd_clipped_cov,
-    "slepian-sample": _cmd_slepian_sample,
-    "persistency": _cmd_persistency,
-    "table1": _cmd_table1,
-    "table2": _cmd_table2,
-}
+
+def _options(command: str) -> tuple:
+    return (_SEED,) + _COMMANDS[command][2]
 
 
 def _build_parser() -> _Parser:
-    sup = argparse.SUPPRESS
     parser = _Parser(prog="excursions",
                      description="Level-excursion approximation toolkit")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, help_, conf):
+    for name, (_, help_, _) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_)
         p.add_argument("--config", default=None,
                        help="JSON config merged under explicit flags")
-        p.add_argument("--seed", type=int, default=sup)
-        conf(p)
-        return p
-
-    def common_model(p):
-        p.add_argument("--model", default=sup, choices=["diffusion"])
-        p.add_argument("--dim", type=int, default=sup)
-
-    def conf_iia(p):
-        common_model(p)
-        p.add_argument("--level", type=float, required=True)
-        p.add_argument("--samples", type=int, default=sup)
-        p.add_argument("--reps", type=int, default=sup)
-        p.add_argument("--grid-max", dest="grid_max", type=float, default=sup)
-        p.add_argument("--grid-step", dest="grid_step", type=float, default=sup)
-        p.add_argument("--out", default=sup)
-        p.add_argument("--cdf-csv", dest="cdf_csv", default=sup,
-                       help="write the tabulated divisor CDFs")
-        p.add_argument("--samples-csv", dest="samples_csv", default=sup,
-                       help="prefix for per-side excursion sample files")
-
-    def conf_gp(p):
-        common_model(p)
-        p.add_argument("--level", type=float, required=True)
-        p.add_argument("--n-traj", dest="n_traj", type=int, default=sup)
-        p.add_argument("--len", dest="len", type=int, default=sup)
-        p.add_argument("--dt", type=float, default=sup)
-        p.add_argument("--reps", type=int, default=sup)
-        p.add_argument("--out", default=sup)
-
-    def conf_switch(p):
-        p.add_argument("--plus", default=sup, help="e.g. exp:1.0, erlang:2:1.0, det:1.0")
-        p.add_argument("--minus", default=sup)
-        p.add_argument("--p0", type=float, default=sup)
-        p.add_argument("--stationary", action="store_true", default=sup)
-        p.add_argument("--paths", type=int, default=sup)
-        p.add_argument("--horizon", type=float, default=sup)
-        p.add_argument("--grid-points", dest="grid_points", type=int, default=sup)
-        p.add_argument("--out", default=sup)
-
-    def conf_clipped(p):
-        common_model(p)
-        p.add_argument("--level", type=float, required=True)
-        p.add_argument("--t-max", dest="t_max", type=float, default=sup)
-        p.add_argument("--step", type=float, default=sup)
-        p.add_argument("--out", default=sup)
-
-    def conf_slepian(p):
-        common_model(p)
-        p.add_argument("--level", type=float, required=True)
-        p.add_argument("--grid-max", dest="grid_max", type=float, default=sup)
-        p.add_argument("--grid-step", dest="grid_step", type=float, default=sup)
-        p.add_argument("--paths", type=int, default=sup)
-        p.add_argument("--out", default=sup)
-
-    def conf_persistency(p):
-        p.add_argument("--samples", dest="samples_path", required=True,
-                       help="CSV of excursion lengths, one per line")
-        p.add_argument("--reps", type=int, default=sup)
-        p.add_argument("--min-tail", dest="min_tail", type=int, default=sup)
-        p.add_argument("--out", default=sup)
-
-    def conf_table1(p):
-        common_model(p)
-        p.add_argument("--samples", type=int, default=sup)
-        p.add_argument("--reps", type=int, default=sup)
-        p.add_argument("--grid-max", dest="grid_max", type=float, default=sup)
-        p.add_argument("--grid-step", dest="grid_step", type=float, default=sup)
-        p.add_argument("--levels", default=sup)
-        p.add_argument("--out", default=sup)
-
-    def conf_table2(p):
-        common_model(p)
-        p.add_argument("--n-traj", dest="n_traj", type=int, default=sup)
-        p.add_argument("--len", dest="len", type=int, default=sup)
-        p.add_argument("--dt", type=float, default=sup)
-        p.add_argument("--reps", type=int, default=sup)
-        p.add_argument("--levels", default=sup)
-        p.add_argument("--out", default=sup)
-
-    add("iia", "level-excursion approximation at one level", conf_iia)
-    add("gp-sim", "trajectory-based persistency estimation", conf_gp)
-    add("switch-sim", "switch-process simulation and characteristics", conf_switch)
-    add("clipped-cov", "clipped covariance curve", conf_clipped)
-    add("slepian-sample", "crossing-decomposition path samples", conf_slepian)
-    add("persistency", "tail fit of an excursion sample CSV", conf_persistency)
-    add("table1", "approximation-side persistency table", conf_table1)
-    add("table2", "trajectory-side persistency table", conf_table2)
+        for key, kind, default, *text in _options(name):
+            flag = "--" + key.replace("_", "-")
+            kw = {"dest": key, "help": text[0] if text else None}
+            if isinstance(default, _Required):
+                flag = default.flag or flag
+                kw["required"] = True
+            else:
+                kw["default"] = argparse.SUPPRESS
+            if kind is bool:
+                kw["action"] = "store_true"
+            elif isinstance(kind, tuple):
+                kw["choices"] = kind
+            else:
+                kw["type"] = kind
+            p.add_argument(flag, **kw)
     return parser
 
 
 def run(argv) -> int:
     """Parse and dispatch; returns the process exit code."""
-    parser = _build_parser()
     try:
-        ns = parser.parse_args(argv)
+        ns = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else USAGE_EXIT
+    started = time.monotonic()
     try:
-        cfg = _merged_config(_DEFAULTS[ns.command], ns)
-        return _HANDLERS[ns.command](cfg)
+        cfg = _merged_config(ns)
+        provenance = _COMMANDS[ns.command][0](cfg)
+        _write_manifest(cfg, provenance, started)
+        return 0
     except DomainError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1

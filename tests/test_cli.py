@@ -239,3 +239,118 @@ def test_bad_time_step_exits_one(capsys, dt):
     assert run(["table2", "--levels", "0", "--dt", dt] + FAST_TRAJ) == 1
     assert run(["gp-sim", "--level", "0", "--dt", dt] + FAST_TRAJ) == 1
     assert "dt must be finite and positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, payload, key", [
+    (["iia", "--level", "0"] + FAST_IIA, {"levels": "0,1"}, "levels"),
+    (["iia", "--level", "0"] + FAST_IIA, {"samples_path": "x"}, "samples_path"),
+    (["iia", "--level", "0"] + FAST_IIA, {"level": 0.5}, "level"),
+    (["table1", "--levels", "0"] + FAST_IIA, {"level": 0.0}, "level"),
+    (["table2", "--levels", "0"] + FAST_TRAJ, {"samples": 10}, "samples"),
+    (["persistency", "--samples", "lengths.csv"], {"samples_path": "x"}, "samples_path"),
+    (["switch-sim"], {"model": "diffusion"}, "model"),
+])
+def test_config_may_set_only_the_subcommands_optional_keys(tmp_path, capsys,
+                                                           command, payload, key):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(payload))
+    out = tmp_path / "res.out"
+    assert run(command + ["--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert repr(key) in err
+    assert not out.exists()
+
+
+def test_trajectory_fit_errors_name_level_side_and_replicate(capsys):
+    assert run(["table2", "--levels", "0,1", "--n-traj", "20", "--len", "2200",
+                "--reps", "2"]) == 1
+    assert capsys.readouterr().err == (
+        "error: u = 0, above side, replicate 0: need at least 100 samples\n")
+
+
+# the effective configuration each subcommand records in its manifest;
+# config_hash, and so every result JSON, depends on exactly these keys,
+# values and types
+PINNED_CONFIGS = {
+    "iia": (["iia", "--level", "0.5", "--samples", "2000", "--reps", "2",
+             "--grid-step", "0.02", "--config", {"grid_max": 120, "seed": 5}],
+            {"cdf_csv": None, "command": "iia", "dim": 2, "grid_max": 120,
+             "grid_step": 0.02, "level": 0.5, "model": "diffusion", "reps": 2,
+             "samples": 2000, "samples_csv": None, "seed": 5}),
+    "gp-sim": (["gp-sim", "--level", "0", "--n-traj", "20", "--len", "8000",
+                "--reps", "2", "--seed", "3"],
+               {"command": "gp-sim", "dim": 2, "dt": 0.05, "len": 8000, "level": 0.0,
+                "model": "diffusion", "n_traj": 20, "reps": 2, "seed": 3}),
+    "switch-sim": (["switch-sim", "--paths", "50", "--horizon", "2", "--grid-points",
+                    "5", "--config",
+                    {"stationary": True, "plus": "erlang:2:1.0", "out": None}],
+                   {"command": "switch-sim", "grid_points": 5, "horizon": 2.0,
+                    "minus": "exp:1.0", "p0": 0.5, "paths": 50,
+                    "plus": "erlang:2:1.0", "seed": 12345, "stationary": True}),
+    "clipped-cov": (["clipped-cov", "--level", "1", "--t-max", "1", "--step", "0.5"],
+                    {"command": "clipped-cov", "dim": 2, "level": 1.0,
+                     "model": "diffusion", "seed": 12345, "step": 0.5, "t_max": 1.0}),
+    "slepian-sample": (["slepian-sample", "--level", "0", "--grid-max", "1",
+                        "--grid-step", "0.5", "--paths", "2"],
+                       {"command": "slepian-sample", "dim": 2, "grid_max": 1.0,
+                        "grid_step": 0.5, "level": 0.0, "model": "diffusion",
+                        "paths": 2, "seed": 12345}),
+    "persistency": (["persistency", "--samples", "LENGTHS", "--reps", "2",
+                     "--min-tail", "20"],
+                    {"command": "persistency", "min_tail": 20, "reps": 2,
+                     "samples_path": "LENGTHS", "seed": 12345}),
+    "table1": (["table1", "--levels", "0", "--samples", "2000", "--reps", "2",
+                "--grid-max", "120", "--grid-step", "0.02"],
+               {"command": "table1", "dim": 2, "grid_max": 120.0, "grid_step": 0.02,
+                "levels": "0", "model": "diffusion", "reps": 2, "samples": 2000,
+                "seed": 12345}),
+    "table2": (["table2", "--levels", "0.5", "--n-traj", "20", "--len", "8000",
+                "--reps", "2", "--dt", "0.05"],
+               {"command": "table2", "dim": 2, "dt": 0.05, "len": 8000,
+                "levels": "0.5", "model": "diffusion", "n_traj": 20, "reps": 2,
+                "seed": 12345}),
+}
+
+
+@pytest.mark.parametrize("command", sorted(PINNED_CONFIGS))
+def test_effective_config_is_pinned(tmp_path, capsys, command):
+    args, expected = PINNED_CONFIGS[command]
+    lengths = tmp_path / "lengths.csv"
+    lengths.write_text("length\n" + "\n".join(
+        repr(float(x)) for x in np.random.default_rng(1).exponential(2.0, 400)) + "\n")
+    argv = []
+    for arg in args:
+        if isinstance(arg, dict):
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(arg))
+            arg = str(cfg)
+        argv.append(str(lengths) if arg == "LENGTHS" else arg)
+    out = tmp_path / "res.out"
+    assert run(argv + ["--out", str(out)]) == 0
+    config = json.loads((tmp_path / "res.out.manifest.json").read_text())["config"]
+    assert config.pop("out") == str(out)
+    if "samples_path" in expected:
+        expected = dict(expected, samples_path=str(lengths))
+    assert config == expected
+    # 120 == 120.0, but the two hash differently
+    assert {k: type(v) for k, v in config.items()} == \
+        {k: type(v) for k, v in expected.items()}
+
+
+@pytest.mark.parametrize("args", [
+    ["switch-sim", "--minus", "erlang:2:1.0", "--stationary", "--paths", "200",
+     "--horizon", "3", "--grid-points", "7", "--seed", "3"],
+    ["clipped-cov", "--level", "0", "--t-max", "2", "--step", "0.5"],
+    ["clipped-cov", "--level", "0.7", "--t-max", "2", "--step", "0.25"],
+    ["slepian-sample", "--level", "1.0", "--grid-max", "2", "--grid-step", "0.5",
+     "--paths", "3", "--seed", "2"],
+])
+def test_csv_on_stdout_matches_the_file(tmp_path, capsys, args):
+    out = tmp_path / "curve.csv"
+    assert run(args + ["--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert run(args) == 0
+    printed = capsys.readouterr().out
+    assert printed.count("\n") > 2
+    assert printed.encode() == out.read_bytes()
