@@ -20,7 +20,8 @@ must be given on the command line.
 A JSON config file can set the subcommand's optional keys and ``seed``;
 explicit flags win.  Each value it sets must have the declared type
 (``None`` where the default is ``None``); any other key or value is a
-``DomainError``.
+``DomainError``.  An integer given for a float option is stored as a
+float, so it records and hashes as the flag would.
 
 ``iia`` and ``table1`` draw and fit every (level, side, replicate) as one
 task of a single thread pool; ``table2`` and ``gp-sim`` simulate every
@@ -146,7 +147,8 @@ def _merged_config(ns: argparse.Namespace) -> dict:
                 want = (f"one of {list(kind)}" if isinstance(kind, tuple)
                         else f"of type {kind.__name__}")
                 raise DomainError(f"config key {key!r} must be {want}, got {value!r}")
-        cfg.update(loaded)
+            # a JSON integer for a float option is the setting the flag gives
+            cfg[key] = float(value) if kind is float and value is not None else value
     cfg.update((k, v) for k, v in vars(ns).items() if k != "config")
     return cfg
 

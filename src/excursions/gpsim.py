@@ -1,15 +1,33 @@
 """Stationary Gaussian trajectory simulation and level-crossing extraction.
 
-Trajectories are generated by circulant embedding: the covariance
-sequence ``r(k dt)`` is periodized, diagonalized by the FFT, and two
-independent real paths are read off the real and imaginary parts of a
-transformed complex normal vector.  The target covariance is exact on
-the grid as long as the embedding eigenvalues are non-negative; tiny
-negative eigenvalues (total magnitude below 1e-8 of the trace) are
-clipped, anything worse raises.  Paths are made in chunks of up to 64
-(32 complex rows); each call holds one float and one complex chunk
-buffer, scales the normal draws straight into the complex buffer's real
-and imaginary parts and transforms it in place.
+Trajectories are generated by circulant embedding (Wood & Chan 1994;
+Dietrich & Newsam 1997): the covariance sequence ``r(k dt)`` is
+periodized to a circle of ``M`` points, diagonalized by the FFT, and a
+transformed complex normal vector gives two independent periodic real
+paths, its real and imaginary parts.  The embedding is cached per
+``(model, dt, n)`` and its eigenvalues are read-only, so threads share
+it.
+
+Each periodic path holds two windows of ``n`` samples, at offsets 0 and
+``M/2``, so one complex row gives four trajectories.  The dead lag ``g``
+is the smallest lag with ``|r(g dt)| < 1e-16``; the circle has
+``M = 2 next_fast_len(n + g)`` points and embeds ``r(min(k, M - k) dt)``.
+Lags inside a window are below ``n <= M/2``, so the covariance within
+a window is exact on the grid.  Lags between the two windows are at
+least ``g + 1`` on the circle, where the embedded covariance is below
+1e-16, so the windows are independent to roundoff; the embedding
+checks this at every such lag.  A covariance that is not dead within
+the padding cap (60 blocks of ``max(64, n // 8)`` lags beyond the
+window), or that revives between the windows, gets one window per path
+on a circle of ``2 (n + pad)`` points, padded block by block until the
+covariance at lag ``n - 1 + pad`` is dead or the cap is reached.
+
+The embedding is exact as long as its eigenvalues are non-negative;
+tiny negative eigenvalues (total magnitude below 1e-8 of the trace) are
+clipped, anything worse raises.  Paths are made in chunks of up to 32
+complex rows; each call holds one float and one complex chunk buffer,
+scales the normal draws straight into the complex buffer's real and
+imaginary parts and transforms it in place.
 
 A spectral synthesis route is available as an independent cross-check
 for models that carry a spectrum, so simulator bias can be bounded by
@@ -27,10 +45,12 @@ serves as the closed-form cross-check on crossing counts.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.fft
 
 from .covmodel import CovarianceModel
 from .errors import DomainError, EmptyExcursionSet, NumericalError
@@ -51,6 +71,7 @@ __all__ = [
 
 _COV_FLOOR = 1e-16          # treat the covariance as dead beyond this
 _NEG_EIG_BUDGET = 1e-8      # relative to the embedding trace
+_CHUNK_ROWS = 32            # complex rows transformed together
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,17 +109,37 @@ def _check_grid(dt: float, n: int) -> None:
         raise DomainError(f"need at least two samples, got {n!r}")
 
 
+def _dead_lag(model: CovarianceModel, dt: float, last: int, block: int):
+    """Smallest lag ``k <= last`` with ``|r(k dt)|`` below the floor, or None."""
+    for first in range(0, last + 1, block):
+        k = np.arange(first, min(first + block, last + 1))
+        dead = np.flatnonzero(np.abs(model.r(k * dt)) < _COV_FLOOR)
+        if dead.size:
+            return first + int(dead[0])
+    return None
+
+
+@functools.lru_cache(maxsize=8)
 def _embedding(model: CovarianceModel, dt: float, n: int):
-    # pad with lags until the covariance is numerically dead so the
-    # periodization does not wrap correlation back into the window
+    """Read-only circulant eigenvalues and the window offsets of a path."""
     block = max(64, n // 8)
-    pad = block
-    while abs(float(model.r(dt * (n - 1 + pad)))) >= _COV_FLOOR and pad < 60 * block:
-        pad += block
-    length = n + pad
-    c = np.asarray(model.r(np.arange(length + 1) * dt), dtype=float)
-    tilde = np.concatenate((c, c[-2:0:-1]))
-    lam = np.fft.fft(tilde).real
+    cap = 60 * block
+    g = _dead_lag(model, dt, n - 1 + cap, block)
+    half = None if g is None else scipy.fft.next_fast_len(n + g)
+    # the lags between the two windows must all be dead, not just g
+    if half is not None and np.abs(
+            model.r(np.arange(half - n + 1, half + 1) * dt)).max() < _COV_FLOOR:
+        starts = (0, half)
+    else:
+        # pad with lags until the covariance is numerically dead so the
+        # periodization does not wrap correlation back into the window
+        pad = block
+        while abs(float(model.r(dt * (n - 1 + pad)))) >= _COV_FLOOR and pad < cap:
+            pad += block
+        half = n + pad
+        starts = (0,)
+    c = np.asarray(model.r(np.arange(half + 1) * dt), dtype=float)
+    lam = np.fft.fft(np.concatenate((c, c[-2:0:-1]))).real
     neg = lam < 0.0
     if neg.any():
         deficit = -lam[neg].sum()
@@ -107,42 +148,43 @@ def _embedding(model: CovarianceModel, dt: float, n: int):
                 f"circulant embedding not nonnegative definite "
                 f"(deficit {deficit:.3e}); enlarge the embedding")
         lam[neg] = 0.0
-    return lam, len(tilde)
+    lam.flags.writeable = False
+    return lam, starts
 
 
-def _paths_from_embedding(lam: np.ndarray, m: int, n: int, count: int, rng):
-    # the draws per chunk are all real parts, then all imaginary parts,
-    # so the paths equal fft((a + 1j*b) * scale) bit for bit
+def _paths_from_embedding(lam: np.ndarray, starts: tuple, n: int, count: int, rng):
+    # the draws per chunk are all real parts, then all imaginary parts;
+    # the chunk's paths are its real parts at each window start in turn,
+    # then its imaginary parts likewise
+    m = len(lam)
+    per_row = 2 * len(starts)
     scale = np.sqrt(lam / m)
     out = np.empty((count, n))
-    rows = min(32, (count + 1) // 2)
+    rows = min(_CHUNK_ROWS, -(-count // per_row))
     draws = np.empty((rows, m))
     z_buf = np.empty((rows, m), dtype=complex)
     done = 0
     while done < count:
-        k = min(rows, (count - done + 1) // 2)
+        k = min(rows, -(-(count - done) // per_row))
         normal, w = draws[:k], z_buf[:k]
         rng.standard_normal(out=normal)
         np.multiply(normal, scale, out=w.real)
         rng.standard_normal(out=normal)
         np.multiply(normal, scale, out=w.imag)
         np.fft.fft(w, axis=1, out=w)
-        take = min(k, count - done)
-        out[done:done + take] = w.real[:take, :n]
-        done += take
-        if done < count:
-            take = min(k, count - done)
-            out[done:done + take] = w.imag[:take, :n]
-            done += take
+        for part in (w.real, w.imag):
+            for s in starts:
+                take = min(k, count - done)
+                out[done:done + take] = part[:take, s:s + n]
+                done += take
     return out
 
 
 def simulate_gp(model: CovarianceModel, dt: float, n: int, seed) -> Trajectory:
     """One stationary Gaussian trajectory with exact grid covariance."""
     _check_grid(dt, n)
-    lam, m = _embedding(model, dt, n)
     rng = np.random.default_rng(seed)
-    values = _paths_from_embedding(lam, m, n, 1, rng)[0]
+    values = _paths_from_embedding(*_embedding(model, dt, n), n, 1, rng)[0]
     return Trajectory(dt=dt, values=values, model_name=model.name, seed=seed)
 
 
@@ -152,9 +194,8 @@ def simulate_gp_batch(model: CovarianceModel, dt: float, n: int,
     _check_grid(dt, n)
     if count < 1:
         raise DomainError("count must be positive")
-    lam, m = _embedding(model, dt, n)
     rng = np.random.default_rng(seed)
-    return _paths_from_embedding(lam, m, n, count, rng)
+    return _paths_from_embedding(*_embedding(model, dt, n), n, count, rng)
 
 
 def simulate_gp_spectral(model: CovarianceModel, dt: float, n: int, seed) -> Trajectory:

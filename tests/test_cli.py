@@ -1,10 +1,13 @@
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from excursions import __version__
 from excursions.cli import run
 
 FAST_IIA = ["--samples", "20000", "--reps", "3", "--grid-max", "120",
@@ -164,6 +167,27 @@ def test_gp_sim_small_scale(tmp_path):
     assert res["rice_rate"] == pytest.approx(0.1591549, abs=1e-6)
 
 
+def test_config_int_for_float_key_hashes_like_the_flag(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"grid_max": 120}))
+    base = ["iia", "--level", "0.5", "--samples", "2000", "--reps", "2",
+            "--grid-step", "0.02"]
+    hashes = []
+    for tag, extra in (("config", ["--config", str(cfg)]), ("flag", ["--grid-max", "120"])):
+        out = tmp_path / f"{tag}.json"
+        assert run(base + extra + ["--out", str(out)]) == 0
+        manifest = json.loads((tmp_path / f"{tag}.json.manifest.json").read_text())
+        assert manifest["config"]["grid_max"] == 120.0
+        assert isinstance(manifest["config"]["grid_max"], float)
+        hashes.append(json.loads(out.read_text())["config_hash"])
+    assert hashes[0] == hashes[1]
+
+
+def test_version_matches_pyproject():
+    text = (Path(__file__).resolve().parent.parent / "pyproject.toml").read_text()
+    assert re.search(r'^version = "(.*)"$', text, re.M).group(1) == __version__
+
+
 def test_module_entry_point():
     proc = subprocess.run([sys.executable, "-m", "excursions.cli", "--version"],
                           capture_output=True, text=True)
@@ -275,7 +299,7 @@ def test_trajectory_fit_errors_name_level_side_and_replicate(capsys):
 PINNED_CONFIGS = {
     "iia": (["iia", "--level", "0.5", "--samples", "2000", "--reps", "2",
              "--grid-step", "0.02", "--config", {"grid_max": 120, "seed": 5}],
-            {"cdf_csv": None, "command": "iia", "dim": 2, "grid_max": 120,
+            {"cdf_csv": None, "command": "iia", "dim": 2, "grid_max": 120.0,
              "grid_step": 0.02, "level": 0.5, "model": "diffusion", "reps": 2,
              "samples": 2000, "samples_csv": None, "seed": 5}),
     "gp-sim": (["gp-sim", "--level", "0", "--n-traj", "20", "--len", "8000",

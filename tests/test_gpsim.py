@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from excursions.covmodel import diffusion_covariance
+from excursions.covmodel import CovarianceModel, diffusion_covariance
 from excursions.errors import DomainError, EmptyExcursionSet
 from excursions.gpsim import (Trajectory, _embedding, extract_excursions,
                               persistency_from_trajectories, rice_crossing_rate,
@@ -11,12 +11,23 @@ from excursions.gpsim import (Trajectory, _embedding, extract_excursions,
 
 M2 = diffusion_covariance(2)
 
+# decays like 1/t^2: not dead within the padding cap at these grids
+CAUCHY = CovarianceModel(
+    "cauchy", r=lambda t: 1.0 / (1.0 + np.square(t)),
+    r_prime=lambda t: -2.0 * np.asarray(t) / (1.0 + np.square(t)) ** 2, r_pp0=-2.0)
+
+
+def _z(per_path, target):
+    # as in test_lag_covariance_matches_model: per-path statistics are
+    # independent across paths, so their spread gives the standard error
+    se = per_path.std(ddof=1) / math.sqrt(len(per_path))
+    return (per_path.mean() - target) / se
+
 
 def test_marginal_variance():
     paths = simulate_gp_batch(M2, 0.05, 10_000, 100, seed=1)
-    flat = paths.ravel()
-    assert abs(flat.var() - 1.0) < 0.01
-    assert abs(flat.mean()) < 0.01
+    assert abs(_z((paths ** 2).mean(axis=1), 1.0)) < 3.0
+    assert abs(_z(paths.mean(axis=1), 0.0)) < 3.0
 
 
 def test_lag_covariance_matches_model():
@@ -39,13 +50,10 @@ def test_equal_seeds_bit_identical():
 
 
 def test_marginal_normality_moments():
+    # raw third and fourth moments of N(0, 1): 0 and 3
     paths = simulate_gp_batch(M2, 0.05, 10_000, 1000, seed=4)
-    flat = paths.ravel()
-    z = (flat - flat.mean()) / flat.std()
-    skew = np.mean(z ** 3)
-    kurt = np.mean(z ** 4)
-    assert abs(skew) < 0.01
-    assert abs(kurt - 3.0) < 0.02
+    assert abs(_z((paths ** 3).mean(axis=1), 0.0)) < 3.0
+    assert abs(_z((paths ** 4).mean(axis=1), 3.0)) < 3.0
 
 
 def test_spectral_route_agrees():
@@ -131,28 +139,71 @@ def test_trajectory_validation():
         simulate_gp(M2, 0.1, 1, seed=0)
 
 
-@pytest.mark.parametrize("count", [1, 2, 63, 64, 65, 150])
-def test_batch_equals_out_of_place_reference(count):
-    # the sampler as it was before its buffers were reused in place:
-    # chunks of up to 32 complex rows, real draws then imaginary draws
-    dt, n, seed = 0.05, 300, 17
-    lam, m = _embedding(M2, dt, n)
+def _out_of_place(model, dt, n, count, seed, windows):
+    # the layout: chunks of up to 32 complex rows of length m, drawn as
+    # all real parts then all imaginary parts; a chunk's paths are the
+    # real parts at offset 0, then at m/2, then the imaginary parts at 0,
+    # then at m/2 (only offset 0 with one window per path)
+    lam, starts = _embedding(model, dt, n)
+    m = len(lam)
+    assert starts == (0, m // 2)[:windows]
     rng = np.random.default_rng(seed)
-    scale = np.sqrt(lam / m)
-    ref = np.empty((count, n))
-    done = 0
-    while done < count:
-        k = min(32, (count - done + 1) // 2)
+    blocks, left = [], count
+    while left > 0:
+        k = min(32, -(-left // (2 * windows)))
         z = rng.standard_normal((k, m)) + 1j * rng.standard_normal((k, m))
-        w = np.fft.fft(z * scale, axis=1)
-        take = min(k, count - done)
-        ref[done:done + take] = w.real[:take, :n]
-        done += take
-        if done < count:
-            take = min(k, count - done)
-            ref[done:done + take] = w.imag[:take, :n]
-            done += take
-    assert np.array_equal(simulate_gp_batch(M2, dt, n, count, seed), ref)
+        w = np.fft.fft(z * np.sqrt(lam / m), axis=1)
+        blocks += [part[:, s:s + n] for part in (w.real, w.imag) for s in starts]
+        left -= 2 * windows * k
+    return np.concatenate(blocks)[:count]
+
+
+@pytest.mark.parametrize("count", [1, 2, 3, 4, 5, 63, 64, 65, 127, 128, 129, 150])
+def test_batch_equals_out_of_place_reference(count):
+    assert np.array_equal(simulate_gp_batch(M2, 0.05, 300, count, seed=17),
+                          _out_of_place(M2, 0.05, 300, count, 17, windows=2))
+
+
+@pytest.mark.parametrize("count", [1, 2, 3, 63, 64, 65])
+def test_one_window_batch_equals_out_of_place_reference(count):
+    assert np.array_equal(simulate_gp_batch(CAUCHY, 0.2, 1000, count, seed=17),
+                          _out_of_place(CAUCHY, 0.2, 1000, count, 17, windows=1))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("dt, n", [(0.05, 2), (0.05, 300), (0.05, 10_000),
+                                   (0.2, 300), (1.0, 1000)])
+def test_embedding_covariance_exact_within_and_dead_between_windows(d, dt, n):
+    model = diffusion_covariance(d)
+    lam, starts = _embedding(model, dt, n)
+    m = len(lam)
+    assert starts == (0, m // 2)
+    # the covariance of the sampled paths at circular lag k
+    cov = np.fft.ifft(lam).real
+    assert np.abs(cov[:n] - model.r(np.arange(n) * dt)).max() < 1e-14
+    # every lag from a point of one window to a point of the other: the
+    # model is dead there, and so is the sampled covariance
+    between = np.arange(m // 2 - n + 1, m // 2 + 1)
+    assert np.abs(model.r(between * dt)).max() < 1e-16
+    assert np.abs(cov[m // 2 - n + 1:m // 2 + n]).max() <= 1e-15
+
+
+def test_slow_decay_takes_one_padded_window():
+    dt, n = 0.2, 1000
+    lam, starts = _embedding(CAUCHY, dt, n)
+    assert starts == (0,)
+    # padded to the cap of 60 blocks of n // 8 lags
+    assert len(lam) == 2 * (n + 60 * (n // 8))
+    cov = np.fft.ifft(lam).real
+    assert np.abs(cov[:n] - CAUCHY.r(np.arange(n) * dt)).max() < 1e-14
+
+
+def test_embedding_is_cached_and_read_only():
+    lam, starts = _embedding(M2, 0.05, 300)
+    assert _embedding(M2, 0.05, 300)[0] is lam
+    assert not lam.flags.writeable
+    with pytest.raises(ValueError):
+        lam[0] = 0.0
 
 
 @pytest.mark.parametrize("dt, n", [(0.0, 100), (-0.05, 100), (math.nan, 100),
