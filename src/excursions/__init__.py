@@ -13,7 +13,7 @@ survival-tail persistency fitting close the validation loop.
 __version__ = "0.2.0"
 
 from .covmodel import CovarianceModel, diffusion_covariance, validate
-from .clipped import ClippedCovariance, arcsin_covariance, clipped_covariance
+from .clipped import arcsin_covariance, clipped_covariance
 from .errors import (DomainError, EmptyExcursionSet, ExcursionError, FitError,
                      GridTooShort, MonotonicityViolation, NumericalError,
                      ValidationError)
@@ -23,7 +23,7 @@ from .gpsim import (ExcursionSet, Trajectory, extract_excursions,
 from .iia import IIAModel, build_iia, psi_hat, sample_excursion
 from .numerics import (Grid, LaplaceEvaluable, TailModel, b_integral,
                        fit_exponential_tail, gaver_stehfest_invert,
-                       inverse_cdf_sample, norm_cdf, numerical_laplace, xi)
+                       inverse_cdf_sample, norm_cdf, numerical_laplace)
 from .persistency import (BatchEstimate, SurvivalFit, batch_ci,
                           empirical_survival, fit_persistency)
 from .slepian import (SlepianPath, conditional_expected_clipped,
@@ -37,5 +37,4 @@ from .switchproc import (CharacteristicEstimate, IntervalDistribution,
                          laplace_P_delta, laplace_stationary_P,
                          laplace_stationary_cov, recover_psi,
                          simulate_stationary_switch, simulate_switch,
-                         simulate_switch_paths, switch_count_distribution,
-                         switch_count_pmf)
+                         simulate_switch_paths, switch_count_distribution)

@@ -19,9 +19,9 @@ import numpy as np
 
 from .covmodel import CovarianceModel
 from .errors import DomainError
-from .numerics import Grid, b_integral, norm_cdf
+from .numerics import b_integral, norm_cdf
 
-__all__ = ["ClippedCovariance", "clipped_covariance", "arcsin_covariance"]
+__all__ = ["clipped_covariance", "arcsin_covariance"]
 
 
 def clipped_covariance(model: CovarianceModel, u: float, t):
@@ -40,26 +40,3 @@ def arcsin_covariance(model: CovarianceModel, t):
     ta = np.asarray(t, dtype=float)
     out = 2.0 / math.pi * np.arcsin(np.clip(np.asarray(model.r(ta)), -1.0, 1.0))
     return float(out) if ta.ndim == 0 else out
-
-
-class ClippedCovariance:
-    """Clipped covariance at a fixed level with a tabulation cache."""
-
-    def __init__(self, model: CovarianceModel, level: float):
-        self.model = model
-        self.level = float(level)
-        self.cache: Grid | None = None
-
-    @property
-    def variance(self) -> float:
-        """R_u(0), the variance of the +-1 indicator."""
-        p = float(norm_cdf(self.level))
-        return 1.0 - (1.0 - 2.0 * p) ** 2
-
-    def evaluate(self, t):
-        return clipped_covariance(self.model, self.level, t)
-
-    def tabulate(self, t_grid) -> Grid:
-        pts = np.asarray(t_grid, dtype=float)
-        self.cache = Grid(points=pts, values=self.evaluate(pts))
-        return self.cache

@@ -11,6 +11,9 @@ The shipped family is the d-dimensional diffusion covariance
     r(t) = sech(t/2)^(d/2),      r''(0) = -d/8,
 
 with the explicit spectrum ``sech(pi*w)`` attached for d = 2.
+
+:func:`validate` imports ``scipy.integrate`` on first use, so that CLI
+runs, which never validate, do not load it.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import DomainError, ValidationError
 
@@ -177,6 +179,8 @@ def validate(model: CovarianceModel) -> ValidationReport:
                    f"min residual variance {np.min(cs):.3e}"))
 
     if model.spectrum is not None:
+        from scipy.integrate import quad
+
         total, _ = quad(model.spectrum, -np.inf, np.inf, limit=200)
         checks.append(("spectrum_mass", abs(total - 1.0) <= 1e-6,
                        f"integral = {total:.10g}"))

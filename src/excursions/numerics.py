@@ -1,12 +1,7 @@
 """Scalar special functions and generic numerical kernels.
 
 Everything here is pure and reentrant: the normal CDF, the
-Rayleigh-vs-normal probability
-
-    Xi(m, s) = P(R < W),   R ~ Rayleigh(s'), W ~ N(mu, sw^2),
-               (m, s) = (mu, s') / sw,
-
-the bivariate orthant-style integral
+bivariate orthant-style integral
 
     B(u, rho) = P(rho*Z + sqrt(1-rho^2)*Y <= u, Z <= u),
 
@@ -25,6 +20,9 @@ large draw.  The table only replaces the bisection inside
 ``np.interp``; every quantile is the same expression on the same
 segment, so the samples equal ``np.interp(u, cdf.values, cdf.points)``
 bit for bit.
+
+``scipy.integrate`` is imported on first use, inside the two functions
+that call it, so that CLI runs that never call them do not load it.
 """
 
 from __future__ import annotations
@@ -36,7 +34,6 @@ from functools import cached_property, lru_cache
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad, simpson, trapezoid
 from scipy.special import ndtr
 
 from .errors import DomainError, MonotonicityViolation, NumericalError
@@ -46,7 +43,6 @@ __all__ = [
     "TailModel",
     "LaplaceEvaluable",
     "norm_cdf",
-    "xi",
     "b_integral",
     "numerical_laplace",
     "fit_exponential_tail",
@@ -185,25 +181,6 @@ def norm_cdf(x):
     return ndtr(np.asarray(x, dtype=float))
 
 
-def xi(mu_t: float, sigma_t: float) -> float:
-    """P(R < W) for independent R ~ Rayleigh, W normal, in reduced form.
-
-    With ``(mu_t, sigma_t) = (mu, sigma_r) / sigma_w`` the probability is
-
-        Xi = Phi(m) - s/sqrt(1+s^2) * Phi(m*s/sqrt(1+s^2))
-             * exp(-m^2 / (2*(1+s^2)))
-
-    which lives in [0, 1] and is nondecreasing in ``mu_t``.
-    """
-    if not sigma_t > 0.0:
-        raise DomainError(f"sigma_t must be positive, got {sigma_t}")
-    s2 = sigma_t * sigma_t
-    root = math.sqrt(1.0 + s2)
-    val = norm_cdf(mu_t) - (sigma_t / root) * norm_cdf(mu_t * sigma_t / root) \
-        * math.exp(-mu_t * mu_t / (2.0 * (1.0 + s2)))
-    return min(1.0, max(0.0, val))
-
-
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
@@ -226,6 +203,8 @@ def b_integral(u_tilde: float, rho: float) -> float:
         return float(norm_cdf(u))
     if rho <= -1.0 + 1e-12:
         return max(0.0, 2.0 * float(norm_cdf(u)) - 1.0)
+
+    from scipy.integrate import quad
 
     den = math.sqrt((1.0 - rho) * (1.0 + rho))
 
@@ -257,6 +236,8 @@ def numerical_laplace(f: Grid, s: float, tail: TailModel | None = None) -> float
     exponential tail beyond the last grid point when a tail model is
     supplied.
     """
+    from scipy.integrate import simpson, trapezoid
+
     if not s > 0.0:
         raise DomainError(f"Laplace argument must be positive, got {s}")
     t = f.points
@@ -378,9 +359,11 @@ class _GuideTable:
         edges = np.arange(size + 1) / size
         lo = np.searchsorted(vals, edges[:-1], side="right") - 1
         hi = np.searchsorted(vals, edges[1:], side="left") - 1
-        # the padding slope and the clipped guide keep the lookups of
-        # wide-bucket draws in bounds; their results are discarded
-        with np.errstate(divide="ignore"):
+        # flat and nearly flat CDF steps divide to +inf, flagged steep
+        # below; the padding slope and the clipped guide keep the
+        # lookups of wide-bucket draws in bounds; their results are
+        # discarded
+        with np.errstate(divide="ignore", over="ignore"):
             slopes = np.append(np.diff(pts) / np.diff(vals), 0.0)
         guide = np.clip(lo, 0, n - 2)
         steep = ~np.isfinite(slopes)
@@ -393,7 +376,10 @@ class _GuideTable:
         k = (u * self.size).astype(np.intp)
         j = self.guide[k]
         j += u >= vals[1:][j]
-        out = self.slopes[j] * (u - vals[j]) + pts[j]
+        # the infinite slope of a flat CDF step times an exact hit is
+        # NaN; such draws lie in wide buckets and are redone below
+        with np.errstate(invalid="ignore"):
+            out = self.slopes[j] * (u - vals[j]) + pts[j]
         redo = self.wide[k]
         if redo.any():
             out[redo] = np.interp(u[redo], vals, pts)

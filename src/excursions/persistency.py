@@ -7,7 +7,9 @@ empirical survival on t, restricted to the window where S <= 1/2
 (only the tail is informative) and at least ``min_tail_count``
 exceedances remain (the extreme tail of an empirical survival is pure
 noise and would otherwise bias the slope).  Confidence intervals come
-from independent replicates via the t distribution.
+from independent replicates via the t distribution, whose quantile is
+``scipy.special.stdtrit`` (what ``scipy.stats.t.ppf`` evaluates), so
+that importing this module does not load ``scipy.stats``.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.stats import t as student_t
+from scipy.special import stdtrit
 
 from .errors import DomainError, FitError
 from .numerics import Grid
@@ -114,7 +116,7 @@ def aggregate_fits(fits: Sequence[SurvivalFit]) -> BatchEstimate:
     thetas = np.asarray([f.theta for f in fits])
     mean = float(thetas.mean())
     sd = float(thetas.std(ddof=1))
-    q = float(student_t.ppf(0.975, reps - 1))
+    q = float(stdtrit(reps - 1, 0.975))
     return BatchEstimate(
         mean_theta=mean,
         half_width=q * sd / math.sqrt(reps),

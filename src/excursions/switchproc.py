@@ -27,6 +27,10 @@ with L(E') obtained from L(E) by the initial-value shift
 The telegraph process (symmetric exponential holding times) supplies
 closed forms for all of these and is the oracle for the Monte Carlo
 estimators.
+
+The two tabulations of the stationary delay import
+``scipy.integrate`` on first use, so that CLI runs that never simulate
+a switch process do not load it.
 """
 
 from __future__ import annotations
@@ -37,7 +41,6 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 from scipy.special import gammainc
 
 from .errors import DomainError, NumericalError
@@ -64,7 +67,6 @@ __all__ = [
     "laplace_N_less",
     "laplace_N_greater",
     "switch_count_distribution",
-    "switch_count_pmf",
     "estimate_characteristics",
 ]
 
@@ -230,6 +232,8 @@ def _delay_inverse(dist: IntervalDistribution) -> tuple[Grid, float]:
     Returns the grid plus a fitted exponential tail rate for
     extrapolation.
     """
+    from scipy.integrate import cumulative_trapezoid
+
     t_hi = 20.0 * dist.mean
     for _ in range(40):
         if float(dist.cdf(t_hi)) >= 1.0 - 1e-9:
@@ -403,6 +407,8 @@ def switch_count_distribution(plus: IntervalDistribution,
     deviates from one by more than 1e-3 the grid resolution is deemed
     insufficient and :class:`NumericalError` is raised.
     """
+    from scipy.integrate import cumulative_trapezoid
+
     if not t > 0.0:
         raise DomainError("time must be positive")
     if delta not in (-1, 1):
@@ -440,15 +446,6 @@ def switch_count_distribution(plus: IntervalDistribution,
         raise NumericalError(
             f"switch-count mass {total:.6f} deviates from one; grid too coarse")
     return np.asarray(probs if k_max is None else probs[:k_max + 1])
-
-
-def switch_count_pmf(plus: IntervalDistribution, minus: IntervalDistribution,
-                     delta: int, k: int, t: float) -> float:
-    """P(N(t) = k | delta) for the stationary switch process."""
-    if k < 0:
-        raise DomainError("k must be non-negative")
-    dist = switch_count_distribution(plus, minus, delta, t)
-    return float(dist[k]) if k < len(dist) else 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -230,6 +230,24 @@ def test_persistency_rejects_non_numeric_line_after_header(tmp_path, capsys):
 FAST_TRAJ = ["--n-traj", "40", "--len", "8000", "--reps", "4"]
 
 
+def test_tables_load_no_scipy_stats_integrate_or_optimize(tmp_path):
+    # a fresh interpreter, since this one has imported them already
+    script = f"""
+import sys
+from excursions.cli import run
+assert run(["table1", "--levels", "0,1", "--seed", "3", "--out", "t1.json"]
+           + {FAST_IIA!r}) == 0
+assert run(["table2", "--levels", "0", "--seed", "3", "--out", "t2.json"]
+           + {FAST_TRAJ!r}) == 0
+print(sorted(m for m in sys.modules if m.split(".")[:2] in
+             (["scipy", "stats"], ["scipy", "integrate"], ["scipy", "optimize"])))
+"""
+    proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
 @pytest.mark.parametrize("args", [
     ["table1", "--levels", "0,1.25"] + FAST_IIA,
     ["iia", "--level", "1"] + FAST_IIA,

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from excursions.clipped import ClippedCovariance, arcsin_covariance, clipped_covariance
+from excursions.clipped import arcsin_covariance, clipped_covariance
 from excursions.covmodel import diffusion_covariance
 from excursions.errors import DomainError
 from excursions.numerics import norm_cdf
@@ -61,11 +61,3 @@ def test_vanishes_with_decorrelation():
 def test_negative_lag_rejected():
     with pytest.raises(DomainError):
         clipped_covariance(M2, 0.0, -0.5)
-
-
-def test_cache_object():
-    cc = ClippedCovariance(M2, 1.0)
-    assert cc.variance == pytest.approx(clipped_covariance(M2, 1.0, 0.0), abs=1e-10)
-    grid = cc.tabulate(np.linspace(0.0, 5.0, 11))
-    assert cc.cache is grid
-    assert grid.values[0] == pytest.approx(cc.variance, abs=1e-10)

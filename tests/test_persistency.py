@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import t as student_t
 
 from excursions.errors import DomainError, FitError
-from excursions.persistency import (batch_ci, empirical_survival, fit_persistency)
+from excursions.persistency import (SurvivalFit, aggregate_fits, batch_ci,
+                                    empirical_survival, fit_persistency)
 
 
 def _step_value(surv, t):
@@ -129,3 +131,14 @@ def test_variance_shrinks_with_sample_size():
         small.append(fit_persistency(rng.exponential(1.0, 10_000)).theta)
         large.append(fit_persistency(rng.exponential(1.0, 100_000)).theta)
     assert np.std(large) < np.std(small)
+
+
+def test_aggregate_half_width_is_the_t_quantile_bitwise():
+    rng = np.random.default_rng(12)
+    for k in range(2, 61):
+        fits = [SurvivalFit(theta=float(th), intercept=0.0, fit_window=(1.0, 2.0),
+                            n_points=10, r_squared=1.0)
+                for th in rng.uniform(0.1, 0.5, k)]
+        est = aggregate_fits(fits)
+        sd = float(np.std([f.theta for f in fits], ddof=1))
+        assert est.half_width == float(student_t.ppf(0.975, k - 1)) * sd / math.sqrt(k)

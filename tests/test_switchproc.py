@@ -14,8 +14,7 @@ from excursions.switchproc import (deterministic_interval, erlang_interval,
                                    laplace_P_delta, laplace_stationary_P,
                                    laplace_stationary_cov, recover_psi,
                                    simulate_stationary_switch, simulate_switch,
-                                   simulate_switch_paths, switch_count_distribution,
-                                   switch_count_pmf)
+                                   simulate_switch_paths, switch_count_distribution)
 
 EXP1 = exponential_interval(1.0)
 EXP2 = exponential_interval(2.0)
@@ -213,7 +212,7 @@ def test_switch_count_k0_is_delay_survival():
     # k = 0 is exactly the survival of the stationary delay; the delay CDF
     # itself is tabulated by trapezoid, so the tolerance is its O(h^2) error
     t = 0.8
-    p0 = switch_count_pmf(EXP1, EXP1, -1, 0, t)
+    p0 = switch_count_distribution(EXP1, EXP1, -1, t)[0]
     assert p0 == pytest.approx(math.exp(-t), abs=1e-5)
 
 
@@ -225,11 +224,9 @@ def test_switch_count_pmf_asymmetric_normalizes():
 
 def test_switch_count_domain():
     with pytest.raises(DomainError):
-        switch_count_pmf(EXP1, EXP1, -1, -1, 1.0)
+        switch_count_distribution(EXP1, EXP1, 0, 1.0)
     with pytest.raises(DomainError):
-        switch_count_pmf(EXP1, EXP1, 0, 1, 1.0)
-    with pytest.raises(DomainError):
-        switch_count_pmf(EXP1, EXP1, +1, 0, 0.0)
+        switch_count_distribution(EXP1, EXP1, +1, 0.0)
 
 
 # --------------------------------------------------------------- simulation
