@@ -20,11 +20,11 @@ from .errors import (DomainError, EmptyExcursionSet, ExcursionError, FitError,
 from .gpsim import (ExcursionSet, Trajectory, extract_excursions,
                     persistency_from_trajectories, rice_crossing_rate,
                     simulate_gp, simulate_gp_batch, simulate_gp_spectral)
-from .iia import IIAModel, build_iia, psi_hat, sample_excursion
+from .iia import IIAModel, build_iia, persistency_table, psi_hat, sample_excursion
 from .numerics import (Grid, LaplaceEvaluable, TailModel, b_integral,
                        fit_exponential_tail, gaver_stehfest_invert,
                        inverse_cdf_sample, norm_cdf, numerical_laplace)
-from .persistency import (BatchEstimate, SurvivalFit, batch_ci,
+from .persistency import (BatchEstimate, SurvivalFit, aggregate_fits,
                           empirical_survival, fit_persistency)
 from .slepian import (SlepianPath, conditional_expected_clipped,
                       expected_clipped_down, expected_clipped_up,

@@ -23,26 +23,19 @@ explicit flags win.  Each value it sets must have the declared type
 ``DomainError``.  An integer given for a float option is stored as a
 float, so it records and hashes as the flag would.
 
-``iia`` and ``table1`` draw and fit every (level, side, replicate) as one
-task of a single thread pool; ``table2`` and ``gp-sim`` simulate every
-(level, replicate) trajectory batch, extract its excursions and fit both
-sides as one task of the same kind of pool.  Both fit through ``_fit``
-and average replicates with ``persistency.aggregate_fits``.
-``EXCURSION_IIA_THREADS``, a positive integer, caps the pool's size
-(default ``min(4, cpu_count)``).  Seeds are spawned before any task
-runs, so results do not depend on the pool size.
+``table1``/``iia`` and ``table2``/``gp-sim`` each make one call of
+:func:`iia.persistency_table` or :func:`gpsim.persistency_from_trajectories`,
+which own the seed tree and the thread pool.
 """
 
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import contextlib
 import hashlib
 import itertools
 import json
 import math
-import os
 import sys
 import time
 from dataclasses import dataclass
@@ -53,10 +46,11 @@ import numpy as np
 from . import __version__
 from .clipped import arcsin_covariance, clipped_covariance
 from .covmodel import diffusion_covariance
-from .errors import DomainError, ExcursionError, FitError
-from .gpsim import pooled_excursions, rice_crossing_rate
-from .iia import build_iia, sample_excursion
-from .persistency import aggregate_fits, batch_ci, fit_persistency
+from .errors import DomainError, ExcursionError
+from .gpsim import persistency_from_trajectories, rice_crossing_rate
+from .iia import persistency_table, sample_excursion
+from .numerics import uniform_grid
+from .persistency import aggregate_fits, fit_persistency, labelled_fit
 from .slepian import sample_slepian_path
 from .switchproc import estimate_characteristics, interval_from_spec, simulate_switch_paths
 
@@ -65,7 +59,6 @@ DEFAULT_SEED = 12345
 USAGE_EXIT = 64
 
 _MODELS = {"diffusion": diffusion_covariance}
-_SIDES = ("above", "below")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -73,28 +66,6 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         sys.stderr.write(f"error: {message}\n")
         raise SystemExit(USAGE_EXIT)
-
-
-def _max_workers(n_items: int) -> int:
-    raw = os.environ.get("EXCURSION_IIA_THREADS")
-    if not raw:
-        return max(1, min(n_items, 4, os.cpu_count() or 1))
-    try:
-        cap = int(raw)
-    except ValueError:
-        cap = 0
-    if cap < 1:
-        raise DomainError(
-            f"EXCURSION_IIA_THREADS must be a positive integer, got {raw!r}")
-    return max(1, min(n_items, cap))
-
-
-def _parallel_map(fn, items):
-    workers = _max_workers(len(items))
-    if workers <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 # ---------------------------------------------------------------------------
@@ -210,69 +181,6 @@ def _model_from(cfg: dict):
 # subcommand implementations; each returns the provenance of its manifest
 # ---------------------------------------------------------------------------
 
-def _fit(samples, u, side, i):
-    """Tail fit of one replicate; an error names the level, side and replicate."""
-    try:
-        return fit_persistency(samples)
-    except (DomainError, FitError) as exc:
-        raise type(exc)(f"u = {u:g}, {side} side, replicate {i}: {exc}") from exc
-
-
-def _level_estimates(model, cfg, levels, level_seeds):
-    """Build the approximation at each level and fit both sides of each.
-
-    Returns one ``(iia, above, below)`` per level.  Every (level, side,
-    replicate) draw and fit is one task of a single pool, so levels
-    overlap as well as sides and replicates.  Each level seed spawns
-    one seed per side and each side seed one per replicate.
-    """
-    reps = cfg["reps"]
-    if reps < 2:
-        raise DomainError("need at least two replicates")
-    iias = [build_iia(model, u, t_max=cfg["grid_max"], step=cfg["grid_step"])
-            for u in levels]
-    tasks = [(iia, side, i, rep_seed)
-             for iia, sseq in zip(iias, level_seeds)
-             for side, root in zip(_SIDES, sseq.spawn(2))
-             for i, rep_seed in enumerate(root.spawn(reps))]
-
-    def task(args):
-        iia, side, i, rep_seed = args
-        return _fit(sample_excursion(iia, side, cfg["samples"], rep_seed),
-                    iia.level, side, i)
-
-    fits = _parallel_map(task, tasks)
-    sides = [aggregate_fits(fits[j:j + reps]) for j in range(0, len(fits), reps)]
-    return [(iia, sides[2 * k], sides[2 * k + 1]) for k, iia in enumerate(iias)]
-
-
-def _trajectory_estimates(model, cfg, levels, level_seeds):
-    """Trajectory-side persistency (above, below) at each level.
-
-    Every (level, replicate) batch of ``n_traj // reps`` trajectories is
-    one task of a single pool, which also fits both sides; each level
-    seed spawns one seed per replicate, as
-    :func:`gpsim.persistency_from_trajectories` does.
-    """
-    reps = cfg["reps"]
-    if reps < 2:
-        raise DomainError("need at least two replicates")
-    if cfg["n_traj"] < reps:
-        raise DomainError("need at least one trajectory per replicate")
-    per_rep = cfg["n_traj"] // reps
-    tasks = [(u, i, rep_seed) for u, sseq in zip(levels, level_seeds)
-             for i, rep_seed in enumerate(sseq.spawn(reps))]
-
-    def task(args):
-        u, i, rep_seed = args
-        pools = pooled_excursions(model, u, cfg["dt"], cfg["len"], per_rep, rep_seed)
-        return tuple(_fit(lengths, u, side, i) for side, lengths in zip(_SIDES, pools))
-
-    fits = _parallel_map(task, tasks)
-    return [tuple(aggregate_fits(side) for side in zip(*fits[j:j + reps]))
-            for j in range(0, len(fits), reps)]
-
-
 def _parse_levels(text) -> list[float]:
     levels = []
     for item in str(text).split(","):
@@ -287,8 +195,9 @@ def _parse_levels(text) -> list[float]:
 
 
 def _cmd_iia(cfg: dict) -> dict:
-    [(iia, above, below)] = _level_estimates(
-        _model_from(cfg), cfg, [cfg["level"]], [np.random.SeedSequence(cfg["seed"])])
+    [(iia, above, below)] = persistency_table(
+        _model_from(cfg), cfg["level"], cfg["samples"], cfg["reps"], cfg["seed"],
+        cfg["grid_max"], cfg["grid_step"])
     result = {
         "level": cfg["level"],
         "alpha": iia.alpha,
@@ -307,7 +216,7 @@ def _cmd_iia(cfg: dict) -> dict:
                    zip(iia.f_x_cdf.points, iia.f_x_cdf.values, iia.f_y_cdf.values))
     if cfg["samples_csv"]:
         extra_seeds = np.random.SeedSequence(cfg["seed"]).spawn(3)
-        for side, s in zip(_SIDES, extra_seeds[1:]):
+        for side, s in zip(("above", "below"), extra_seeds[1:]):
             draws = sample_excursion(iia, side, min(cfg["samples"], 100_000), s)
             _write_csv(f"{cfg['samples_csv']}.{side}.csv", "length",
                        ((x,) for x in draws))
@@ -320,8 +229,9 @@ def _cmd_iia(cfg: dict) -> dict:
 
 def _cmd_gp_sim(cfg: dict) -> dict:
     model = _model_from(cfg)
-    [(above, below)] = _trajectory_estimates(
-        model, cfg, [cfg["level"]], [np.random.SeedSequence(cfg["seed"])])
+    [(above, below)] = persistency_from_trajectories(
+        model, cfg["level"], cfg["n_traj"], cfg["len"], cfg["dt"], cfg["seed"],
+        cfg["reps"])
     result = {
         "level": cfg["level"],
         "theta_plus": above.mean_theta,
@@ -337,8 +247,7 @@ def _cmd_gp_sim(cfg: dict) -> dict:
     }
     _write_json(result, cfg["out"])
     return {
-        "theta_plus/theta_minus":
-            "gpsim.pooled_excursions + persistency.aggregate_fits",
+        "theta_plus/theta_minus": "gpsim.persistency_from_trajectories",
         "rice_rate": "gpsim.rice_crossing_rate",
     }
 
@@ -365,8 +274,7 @@ def _cmd_switch_sim(cfg: dict) -> dict:
 
 def _cmd_clipped_cov(cfg: dict) -> dict:
     model = _model_from(cfg)
-    n = int(round(cfg["t_max"] / cfg["step"]))
-    t = np.linspace(0.0, n * cfg["step"], n + 1)
+    t = uniform_grid(cfg["t_max"], cfg["step"])
     columns = [t, clipped_covariance(model, cfg["level"], t)]
     header = "t,value"
     if cfg["level"] == 0.0:
@@ -378,8 +286,7 @@ def _cmd_clipped_cov(cfg: dict) -> dict:
 
 def _cmd_slepian_sample(cfg: dict) -> dict:
     model = _model_from(cfg)
-    n = int(round(cfg["grid_max"] / cfg["grid_step"]))
-    grid = np.linspace(0.0, n * cfg["grid_step"], n + 1)
+    grid = uniform_grid(cfg["grid_max"], cfg["grid_step"])
     paths = sample_slepian_path(model, cfg["level"], grid, cfg["paths"], cfg["seed"])
     _write_csv(cfg["out"], "t,deterministic,slope_component,residual,total,replicate_id",
                (row for rep, p in enumerate(paths)
@@ -411,9 +318,11 @@ def _load_samples(path: str) -> np.ndarray:
 def _cmd_persistency(cfg: dict) -> dict:
     samples = _load_samples(cfg["samples_path"])
     reps = cfg["reps"]
+    if reps < 1:
+        raise DomainError(f"--reps must be at least 1, got {reps}")
     if reps > 1:
-        chunks = np.array_split(samples, reps)
-        est = batch_ci(lambda i: chunks[i], reps, cfg["min_tail"])
+        est = aggregate_fits([labelled_fit(chunk, f"replicate {i}", cfg["min_tail"])
+                              for i, chunk in enumerate(np.array_split(samples, reps))])
         result = {"theta": est.mean_theta, "ci": est.half_width, "reps": reps}
     else:
         fit = fit_persistency(samples, cfg["min_tail"])
@@ -428,17 +337,20 @@ def _cmd_persistency(cfg: dict) -> dict:
 def _cmd_table(cfg: dict) -> dict:
     """``table1`` (approximation side) or ``table2`` (trajectory side)."""
     levels = _parse_levels(cfg["levels"])
-    level_seeds = np.random.SeedSequence(cfg["seed"]).spawn(len(levels))
     if cfg["command"] == "table1":
-        estimates, source = _level_estimates, "iia.sample_excursion"
+        estimates = persistency_table(_model_from(cfg), levels, cfg["samples"], cfg["reps"],
+                                      cfg["seed"], cfg["grid_max"], cfg["grid_step"])
+        source = "iia.persistency_table"
     else:
-        estimates, source = _trajectory_estimates, "gpsim.pooled_excursions"
+        estimates = persistency_from_trajectories(
+            _model_from(cfg), levels, cfg["n_traj"], cfg["len"], cfg["dt"], cfg["seed"],
+            cfg["reps"])
+        source = "gpsim.persistency_from_trajectories"
     rows = [{
         "level": level,
         "theta_plus": above.mean_theta, "ci_plus": above.half_width,
         "theta_minus": below.mean_theta, "ci_minus": below.half_width,
-    } for level, (*_, above, below)
-        in zip(levels, estimates(_model_from(cfg), cfg, levels, level_seeds))]
+    } for level, (*_, above, below) in zip(levels, estimates)]
     line = "u = %-5g  theta+ = %.4f (+-%.4f)   theta- = %.4f (+-%.4f)"
     for r in rows:
         print(line % (r["level"], r["theta_plus"], r["ci_plus"],
@@ -446,7 +358,7 @@ def _cmd_table(cfg: dict) -> dict:
     if cfg["out"]:
         _write_json({"rows": rows, "seed": cfg["seed"], "config_hash": _config_hash(cfg)},
                     cfg["out"])
-    return {"rows": source + " + persistency.aggregate_fits"}
+    return {"rows": source}
 
 
 # ---------------------------------------------------------------------------

@@ -54,8 +54,7 @@ import scipy.fft
 
 from .covmodel import CovarianceModel
 from .errors import DomainError, EmptyExcursionSet, NumericalError
-from .numerics import spawn_seeds
-from .persistency import BatchEstimate, batch_ci
+from .persistency import BatchEstimate, level_seeds, replicate_estimates
 
 __all__ = [
     "Trajectory",
@@ -65,7 +64,6 @@ __all__ = [
     "simulate_gp_spectral",
     "extract_excursions",
     "rice_crossing_rate",
-    "pooled_excursions",
     "persistency_from_trajectories",
 ]
 
@@ -258,36 +256,33 @@ def rice_crossing_rate(model: CovarianceModel, u: float) -> float:
     return math.sqrt(-model.r_pp0) / math.pi * math.exp(-0.5 * u * u)
 
 
-def pooled_excursions(model: CovarianceModel, u: float, dt: float, n: int,
-                      count: int, seed) -> tuple[np.ndarray, np.ndarray]:
-    """Pooled (above, below) excursion lengths of ``count`` trajectories.
+def persistency_from_trajectories(model: CovarianceModel, levels, n_traj: int,
+                                  traj_len: int, dt: float, seed, reps: int = 10
+                                  ) -> list[tuple[BatchEstimate, BatchEstimate]]:
+    """``(above, below)`` persistency per level from simulated trajectories.
 
-    One replicate of :func:`persistency_from_trajectories`: simulates the
-    batch from ``seed`` and concatenates each row's lengths in row order.
+    Each level's ``n_traj`` trajectories of ``traj_len`` steps form
+    ``reps`` replicates of ``n_traj // reps``, whose pooled excursion
+    lengths are fitted on both sides.  Level k's seed is the k-th spawned
+    from ``seed`` (``seed`` itself for a single level) and spawns one seed
+    per replicate.  All (level, replicate) tasks share the one pool of
+    :func:`persistency.replicate_estimates`, which
+    ``EXCURSION_IIA_THREADS`` caps.  Trajectories without complete
+    excursions raise through from the extraction step.
     """
-    above, below = [], []
-    for row in simulate_gp_batch(model, dt, n, count, seed):
-        exc = extract_excursions(Trajectory(dt=dt, values=row, model_name=model.name), u)
-        above.append(exc.above_lengths)
-        below.append(exc.below_lengths)
-    return np.concatenate(above), np.concatenate(below)
-
-
-def persistency_from_trajectories(model: CovarianceModel, u: float,
-                                  n_traj: int, traj_len: int, dt: float,
-                                  seed, reps: int = 10,
-                                  min_tail_count: int = 50
-                                  ) -> tuple[BatchEstimate, BatchEstimate]:
-    """Trajectory-based persistency estimates (above, below).
-
-    Splits ``n_traj`` trajectories into ``reps`` replicates, pools the
-    extracted excursion lengths within each replicate, and fits both
-    tails.  Trajectories without complete excursions raise through from
-    the extraction step.
-    """
+    if reps < 2:
+        raise DomainError("need at least two replicates")
     if n_traj < reps:
         raise DomainError("need at least one trajectory per replicate")
-    pools = [pooled_excursions(model, u, dt, traj_len, n_traj // reps, s)
-             for s in spawn_seeds(seed, reps)]
-    return (batch_ci(lambda i: pools[i][0], reps, min_tail_count),
-            batch_ci(lambda i: pools[i][1], reps, min_tail_count))
+
+    def draw(u, rep_seed):
+        above, below = [], []
+        for row in simulate_gp_batch(model, dt, traj_len, n_traj // reps, rep_seed):
+            exc = extract_excursions(Trajectory(dt=dt, values=row, model_name=model.name), u)
+            above.append(exc.above_lengths)
+            below.append(exc.below_lengths)
+        return np.concatenate(above), np.concatenate(below)
+
+    groups = [(u, level_seed, (f"u = {u:g}, above side", f"u = {u:g}, below side"))
+              for u, level_seed in zip(*level_seeds(levels, seed))]
+    return replicate_estimates(draw, groups, reps)

@@ -39,10 +39,11 @@ import numpy as np
 from .covmodel import CovarianceModel
 from .errors import DomainError, GridTooShort, MonotonicityViolation
 from .numerics import (Grid, TailModel, fit_exponential_tail, inverse_cdf_sample,
-                       norm_cdf, numerical_laplace)
+                       norm_cdf, numerical_laplace, spawn_seeds, uniform_grid)
+from .persistency import BatchEstimate, level_seeds, replicate_estimates
 from .slepian import expected_clipped_down, expected_clipped_up
 
-__all__ = ["IIAModel", "build_iia", "sample_excursion", "psi_hat"]
+__all__ = ["IIAModel", "build_iia", "sample_excursion", "persistency_table", "psi_hat"]
 
 # per-step downticks smaller than this are roundoff, not violations
 MONOTONE_TOL = 1e-12
@@ -102,13 +103,12 @@ def build_iia(model: CovarianceModel, u: float, t_max: float = 200.0,
     """
     if not (step > 0.0 and t_max > 10.0 * step):
         raise DomainError("need step > 0 and t_max well above the step")
-    n = int(round(t_max / step))
-    t = np.linspace(0.0, n * step, n + 1)
+    t = uniform_grid(t_max, step)
 
-    e_up = np.empty(n + 1)
+    e_up = np.empty(len(t))
     e_up[0] = 1.0
     e_up[1:] = expected_clipped_up(model, u, t[1:])
-    e_dn = np.empty(n + 1)
+    e_dn = np.empty(len(t))
     e_dn[0] = -1.0
     e_dn[1:] = expected_clipped_down(model, u, t[1:])
 
@@ -187,6 +187,31 @@ def sample_excursion(iia: IIAModel, side: str, n: int, seed) -> np.ndarray:
             out[lo:hi] += np.bincount(owner, weights=draws, minlength=hi - lo)
         lo, done = hi, done + count
     return out
+
+
+def persistency_table(model: CovarianceModel, levels, samples: int, reps: int,
+                      seed, t_max: float = 200.0, step: float = 0.01
+                      ) -> list[tuple[IIAModel, BatchEstimate, BatchEstimate]]:
+    """``(iia, above, below)`` per level, from ``reps`` replicate fits per side.
+
+    Level k's seed is the k-th spawned from ``seed`` (``seed`` itself for
+    a single level); it spawns a seed per side and each of those a seed
+    per replicate of ``samples`` draws.  All (level, side, replicate)
+    tasks share the one pool of :func:`persistency.replicate_estimates`,
+    which ``EXCURSION_IIA_THREADS`` caps.
+    """
+    if reps < 2:
+        raise DomainError("need at least two replicates")
+    levels, seeds = level_seeds(levels, seed)
+    iias = [build_iia(model, u, t_max=t_max, step=step) for u in levels]
+    groups = [((iia, side), side_seed, (f"u = {iia.level:g}, {side} side",))
+              for iia, level_seed in zip(iias, seeds)
+              for side, side_seed in zip(("above", "below"), spawn_seeds(level_seed, 2))]
+    sides = replicate_estimates(
+        lambda context, rep_seed: (sample_excursion(*context, samples, rep_seed),),
+        groups, reps)
+    return [(iia, above, below)
+            for iia, (above,), (below,) in zip(iias, sides[::2], sides[1::2])]
 
 
 def _survival_laplace(cdf: Grid, tail_rate: float, s: float) -> float:

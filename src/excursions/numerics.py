@@ -49,6 +49,7 @@ __all__ = [
     "gaver_stehfest_invert",
     "inverse_cdf_sample",
     "spawn_seeds",
+    "uniform_grid",
 ]
 
 
@@ -57,6 +58,17 @@ def spawn_seeds(seed, n: int) -> list:
     if not isinstance(seed, np.random.SeedSequence):
         seed = np.random.SeedSequence(seed)
     return seed.spawn(n)
+
+
+def uniform_grid(t_max: float, step: float) -> np.ndarray:
+    """The points ``0, step, ..., n step``, ``n = round(t_max / step)``; both
+    must be finite and positive, or it raises :class:`DomainError`."""
+    ok = all(math.isfinite(x) and x > 0.0 for x in (t_max, step))
+    if not (ok and math.isfinite(t_max / step)):
+        raise DomainError(
+            f"grid end and step must be finite and positive, got {t_max!r} and {step!r}")
+    n = int(round(t_max / step))
+    return np.linspace(0.0, n * step, n + 1)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,9 @@ that importing this module does not load ``scipy.stats``.
 
 from __future__ import annotations
 
+import concurrent.futures
 import math
+import os
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -22,10 +24,11 @@ import numpy as np
 from scipy.special import stdtrit
 
 from .errors import DomainError, FitError
-from .numerics import Grid
+from .numerics import Grid, spawn_seeds
 
 __all__ = ["SurvivalFit", "BatchEstimate", "empirical_survival",
-           "fit_persistency", "aggregate_fits", "batch_ci"]
+           "fit_persistency", "labelled_fit", "aggregate_fits",
+           "level_seeds", "replicate_estimates"]
 
 
 @dataclass(frozen=True)
@@ -73,12 +76,15 @@ def fit_persistency(samples, min_tail_count: int = 50) -> SurvivalFit:
     Uses the sorted sample points with S(t) <= 1/2 and at least
     ``min_tail_count`` samples beyond t; needs at least 10 such points.
     """
+    if min_tail_count < 1:
+        raise DomainError(f"min_tail_count must be at least 1, got {min_tail_count!r}")
     x = np.sort(np.asarray(samples, dtype=float))
     n = len(x)
     if n < 100:
         raise DomainError("need at least 100 samples")
-    if x[0] <= 0.0:
-        raise DomainError("samples must be positive")
+    # NaNs sort last, so the two ends decide
+    if not (x[0] > 0.0 and np.isfinite(x[-1])):
+        raise DomainError("samples must be positive and finite")
     exceed = n - np.arange(1, n + 1)
     surv = exceed / n
     window = (surv <= 0.5) & (exceed >= min_tail_count)
@@ -124,19 +130,66 @@ def aggregate_fits(fits: Sequence[SurvivalFit]) -> BatchEstimate:
     )
 
 
-def batch_ci(replicate_runner: Callable[[int], np.ndarray], reps: int = 10,
-             min_tail_count: int = 50) -> BatchEstimate:
-    """Fit independent replicates and aggregate to a 95% interval.
+def labelled_fit(samples, label: str, min_tail_count: int = 50) -> SurvivalFit:
+    """:func:`fit_persistency`, with ``label`` prefixed to the message of its errors."""
+    try:
+        return fit_persistency(samples, min_tail_count)
+    except (DomainError, FitError) as exc:
+        raise type(exc)(f"{label}: {exc}") from exc
 
-    ``replicate_runner(i)`` must return the sample set of replicate i
-    (callers derive per-replicate seeds); see :func:`aggregate_fits`.
+
+def _max_workers(n_items: int) -> int:
+    raw = os.environ.get("EXCURSION_IIA_THREADS")
+    if not raw:
+        return max(1, min(n_items, 4, os.cpu_count() or 1))
+    try:
+        cap = int(raw)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise DomainError(
+            f"EXCURSION_IIA_THREADS must be a positive integer, got {raw!r}")
+    return max(1, min(n_items, cap))
+
+
+def _parallel_map(fn, items):
+    workers = _max_workers(len(items))
+    if workers <= 1 or len(items) <= 1:
+        return [fn(x) for x in items]
+    with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, items))
+
+
+def level_seeds(levels, seed) -> tuple[list, list]:
+    """The levels as a list, and one seed per level: the seeds spawned
+    from ``seed`` in order, or ``seed`` itself for a single level."""
+    if np.ndim(levels) == 0:
+        return [levels], [seed]
+    return list(levels), spawn_seeds(seed, len(levels))
+
+
+def replicate_estimates(draw: Callable, groups: Sequence, reps: int) -> list:
+    """Draw, fit and average ``reps`` replicates of each group in one pool.
+
+    ``groups`` holds ``(context, seed, names)``.  Each group seed spawns
+    ``reps`` replicate seeds; replicate ``i`` is ``draw(context, seed_i)``,
+    one sample set per name, fitted by :func:`labelled_fit` as
+    ``"<name>, replicate <i>"``.  Every (group, replicate) is one task of
+    a thread pool of ``min(tasks, 4, cpu_count)`` threads;
+    ``EXCURSION_IIA_THREADS``, a positive integer, replaces the 4 and the
+    CPU count.  Seeds are spawned first, so results do not depend on the
+    pool.  Returns, per group, one :class:`BatchEstimate` per name.
     """
     if reps < 2:
         raise DomainError("need at least two replicates")
-    fits = []
-    for i in range(reps):
-        try:
-            fits.append(fit_persistency(replicate_runner(i), min_tail_count))
-        except FitError as exc:
-            raise FitError(f"replicate {i}: {exc}") from exc
-    return aggregate_fits(fits)
+    tasks = [(context, names, i, rep_seed) for context, seed, names in groups
+             for i, rep_seed in enumerate(spawn_seeds(seed, reps))]
+
+    def task(args):
+        context, names, i, rep_seed = args
+        return tuple(labelled_fit(samples, f"{name}, replicate {i}")
+                     for name, samples in zip(names, draw(context, rep_seed)))
+
+    fits = _parallel_map(task, tasks)
+    return [tuple(aggregate_fits(side) for side in zip(*fits[j:j + reps]))
+            for j in range(0, len(fits), reps)]

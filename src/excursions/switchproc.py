@@ -60,6 +60,7 @@ __all__ = [
     "simulate_switch_paths",
     "laplace_P_delta",
     "laplace_E_delta",
+    "laplace_E_prime",
     "laplace_stationary_P",
     "laplace_stationary_cov",
     "recover_psi",

@@ -18,9 +18,8 @@ from excursions.covmodel import diffusion_covariance
 from excursions.errors import MonotonicityViolation
 from excursions.gpsim import (extract_excursions, persistency_from_trajectories,
                               rice_crossing_rate, simulate_gp)
-from excursions.iia import build_iia, psi_hat, sample_excursion
+from excursions.iia import build_iia, persistency_table, psi_hat, sample_excursion
 from excursions.numerics import gaver_stehfest_invert, norm_cdf
-from excursions.persistency import batch_ci
 from excursions.slepian import (conditional_expected_clipped,
                                 expected_clipped_down, expected_clipped_up)
 from excursions.clipped import clipped_covariance
@@ -48,30 +47,16 @@ def _report(criterion: int, ok: bool, detail: str):
 @pytest.fixture(scope="module")
 def table1_estimates():
     """Slepian-side persistency at the published scale (1e6 x 10 per level)."""
-    out = {}
-    root = np.random.SeedSequence(20_260_810)
-    for level, lseq in zip(LEVELS, root.spawn(len(LEVELS))):
-        iia = build_iia(M2, level)
-        side_seeds = lseq.spawn(2)
-        est = {}
-        for side, sseq in zip(("above", "below"), side_seeds):
-            rep_seeds = sseq.spawn(10)
-            est[side] = batch_ci(
-                lambda i: sample_excursion(iia, side, 1_000_000, rep_seeds[i]),
-                reps=10)
-        out[level] = (est["above"], est["below"])
-    return out
+    rows = persistency_table(M2, LEVELS, samples=1_000_000, reps=10, seed=20_260_810)
+    return {level: (above, below) for level, (_, above, below) in zip(LEVELS, rows)}
 
 
 @pytest.fixture(scope="module")
 def table2_estimates():
     """Trajectory-side persistency at desk scale (1e3 x 1e4, dt = 0.05)."""
-    out = {}
-    root = np.random.SeedSequence(77_001)
-    for level, lseq in zip(LEVELS, root.spawn(len(LEVELS))):
-        out[level] = persistency_from_trajectories(
-            M2, level, n_traj=1000, traj_len=10_000, dt=0.05, seed=lseq, reps=10)
-    return out
+    rows = persistency_from_trajectories(M2, LEVELS, n_traj=1000, traj_len=10_000,
+                                         dt=0.05, seed=77_001, reps=10)
+    return dict(zip(LEVELS, rows))
 
 
 # ------------------------------------------------------------------ criteria

@@ -396,3 +396,58 @@ def test_csv_on_stdout_matches_the_file(tmp_path, capsys, args):
     printed = capsys.readouterr().out
     assert printed.count("\n") > 2
     assert printed.encode() == out.read_bytes()
+
+
+@pytest.mark.parametrize("args", [
+    ["clipped-cov", "--level", "0", "--step", "0"],
+    ["clipped-cov", "--level", "0", "--step", "nan"],
+    ["clipped-cov", "--level", "0", "--step", "-0.05"],
+    ["clipped-cov", "--level", "0", "--t-max", "inf"],
+    ["slepian-sample", "--level", "0", "--grid-step", "0"],
+    ["slepian-sample", "--level", "0", "--grid-max", "nan"],
+    ["iia", "--level", "0"] + FAST_IIA + ["--grid-max", "inf"],
+    ["table1", "--levels", "0"] + FAST_IIA + ["--grid-max", "inf"],
+])
+def test_bad_time_grid_exits_one(capsys, args):
+    assert run(args) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("error: ")
+
+
+def _lengths_csv(path, tail=()):
+    values = [repr(float(x)) for x in np.random.default_rng(4).exponential(2.0, 1000)]
+    path.write_text("length\n" + "\n".join(values + list(tail)) + "\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("tail", [["nan"] * 20, ["nan"] * 60, ["inf"] * 60])
+@pytest.mark.parametrize("reps", ["1", "5"])
+def test_persistency_rejects_non_finite_lengths(tmp_path, capsys, tail, reps):
+    csv = _lengths_csv(tmp_path / "lengths.csv", tail)
+    assert run(["persistency", "--samples", csv, "--reps", reps]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "samples must be positive and finite" in err
+
+
+@pytest.mark.parametrize("min_tail", ["0", "-4"])
+@pytest.mark.parametrize("reps", ["1", "5"])
+def test_persistency_rejects_a_tail_count_below_one(tmp_path, capsys, min_tail, reps):
+    csv = _lengths_csv(tmp_path / "lengths.csv")
+    assert run(["persistency", "--samples", csv, "--reps", reps,
+                "--min-tail", min_tail]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "min_tail_count must be at least 1" in err
+
+
+def test_persistency_reps_below_one_is_an_error(tmp_path, capsys):
+    csv = _lengths_csv(tmp_path / "lengths.csv")
+    for reps in ("0", "-3"):
+        assert run(["persistency", "--samples", csv, "--reps", reps]) == 1
+        assert "--reps must be at least 1" in capsys.readouterr().err
+    out = tmp_path / "fit.json"
+    assert run(["persistency", "--samples", csv, "--reps", "1", "--out", str(out)]) == 0
+    res = json.loads(out.read_text())
+    assert res["reps"] == 1 and res["ci"] is None

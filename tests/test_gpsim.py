@@ -8,6 +8,7 @@ from excursions.errors import DomainError, EmptyExcursionSet
 from excursions.gpsim import (Trajectory, _embedding, extract_excursions,
                               persistency_from_trajectories, rice_crossing_rate,
                               simulate_gp, simulate_gp_batch, simulate_gp_spectral)
+from excursions.persistency import aggregate_fits, fit_persistency
 
 M2 = diffusion_covariance(2)
 
@@ -117,16 +118,42 @@ def test_empirical_crossing_rate_matches_rice():
 
 
 def test_persistency_from_trajectories_zero_level():
-    above, below = persistency_from_trajectories(
-        M2, 0.0, n_traj=100, traj_len=10_000, dt=0.05, seed=7, reps=5)
+    [(above, below)] = persistency_from_trajectories(
+        M2, [0.0], n_traj=100, traj_len=10_000, dt=0.05, seed=7, reps=5)
     # generous band for the reduced desk scale of this unit test
     assert above.mean_theta == pytest.approx(0.1885, abs=0.03)
     assert below.mean_theta == pytest.approx(0.1883, abs=0.03)
 
 
+@pytest.mark.parametrize("threads", ["1", "3"])
+def test_persistency_from_trajectories_equals_a_sequential_reference(monkeypatch,
+                                                                    threads):
+    # each level seed spawns one seed per replicate; a replicate pools the
+    # lengths of its batch in row order and fits both sides
+    monkeypatch.setenv("EXCURSION_IIA_THREADS", threads)
+    n_traj, n, dt, reps = 40, 8000, 0.05, 4
+    cases = [((0.0, 0.5), np.random.SeedSequence(43).spawn(2)),
+             (1.0, [np.random.SeedSequence(43)])]     # one level: the seed itself
+    for levels, level_seeds in cases:
+        rows = persistency_from_trajectories(M2, levels, n_traj, n, dt, 43, reps)
+        assert len(rows) == len(level_seeds)
+        for u, level_seed, estimates in zip(np.atleast_1d(levels), level_seeds, rows):
+            fits = []
+            for rep_seed in level_seed.spawn(reps):
+                excs = [extract_excursions(Trajectory(dt=dt, values=row, model_name=""), u)
+                        for row in simulate_gp_batch(M2, dt, n, n_traj // reps, rep_seed)]
+                fits.append([fit_persistency(np.concatenate([e.above_lengths for e in excs])),
+                             fit_persistency(np.concatenate([e.below_lengths for e in excs]))])
+            for est, side in zip(estimates, zip(*fits)):
+                ref = aggregate_fits(side)
+                assert est.mean_theta == ref.mean_theta
+                assert est.half_width == ref.half_width
+                assert [f.theta for f in est.replicates] == [f.theta for f in ref.replicates]
+
+
 def test_persistency_needs_enough_trajectories():
     with pytest.raises(DomainError):
-        persistency_from_trajectories(M2, 0.0, n_traj=3, traj_len=1000,
+        persistency_from_trajectories(M2, [0.0], n_traj=3, traj_len=1000,
                                       dt=0.05, seed=8, reps=10)
 
 

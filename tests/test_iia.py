@@ -5,8 +5,9 @@ import pytest
 
 from excursions.covmodel import diffusion_covariance
 from excursions.errors import DomainError, GridTooShort, MonotonicityViolation
-from excursions.iia import build_iia, psi_hat, sample_excursion
+from excursions.iia import build_iia, persistency_table, psi_hat, sample_excursion
 from excursions.numerics import norm_cdf
+from excursions.persistency import aggregate_fits, fit_persistency
 
 M2 = diffusion_covariance(2)
 
@@ -138,3 +139,36 @@ def test_sampling_deterministic_under_seed(iia_u1):
     a = sample_excursion(iia_u1, "below", 1000, seed=77)
     b = sample_excursion(iia_u1, "below", 1000, seed=77)
     assert np.array_equal(a, b)
+
+
+def _assert_same_estimate(est, ref):
+    assert est.mean_theta == ref.mean_theta
+    assert est.half_width == ref.half_width
+    assert [f.theta for f in est.replicates] == [f.theta for f in ref.replicates]
+
+
+@pytest.mark.parametrize("threads", ["1", "3"])
+def test_persistency_table_equals_a_sequential_reference(monkeypatch, threads):
+    # each level seed spawns a seed per side, each side seed one per replicate
+    monkeypatch.setenv("EXCURSION_IIA_THREADS", threads)
+    samples, reps, grid = 5000, 3, {"t_max": 120.0, "step": 0.02}
+    cases = [((0.0, 1.0), np.random.SeedSequence(41).spawn(2)),
+             (0.5, [np.random.SeedSequence(41)])]     # one level: the seed itself
+    for levels, level_seeds in cases:
+        rows = persistency_table(M2, levels, samples, reps, 41, **grid)
+        assert len(rows) == len(level_seeds)
+        for u, level_seed, (iia, above, below) in zip(np.atleast_1d(levels),
+                                                      level_seeds, rows):
+            ref_iia = build_iia(M2, u, **grid)
+            assert iia.level == u
+            assert np.array_equal(iia.f_x_cdf.values, ref_iia.f_x_cdf.values)
+            for side, side_seed, est in zip(("above", "below"), level_seed.spawn(2),
+                                            (above, below)):
+                _assert_same_estimate(est, aggregate_fits([
+                    fit_persistency(sample_excursion(ref_iia, side, samples, s))
+                    for s in side_seed.spawn(reps)]))
+
+
+def test_persistency_table_checks_replicates_before_building():
+    with pytest.raises(DomainError, match="two replicates"):
+        persistency_table(M2, [1.5], 1000, 1, 3)

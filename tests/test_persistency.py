@@ -5,8 +5,9 @@ import pytest
 from scipy.stats import t as student_t
 
 from excursions.errors import DomainError, FitError
-from excursions.persistency import (SurvivalFit, aggregate_fits, batch_ci,
-                                    empirical_survival, fit_persistency)
+from excursions.persistency import (SurvivalFit, aggregate_fits, empirical_survival,
+                                    fit_persistency, labelled_fit,
+                                    replicate_estimates)
 
 
 def _step_value(surv, t):
@@ -82,46 +83,70 @@ def test_fit_error_on_tiny_window():
         fit_persistency(x, min_tail_count=49)
 
 
-def test_batch_ci_exponential():
+def test_aggregate_fits_exponential():
     rng = np.random.default_rng(7)
-
-    def runner(i):
-        return rng.exponential(1.0, 200_000)
-
-    est = batch_ci(runner, reps=10)
+    fits = [labelled_fit(rng.exponential(1.0, 200_000), f"replicate {i}")
+            for i in range(10)]
+    est = aggregate_fits(fits)
     assert abs(est.mean_theta - 1.0) < 0.01
     assert 0.0 < est.half_width < 0.01
     assert len(est.replicates) == 10
 
 
-def test_batch_ci_uses_t_quantile():
+def test_aggregate_fits_uses_t_quantile():
     # two replicates: the half-width uses the 12.706 quantile of t with 1 df
     samples = []
     n = 10_000
     i = np.arange(1, n)
     for th in (0.9, 1.1):
         samples.append(-np.log((n - i) / n) / th)
-    est = batch_ci(lambda k: samples[k], reps=2)
+    est = aggregate_fits([fit_persistency(x) for x in samples])
     sd = np.std([f.theta for f in est.replicates], ddof=1)
     assert est.half_width == pytest.approx(12.706 * sd / math.sqrt(2), rel=1e-4)
 
 
-def test_batch_ci_propagates_fit_error_with_index():
-    good = np.random.default_rng(8).exponential(1.0, 10_000)
+def _runner(i):
+    # replicate 3 has too short a tail to fit
+    if i == 3:
+        return np.linspace(1.0, 2.0, 100)
+    return np.random.default_rng(8).exponential(1.0, 10_000)
 
-    def runner(i):
-        if i == 3:
-            return np.linspace(1.0, 2.0, 100)
-        return good
+
+def test_labelled_fit_names_the_replicate():
+    with pytest.raises(FitError) as err:
+        aggregate_fits([labelled_fit(_runner(i), f"replicate {i}") for i in range(5)])
+    assert str(err.value).startswith("replicate 3: ")
+    with pytest.raises(DomainError, match="^replicate 0: need at least 100 samples$"):
+        labelled_fit(np.ones(10), "replicate 0")
+
+
+def test_replicate_estimates_label_each_fit_error():
+    # replicate i of a group draws from the i-th seed spawned from the group's
+    def draw(context, seed):
+        return (_runner(seed.spawn_key[-1]),)
 
     with pytest.raises(FitError) as err:
-        batch_ci(runner, reps=5)
-    assert "replicate 3" in str(err.value)
+        replicate_estimates(draw, [(None, 5, ("u = 0, above side",))], reps=5)
+    assert str(err.value).startswith("u = 0, above side, replicate 3: ")
 
 
-def test_batch_ci_needs_two_reps():
+def test_aggregate_fits_needs_two_reps():
+    fit = fit_persistency(np.random.default_rng(8).exponential(1.0, 1000))
     with pytest.raises(DomainError):
-        batch_ci(lambda i: np.ones(1000), reps=1)
+        aggregate_fits([fit])
+    with pytest.raises(DomainError):
+        replicate_estimates(lambda context, seed: (np.ones(1000),),
+                            [(None, 1, ("x",))], reps=1)
+
+
+def test_fit_rejects_non_finite_samples_and_empty_tail():
+    x = np.random.default_rng(10).exponential(1.0, 1000)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(DomainError, match="positive and finite"):
+            fit_persistency(np.append(x, bad))
+    for count in (0, -1):
+        with pytest.raises(DomainError, match="min_tail_count"):
+            fit_persistency(x, min_tail_count=count)
 
 
 def test_variance_shrinks_with_sample_size():
