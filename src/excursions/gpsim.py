@@ -25,9 +25,11 @@ covariance at lag ``n - 1 + pad`` is dead or the cap is reached.
 The embedding is exact as long as its eigenvalues are non-negative;
 tiny negative eigenvalues (total magnitude below 1e-8 of the trace) are
 clipped, anything worse raises.  Paths are made in chunks of up to 32
-complex rows; each call holds one float and one complex chunk buffer,
-scales the normal draws straight into the complex buffer's real and
-imaginary parts and transforms it in place.
+complex rows.  A path stream holds one complex chunk buffer and one row
+of normals: it draws the normals row by row, scales each row straight
+into the buffer's real or imaginary part, transforms the buffer in place
+and hands out the chunk's windows as views of it.  A consumer that reads
+each path once, such as crossing extraction, so holds no path matrix.
 
 A spectral synthesis route is available as an independent cross-check
 for models that carry a spectrum, so simulator bias can be bounded by
@@ -150,39 +152,41 @@ def _embedding(model: CovarianceModel, dt: float, n: int):
     return lam, starts
 
 
-def _paths_from_embedding(lam: np.ndarray, starts: tuple, n: int, count: int, rng):
-    # the draws per chunk are all real parts, then all imaginary parts;
-    # the chunk's paths are its real parts at each window start in turn,
-    # then its imaginary parts likewise
+def _iter_paths(lam: np.ndarray, starts: tuple, n: int, count: int, rng):
+    """Yield ``count`` paths as ``(rows, n)`` views of one complex buffer.
+
+    A chunk's normals are all its real parts, then all its imaginary
+    parts; its paths are its real parts at each window start in turn,
+    then its imaginary parts likewise.  The next chunk overwrites the
+    views, so a caller copies what it keeps.
+    """
     m = len(lam)
     per_row = 2 * len(starts)
     scale = np.sqrt(lam / m)
-    out = np.empty((count, n))
     rows = min(_CHUNK_ROWS, -(-count // per_row))
-    draws = np.empty((rows, m))
+    normal = np.empty(m)
     z_buf = np.empty((rows, m), dtype=complex)
-    done = 0
-    while done < count:
-        k = min(rows, -(-(count - done) // per_row))
-        normal, w = draws[:k], z_buf[:k]
-        rng.standard_normal(out=normal)
-        np.multiply(normal, scale, out=w.real)
-        rng.standard_normal(out=normal)
-        np.multiply(normal, scale, out=w.imag)
+    left = count
+    while left > 0:
+        w = z_buf[:min(rows, -(-left // per_row))]
+        for part in (w.real, w.imag):
+            for row in part:
+                rng.standard_normal(out=normal)
+                np.multiply(normal, scale, out=row)
         np.fft.fft(w, axis=1, out=w)
         for part in (w.real, w.imag):
             for s in starts:
-                take = min(k, count - done)
-                out[done:done + take] = part[:take, s:s + n]
-                done += take
-    return out
+                if left > 0:
+                    paths = part[:left, s:s + n]
+                    left -= len(paths)
+                    yield paths
 
 
 def simulate_gp(model: CovarianceModel, dt: float, n: int, seed) -> Trajectory:
     """One stationary Gaussian trajectory with exact grid covariance."""
     _check_grid(dt, n)
     rng = np.random.default_rng(seed)
-    values = _paths_from_embedding(*_embedding(model, dt, n), n, 1, rng)[0]
+    values = next(_iter_paths(*_embedding(model, dt, n), n, 1, rng))[0].copy()
     return Trajectory(dt=dt, values=values, model_name=model.name, seed=seed)
 
 
@@ -193,7 +197,12 @@ def simulate_gp_batch(model: CovarianceModel, dt: float, n: int,
     if count < 1:
         raise DomainError("count must be positive")
     rng = np.random.default_rng(seed)
-    return _paths_from_embedding(*_embedding(model, dt, n), n, count, rng)
+    out = np.empty((count, n))
+    done = 0
+    for paths in _iter_paths(*_embedding(model, dt, n), n, count, rng):
+        out[done:done + len(paths)] = paths
+        done += len(paths)
+    return out
 
 
 def simulate_gp_spectral(model: CovarianceModel, dt: float, n: int, seed) -> Trajectory:
@@ -230,19 +239,27 @@ def extract_excursions(traj: Trajectory, u: float) -> ExcursionSet:
 
     Crossing instants are located by linear interpolation between the
     bracketing samples; boundary intervals (cut by the window) are
-    dropped.  Raises :class:`EmptyExcursionSet` when fewer than two
-    crossings exist.
+    dropped.  A sample exactly at the level is on neither side: a path
+    that passes through the level at a run of such samples crosses once,
+    at the first sample of the run, and one that touches the level and
+    returns does not cross.  Raises :class:`EmptyExcursionSet` when fewer
+    than two crossings exist.
     """
     d = traj.values - u
-    flips = d[:-1] * d[1:] < 0.0
-    idx = np.nonzero(flips)[0]
+    if d.all():
+        idx = np.flatnonzero(d[:-1] * d[1:] < 0.0)
+    else:
+        # a crossing leaves the last off-level sample before it, towards
+        # the next sample, which is on the other side or at the level
+        off = np.flatnonzero(d)
+        idx = off[np.flatnonzero(d[off[:-1]] * d[off[1:]] < 0.0)]
     if len(idx) < 2:
         raise EmptyExcursionSet(
             f"no complete excursion of level {u} in the trajectory")
     frac = d[idx] / (d[idx] - d[idx + 1])
     times = (idx + frac) * traj.dt
     lengths = np.diff(times)
-    above = d[idx[:-1] + 1] > 0.0
+    above = d[idx[1:]] > 0.0
     return ExcursionSet(
         above_lengths=lengths[above],
         below_lengths=lengths[~above],
@@ -262,25 +279,35 @@ def persistency_from_trajectories(model: CovarianceModel, levels, n_traj: int,
     """``(above, below)`` persistency per level from simulated trajectories.
 
     Each level's ``n_traj`` trajectories of ``traj_len`` steps form
-    ``reps`` replicates of ``n_traj // reps``, whose pooled excursion
+    ``reps`` replicates of ``n_traj / reps``, whose pooled excursion
     lengths are fitted on both sides.  Level k's seed is the k-th spawned
     from ``seed`` (``seed`` itself for a single level) and spawns one seed
     per replicate.  All (level, replicate) tasks share the one pool of
     :func:`persistency.replicate_estimates`, which
-    ``EXCURSION_IIA_THREADS`` caps.  Trajectories without complete
-    excursions raise through from the extraction step.
+    ``EXCURSION_IIA_THREADS`` caps.  Each task streams its trajectories
+    straight into crossing extraction, so the trajectories take one
+    complex chunk buffer per thread, whatever ``n_traj`` is.
+    Trajectories without complete excursions raise through from the
+    extraction step.
     """
     if reps < 2:
         raise DomainError("need at least two replicates")
     if n_traj < reps:
         raise DomainError("need at least one trajectory per replicate")
+    if n_traj % reps:
+        raise DomainError(
+            f"{n_traj} trajectories do not split evenly into {reps} replicates")
+    _check_grid(dt, traj_len)
+    lam, starts = _embedding(model, dt, traj_len)
 
     def draw(u, rep_seed):
         above, below = [], []
-        for row in simulate_gp_batch(model, dt, traj_len, n_traj // reps, rep_seed):
-            exc = extract_excursions(Trajectory(dt=dt, values=row, model_name=model.name), u)
-            above.append(exc.above_lengths)
-            below.append(exc.below_lengths)
+        rng = np.random.default_rng(rep_seed)
+        for paths in _iter_paths(lam, starts, traj_len, n_traj // reps, rng):
+            for row in paths:
+                exc = extract_excursions(Trajectory(dt=dt, values=row, model_name=model.name), u)
+                above.append(exc.above_lengths)
+                below.append(exc.below_lengths)
         return np.concatenate(above), np.concatenate(below)
 
     groups = [(u, level_seed, (f"u = {u:g}, above side", f"u = {u:g}, below side"))

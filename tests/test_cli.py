@@ -311,6 +311,16 @@ def test_trajectory_fit_errors_name_level_side_and_replicate(capsys):
         "error: u = 0, above side, replicate 0: need at least 100 samples\n")
 
 
+@pytest.mark.parametrize("command", [["gp-sim", "--level", "0"], ["table2", "--levels", "0"]])
+def test_trajectories_must_split_evenly_into_replicates(tmp_path, capsys, command):
+    out = tmp_path / "res.json"
+    assert run(command + ["--n-traj", "25", "--len", "1000", "--reps", "2",
+                          "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: 25 trajectories do not split evenly into 2 replicates\n")
+    assert not out.exists()
+
+
 # the effective configuration each subcommand records in its manifest;
 # config_hash, and so every result JSON, depends on exactly these keys,
 # values and types

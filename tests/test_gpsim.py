@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -83,6 +84,29 @@ def test_extract_excursions_sine_wave():
     assert abs(len(exc.above_lengths) - len(exc.below_lengths)) <= 1
 
 
+@pytest.mark.parametrize("u", [0.0, 0.5])
+def test_extract_crossings_through_samples_at_the_level(u):
+    def excursions(values):
+        return extract_excursions(
+            Trajectory(dt=1.0, values=u + np.array(values, dtype=float), model_name="x"), u)
+
+    # passing through the level at a sample crosses once, at that sample
+    through = excursions([1, -1, 1, 0, -1, 1, -1])
+    assert through.crossing_count == 5
+    assert through.above_lengths.tolist() == [1.5, 1.0]
+    assert through.below_lengths.tolist() == [1.0, 1.5]
+    # touching the level and returning to the same side does not cross
+    touch = excursions([1, -1, 0, -1, 1, -1])
+    assert touch.crossing_count == 3
+    assert touch.above_lengths.tolist() == [1.0]
+    assert touch.below_lengths.tolist() == [3.0]
+    # a run of samples at the level crosses once, at its first sample
+    run = excursions([1, -1, 0, 0, 1, 0, 0, 0, -1, 1])
+    assert run.crossing_count == 4
+    assert run.above_lengths.tolist() == [3.0]
+    assert run.below_lengths.tolist() == [1.5, 3.5]
+
+
 def test_extract_alternation_and_balance():
     traj = Trajectory(dt=0.05, values=simulate_gp(M2, 0.05, 200_000, seed=5).values,
                       model_name=M2.name)
@@ -157,6 +181,35 @@ def test_persistency_needs_enough_trajectories():
                                       dt=0.05, seed=8, reps=10)
 
 
+def test_persistency_needs_trajectories_that_split_evenly_into_replicates():
+    with pytest.raises(DomainError, match="25 trajectories .* 2 replicates"):
+        persistency_from_trajectories(M2, [0.0], n_traj=25, traj_len=1000,
+                                      dt=0.05, seed=8, reps=2)
+
+
+def test_persistency_from_trajectories_memory_is_flat_in_the_trajectory_count(
+        monkeypatch):
+    # one thread streams each replicate through one complex chunk of 32
+    # rows, 128 paths; past that only the pooled length lists grow.  At
+    # about 16 crossings per path they take some 0.1 MiB more for 384
+    # more paths per replicate, list overhead included, where a matrix of
+    # the paths would take 5.9 MiB more; the margin is 1 MiB
+    monkeypatch.setenv("EXCURSION_IIA_THREADS", "1")
+    sizes = dict(traj_len=2000, dt=0.05, seed=9, reps=2)
+    persistency_from_trajectories(M2, 0.0, n_traj=256, **sizes)    # warm the cache
+    peaks = []
+    tracemalloc.start()
+    try:
+        for per_rep in (128, 512):
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            persistency_from_trajectories(M2, 0.0, n_traj=2 * per_rep, **sizes)
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+    finally:
+        tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 2 ** 20
+
+
 def test_trajectory_validation():
     with pytest.raises(DomainError):
         Trajectory(dt=0.1, values=np.array([1.0]), model_name="x")
@@ -195,6 +248,14 @@ def test_batch_equals_out_of_place_reference(count):
 def test_one_window_batch_equals_out_of_place_reference(count):
     assert np.array_equal(simulate_gp_batch(CAUCHY, 0.2, 1000, count, seed=17),
                           _out_of_place(CAUCHY, 0.2, 1000, count, 17, windows=1))
+
+
+@pytest.mark.parametrize("model, dt, n, windows", [(M2, 0.05, 300, 2),
+                                                   (CAUCHY, 0.2, 1000, 1)])
+def test_single_path_is_the_first_path_of_the_out_of_place_reference(model, dt, n,
+                                                                    windows):
+    assert np.array_equal(simulate_gp(model, dt, n, seed=17).values,
+                          _out_of_place(model, dt, n, 1, 17, windows)[0])
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
