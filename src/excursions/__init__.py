@@ -10,7 +10,7 @@ switch-process machinery with full Laplace-domain identities, and
 survival-tail persistency fitting close the validation loop.
 """
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 from .covmodel import CovarianceModel, diffusion_covariance, validate
 from .clipped import arcsin_covariance, clipped_covariance

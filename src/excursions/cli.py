@@ -25,7 +25,9 @@ float, so it records and hashes as the flag would.
 
 ``table1``/``iia`` and ``table2``/``gp-sim`` each make one call of
 :func:`iia.persistency_table` or :func:`gpsim.persistency_from_trajectories`,
-which own the seed tree and the thread pool.
+which own the seed tree and the thread pool.  ``table2`` reads every
+level from the same trajectories, so its row for a level equals
+``gp-sim`` at that level with the same seed and sizes.
 """
 
 from __future__ import annotations

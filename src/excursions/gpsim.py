@@ -37,12 +37,19 @@ comparing the two.
 
 Crossings of a level are located by linear interpolation between
 bracketing samples; the first and last (incomplete) intervals are
-discarded, so the extracted above/below lengths strictly alternate.
-The Rice crossing intensity
+discarded, and two crossings that round to one instant are dropped as a
+touch, so the extracted above/below lengths are positive and strictly
+alternate.  The Rice crossing intensity
 
     (1/pi) sqrt(-r''(0)) exp(-u^2 / 2)
 
 serves as the closed-form cross-check on crossing counts.
+
+The level is a property of extraction, not of the paths: the table
+estimator spawns one seed per replicate, simulates each replicate's
+trajectories once and reads the crossings of every level from them.  A
+level's estimates so equal those of a call with that level alone, and
+the levels of one call are correlated through their shared paths.
 """
 
 from __future__ import annotations
@@ -56,7 +63,7 @@ import scipy.fft
 
 from .covmodel import CovarianceModel
 from .errors import DomainError, EmptyExcursionSet, NumericalError
-from .persistency import BatchEstimate, level_seeds, replicate_estimates
+from .persistency import BatchEstimate, replicate_estimates
 
 __all__ = [
     "Trajectory",
@@ -242,8 +249,10 @@ def extract_excursions(traj: Trajectory, u: float) -> ExcursionSet:
     dropped.  A sample exactly at the level is on neither side: a path
     that passes through the level at a run of such samples crosses once,
     at the first sample of the run, and one that touches the level and
-    returns does not cross.  Raises :class:`EmptyExcursionSet` when fewer
-    than two crossings exist.
+    returns does not cross.  Two crossings that round to the same instant
+    are such a touch, within rounding: both are dropped and the intervals
+    on either side merge, so every length is positive.  Raises
+    :class:`EmptyExcursionSet` when fewer than two crossings exist.
     """
     d = traj.values - u
     if d.all():
@@ -253,12 +262,20 @@ def extract_excursions(traj: Trajectory, u: float) -> ExcursionSet:
         # the next sample, which is on the other side or at the level
         off = np.flatnonzero(d)
         idx = off[np.flatnonzero(d[off[:-1]] * d[off[1:]] < 0.0)]
-    if len(idx) < 2:
-        raise EmptyExcursionSet(
-            f"no complete excursion of level {u} in the trajectory")
     frac = d[idx] / (d[idx] - d[idx + 1])
     times = (idx + frac) * traj.dt
     lengths = np.diff(times)
+    if not lengths.all():
+        # drop equal instants in pairs from the left; the sides still alternate
+        keep = np.ones(len(idx), dtype=bool)
+        for k in np.flatnonzero(lengths == 0.0):
+            if keep[k]:
+                keep[k] = keep[k + 1] = False
+        idx, times = idx[keep], times[keep]
+        lengths = np.diff(times)
+    if len(idx) < 2:
+        raise EmptyExcursionSet(
+            f"no complete excursion of level {u} in the trajectory")
     above = d[idx[1:]] > 0.0
     return ExcursionSet(
         above_lengths=lengths[above],
@@ -278,17 +295,17 @@ def persistency_from_trajectories(model: CovarianceModel, levels, n_traj: int,
                                   ) -> list[tuple[BatchEstimate, BatchEstimate]]:
     """``(above, below)`` persistency per level from simulated trajectories.
 
-    Each level's ``n_traj`` trajectories of ``traj_len`` steps form
-    ``reps`` replicates of ``n_traj / reps``, whose pooled excursion
-    lengths are fitted on both sides.  Level k's seed is the k-th spawned
-    from ``seed`` (``seed`` itself for a single level) and spawns one seed
-    per replicate.  All (level, replicate) tasks share the one pool of
-    :func:`persistency.replicate_estimates`, which
-    ``EXCURSION_IIA_THREADS`` caps.  Each task streams its trajectories
-    straight into crossing extraction, so the trajectories take one
-    complex chunk buffer per thread, whatever ``n_traj`` is.
-    Trajectories without complete excursions raise through from the
-    extraction step.
+    ``n_traj`` trajectories of ``traj_len`` steps form ``reps`` replicates
+    of ``n_traj / reps``.  ``seed`` spawns one seed per replicate, whatever
+    the number of levels, so a level's estimates equal those of a call
+    with that level alone.  Each replicate streams its trajectories once,
+    straight into crossing extraction at every level, and fits the pooled
+    above and below lengths of each level.  The replicates are the tasks
+    of the one pool of :func:`persistency.replicate_estimates`, so at most
+    ``reps`` threads are busy, and ``EXCURSION_IIA_THREADS`` caps them.
+    The trajectories take one complex chunk buffer per thread, whatever
+    ``n_traj`` is.  Trajectories without complete excursions raise
+    through from the extraction step.
     """
     if reps < 2:
         raise DomainError("need at least two replicates")
@@ -299,17 +316,20 @@ def persistency_from_trajectories(model: CovarianceModel, levels, n_traj: int,
             f"{n_traj} trajectories do not split evenly into {reps} replicates")
     _check_grid(dt, traj_len)
     lam, starts = _embedding(model, dt, traj_len)
+    levels = [levels] if np.ndim(levels) == 0 else list(levels)
 
-    def draw(u, rep_seed):
-        above, below = [], []
+    def draw(_, rep_seed):
+        lengths = [([], []) for _ in levels]
         rng = np.random.default_rng(rep_seed)
         for paths in _iter_paths(lam, starts, traj_len, n_traj // reps, rng):
             for row in paths:
-                exc = extract_excursions(Trajectory(dt=dt, values=row, model_name=model.name), u)
-                above.append(exc.above_lengths)
-                below.append(exc.below_lengths)
-        return np.concatenate(above), np.concatenate(below)
+                traj = Trajectory(dt=dt, values=row, model_name=model.name)
+                for u, (above, below) in zip(levels, lengths):
+                    exc = extract_excursions(traj, u)
+                    above.append(exc.above_lengths)
+                    below.append(exc.below_lengths)
+        return [np.concatenate(side) for pair in lengths for side in pair]
 
-    groups = [(u, level_seed, (f"u = {u:g}, above side", f"u = {u:g}, below side"))
-              for u, level_seed in zip(*level_seeds(levels, seed))]
-    return replicate_estimates(draw, groups, reps)
+    names = tuple(f"u = {u:g}, {side} side" for u in levels for side in ("above", "below"))
+    [estimates] = replicate_estimates(draw, [(None, seed, names)], reps)
+    return list(zip(estimates[::2], estimates[1::2]))

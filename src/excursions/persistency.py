@@ -85,15 +85,15 @@ def fit_persistency(samples, min_tail_count: int = 50) -> SurvivalFit:
     # NaNs sort last, so the two ends decide
     if not (x[0] > 0.0 and np.isfinite(x[-1])):
         raise DomainError("samples must be positive and finite")
-    exceed = n - np.arange(1, n + 1)
-    surv = exceed / n
-    window = (surv <= 0.5) & (exceed >= min_tail_count)
-    n_pts = int(window.sum())
+    # n - 1 - i samples lie beyond x[i], and that count falls with i: the
+    # window S <= 1/2, count >= min_tail_count is the index range [lo, hi)
+    lo, hi = n - 1 - n // 2, n - min_tail_count
+    n_pts = max(hi - lo, 0)
     if n_pts < 10:
         raise FitError(
             f"tail window holds {n_pts} points; need at least 10")
-    tt = x[window]
-    ls = np.log(surv[window])
+    tt = x[lo:hi]
+    ls = np.log((n - 1 - np.arange(lo, hi)) / n)
     design = np.column_stack((tt, np.ones_like(tt)))
     (slope, intercept), res, *_ = np.linalg.lstsq(design, ls, rcond=None)
     if not slope < 0.0:

@@ -167,6 +167,18 @@ def test_gp_sim_small_scale(tmp_path):
     assert res["rice_rate"] == pytest.approx(0.1591549, abs=1e-6)
 
 
+def test_table2_row_equals_gp_sim_at_the_same_seed(tmp_path):
+    sizes = ["--n-traj", "40", "--len", "8000", "--dt", "0.05", "--reps", "4",
+             "--seed", "6"]
+    assert run(["table2", "--levels", "0,1", "--out", str(tmp_path / "t2.json")] + sizes) == 0
+    assert run(["gp-sim", "--level", "1", "--out", str(tmp_path / "gp.json")] + sizes) == 0
+    [row] = [r for r in json.loads((tmp_path / "t2.json").read_text())["rows"]
+             if r["level"] == 1.0]
+    alone = json.loads((tmp_path / "gp.json").read_text())
+    for key in ("theta_plus", "theta_minus", "ci_plus", "ci_minus"):
+        assert row[key] == alone[key]
+
+
 def test_config_int_for_float_key_hashes_like_the_flag(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"grid_max": 120}))

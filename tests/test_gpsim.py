@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from excursions import gpsim
 from excursions.covmodel import CovarianceModel, diffusion_covariance
 from excursions.errors import DomainError, EmptyExcursionSet
 from excursions.gpsim import (Trajectory, _embedding, extract_excursions,
@@ -107,6 +108,24 @@ def test_extract_crossings_through_samples_at_the_level(u):
     assert run.below_lengths.tolist() == [1.5, 3.5]
 
 
+@pytest.mark.parametrize("u", [0.0, 0.5])
+def test_extract_drops_crossings_that_round_to_one_instant(u):
+    # the sample at -1e-15 touches the level within rounding: the crossings
+    # into and out of it both round to t = 9999 dt and are dropped, so the
+    # above intervals around them merge
+    values = u + np.array([1, -1] + [1] * 9997 + [-1e-15, 1, 1, 1, -1, 1], dtype=float)
+    exc = extract_excursions(Trajectory(dt=0.05, values=values, model_name="x"), u)
+    assert exc.crossing_count == 4
+    lengths = np.concatenate([exc.above_lengths, exc.below_lengths])
+    assert np.all(lengths > 0.0)
+    # alternation: one interval between each pair of successive crossings,
+    # and the sides take turns
+    assert len(lengths) == exc.crossing_count - 1
+    assert abs(len(exc.above_lengths) - len(exc.below_lengths)) <= 1
+    assert exc.above_lengths == pytest.approx([10_001 * 0.05], rel=1e-12)
+    assert exc.below_lengths == pytest.approx([0.05, 0.05], rel=1e-12)
+
+
 def test_extract_alternation_and_balance():
     traj = Trajectory(dt=0.05, values=simulate_gp(M2, 0.05, 200_000, seed=5).values,
                       model_name=M2.name)
@@ -152,27 +171,64 @@ def test_persistency_from_trajectories_zero_level():
 @pytest.mark.parametrize("threads", ["1", "3"])
 def test_persistency_from_trajectories_equals_a_sequential_reference(monkeypatch,
                                                                     threads):
-    # each level seed spawns one seed per replicate; a replicate pools the
-    # lengths of its batch in row order and fits both sides
+    # the seed spawns one seed per replicate, whatever the levels; a
+    # replicate extracts each row of its batch at every level in row order,
+    # pools each level's lengths and fits both sides
     monkeypatch.setenv("EXCURSION_IIA_THREADS", threads)
     n_traj, n, dt, reps = 40, 8000, 0.05, 4
-    cases = [((0.0, 0.5), np.random.SeedSequence(43).spawn(2)),
-             (1.0, [np.random.SeedSequence(43)])]     # one level: the seed itself
-    for levels, level_seeds in cases:
+    for levels in ((0.0, 0.5), 1.0):       # one level: a scalar
         rows = persistency_from_trajectories(M2, levels, n_traj, n, dt, 43, reps)
-        assert len(rows) == len(level_seeds)
-        for u, level_seed, estimates in zip(np.atleast_1d(levels), level_seeds, rows):
-            fits = []
-            for rep_seed in level_seed.spawn(reps):
-                excs = [extract_excursions(Trajectory(dt=dt, values=row, model_name=""), u)
-                        for row in simulate_gp_batch(M2, dt, n, n_traj // reps, rep_seed)]
-                fits.append([fit_persistency(np.concatenate([e.above_lengths for e in excs])),
-                             fit_persistency(np.concatenate([e.below_lengths for e in excs]))])
-            for est, side in zip(estimates, zip(*fits)):
+        us = np.atleast_1d(levels)
+        assert len(rows) == len(us)
+        fits = []                           # per replicate: per level, both sides
+        for rep_seed in np.random.SeedSequence(43).spawn(reps):
+            batch = simulate_gp_batch(M2, dt, n, n_traj // reps, rep_seed)
+            excs = [[extract_excursions(Trajectory(dt=dt, values=row, model_name=""), u)
+                     for row in batch] for u in us]
+            fits.append([(fit_persistency(np.concatenate([e.above_lengths for e in level])),
+                          fit_persistency(np.concatenate([e.below_lengths for e in level])))
+                         for level in excs])
+        for k, estimates in enumerate(rows):
+            for est, side in zip(estimates, zip(*(rep[k] for rep in fits))):
                 ref = aggregate_fits(side)
                 assert est.mean_theta == ref.mean_theta
                 assert est.half_width == ref.half_width
                 assert [f.theta for f in est.replicates] == [f.theta for f in ref.replicates]
+
+
+def test_each_level_of_a_multi_level_call_equals_its_one_level_call():
+    sizes = dict(n_traj=40, traj_len=8000, dt=0.05, seed=44, reps=4)
+    levels = (0.0, 0.5, 1.0)
+    rows = persistency_from_trajectories(M2, levels, **sizes)
+    for u, estimates in zip(levels, rows):
+        [alone] = persistency_from_trajectories(M2, [u], **sizes)
+        for est, ref in zip(estimates, alone):
+            assert est.mean_theta == ref.mean_theta
+            assert est.half_width == ref.half_width
+            assert [f.theta for f in est.replicates] == [f.theta for f in ref.replicates]
+
+
+def test_every_level_reads_the_same_paths(monkeypatch):
+    # the path stream is entered once per replicate and draws the same rows
+    # however many levels are read from them
+    real = gpsim._iter_paths
+    counts = {"entries": 0, "rows": 0}
+
+    def counted(*args, **kwargs):
+        counts["entries"] += 1
+        for paths in real(*args, **kwargs):
+            counts["rows"] += len(paths)
+            yield paths
+
+    monkeypatch.setattr(gpsim, "_iter_paths", counted)
+    sizes = dict(n_traj=40, traj_len=8000, dt=0.05, seed=45, reps=4)
+    drawn = []
+    for levels in ((0.0, 0.25, 0.5, 1.0), [0.0]):
+        counts.update(entries=0, rows=0)
+        persistency_from_trajectories(M2, levels, **sizes)
+        assert counts["entries"] == sizes["reps"]
+        drawn.append(counts["rows"])
+    assert drawn == [sizes["n_traj"]] * 2
 
 
 def test_persistency_needs_enough_trajectories():
