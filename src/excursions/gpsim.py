@@ -39,7 +39,14 @@ Crossings of a level are located by linear interpolation between
 bracketing samples; the first and last (incomplete) intervals are
 discarded, and two crossings that round to one instant are dropped as a
 touch, so the extracted above/below lengths are positive and strictly
-alternate.  The Rice crossing intensity
+alternate.  A crossing is a change of side, read by comparing samples
+with the level, so a product of two tiny differences that underflows to
+zero cannot hide one.  Extraction runs once per chunk of paths and
+level: a few passes over the whole chunk find every row's crossings
+with no per-row loop, and only the rare irregular cases (a sample on
+the level next to a crossing, two crossings at one instant, a row with
+fewer than two crossings) take slower rules.  A single trajectory is
+the one-row chunk.  The Rice crossing intensity
 
     (1/pi) sqrt(-r''(0)) exp(-u^2 / 2)
 
@@ -93,6 +100,8 @@ class Trajectory:
     def __post_init__(self):
         if len(self.values) < 2:
             raise DomainError("trajectory needs at least two samples")
+        if not np.isfinite(self.values).all():
+            raise DomainError("trajectory values must be finite")
 
     @property
     def duration(self) -> float:
@@ -241,6 +250,53 @@ def simulate_gp_spectral(model: CovarianceModel, dt: float, n: int, seed) -> Tra
     return Trajectory(dt=dt, values=values[:n], model_name=model.name, seed=seed)
 
 
+def _excursions(paths: np.ndarray, u: float, dt: float):
+    """Pooled above and below lengths of the rows of ``paths`` at level ``u``.
+
+    Returns ``(above, below, crossings)``: each side's lengths in row
+    order, as if each row were extracted alone and the results pooled,
+    and the number of crossings over all rows.  Three passes over the
+    whole chunk find the crossings: the side of every sample, the flat
+    positions where the side changes, and their split into (row, index),
+    which drops the changes from the end of one row to the start of the
+    next.  A sample on the level next to a crossing sends the chunk
+    through the rule that skips such samples; tied instants are dropped
+    in place, and a row left with fewer than two crossings raises.
+    """
+    n = paths.shape[1]
+    up = (paths > u).ravel()
+    row, idx = np.divmod(np.flatnonzero(up[1:] != up[:-1]), n)
+    inner = idx != n - 1
+    row, idx = row[inner], idx[inner]
+    dv, dn = paths[row, idx] - u, paths[row, idx + 1] - u
+    if not (dv.all() and dn.all()):
+        # a crossing leaves the last off-level sample before it, towards
+        # the next sample, which is on the other side or at the level
+        d = paths - u
+        r, i = np.nonzero(d)
+        side = d[r, i] > 0.0
+        change = np.flatnonzero((side[1:] != side[:-1]) & (r[1:] == r[:-1]))
+        row, idx = r[change], i[change]
+        dv, dn = d[row, idx], d[row, idx + 1]
+    times = (idx + dv / (dv - dn)) * dt
+    same = row[1:] == row[:-1]
+    ties = np.flatnonzero(same & (np.diff(times) == 0.0))
+    if ties.size:
+        # drop equal instants in pairs from the left; the sides still alternate
+        keep = np.ones(len(row), dtype=bool)
+        for k in ties:
+            if keep[k]:
+                keep[k] = keep[k + 1] = False
+        row, times, dv = row[keep], times[keep], dv[keep]
+        same = row[1:] == row[:-1]
+    if np.bincount(row, minlength=len(paths)).min() < 2:
+        raise EmptyExcursionSet(
+            f"no complete excursion of level {u} in the trajectory")
+    lengths = np.diff(times)[same]
+    above = dv[1:][same] > 0.0
+    return lengths[above], lengths[~above], len(row)
+
+
 def extract_excursions(traj: Trajectory, u: float) -> ExcursionSet:
     """Alternating above/below interval lengths of one trajectory.
 
@@ -252,37 +308,13 @@ def extract_excursions(traj: Trajectory, u: float) -> ExcursionSet:
     returns does not cross.  Two crossings that round to the same instant
     are such a touch, within rounding: both are dropped and the intervals
     on either side merge, so every length is positive.  Raises
-    :class:`EmptyExcursionSet` when fewer than two crossings exist.
+    :class:`EmptyExcursionSet` when fewer than two crossings exist.  This
+    is the one-row case of the chunk extraction that the table estimator
+    runs.
     """
-    d = traj.values - u
-    if d.all():
-        idx = np.flatnonzero(d[:-1] * d[1:] < 0.0)
-    else:
-        # a crossing leaves the last off-level sample before it, towards
-        # the next sample, which is on the other side or at the level
-        off = np.flatnonzero(d)
-        idx = off[np.flatnonzero(d[off[:-1]] * d[off[1:]] < 0.0)]
-    frac = d[idx] / (d[idx] - d[idx + 1])
-    times = (idx + frac) * traj.dt
-    lengths = np.diff(times)
-    if not lengths.all():
-        # drop equal instants in pairs from the left; the sides still alternate
-        keep = np.ones(len(idx), dtype=bool)
-        for k in np.flatnonzero(lengths == 0.0):
-            if keep[k]:
-                keep[k] = keep[k + 1] = False
-        idx, times = idx[keep], times[keep]
-        lengths = np.diff(times)
-    if len(idx) < 2:
-        raise EmptyExcursionSet(
-            f"no complete excursion of level {u} in the trajectory")
-    above = d[idx[1:]] > 0.0
-    return ExcursionSet(
-        above_lengths=lengths[above],
-        below_lengths=lengths[~above],
-        level=float(u),
-        crossing_count=int(len(idx)),
-    )
+    above, below, crossings = _excursions(traj.values[None, :], u, traj.dt)
+    return ExcursionSet(above_lengths=above, below_lengths=below,
+                        level=float(u), crossing_count=crossings)
 
 
 def rice_crossing_rate(model: CovarianceModel, u: float) -> float:
@@ -298,11 +330,13 @@ def persistency_from_trajectories(model: CovarianceModel, levels, n_traj: int,
     ``n_traj`` trajectories of ``traj_len`` steps form ``reps`` replicates
     of ``n_traj / reps``.  ``seed`` spawns one seed per replicate, whatever
     the number of levels, so a level's estimates equal those of a call
-    with that level alone.  Each replicate streams its trajectories once,
-    straight into crossing extraction at every level, and fits the pooled
-    above and below lengths of each level.  The replicates are the tasks
-    of the one pool of :func:`persistency.replicate_estimates`, so at most
-    ``reps`` threads are busy, and ``EXCURSION_IIA_THREADS`` caps them.
+    with that level alone.  Each replicate streams its trajectories once;
+    every chunk of up to 32 of them goes whole through crossing
+    extraction at every level, and each level's pooled above and below
+    lengths are fitted.  A level must be finite.  The replicates are the
+    tasks of the one pool of :func:`persistency.replicate_estimates`, so
+    at most ``reps`` threads are busy, and ``EXCURSION_IIA_THREADS`` caps
+    them.
     The trajectories take one complex chunk buffer per thread, whatever
     ``n_traj`` is.  Trajectories without complete excursions raise
     through from the extraction step.
@@ -315,19 +349,20 @@ def persistency_from_trajectories(model: CovarianceModel, levels, n_traj: int,
         raise DomainError(
             f"{n_traj} trajectories do not split evenly into {reps} replicates")
     _check_grid(dt, traj_len)
-    lam, starts = _embedding(model, dt, traj_len)
     levels = [levels] if np.ndim(levels) == 0 else list(levels)
+    for u in levels:
+        if not math.isfinite(u):
+            raise DomainError(f"level must be finite, got {u!r}")
+    lam, starts = _embedding(model, dt, traj_len)
 
     def draw(_, rep_seed):
         lengths = [([], []) for _ in levels]
         rng = np.random.default_rng(rep_seed)
         for paths in _iter_paths(lam, starts, traj_len, n_traj // reps, rng):
-            for row in paths:
-                traj = Trajectory(dt=dt, values=row, model_name=model.name)
-                for u, (above, below) in zip(levels, lengths):
-                    exc = extract_excursions(traj, u)
-                    above.append(exc.above_lengths)
-                    below.append(exc.below_lengths)
+            for u, (above, below) in zip(levels, lengths):
+                a, b, _ = _excursions(paths, u, dt)
+                above.append(a)
+                below.append(b)
         return [np.concatenate(side) for pair in lengths for side in pair]
 
     names = tuple(f"u = {u:g}, {side} side" for u in levels for side in ("above", "below"))

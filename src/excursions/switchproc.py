@@ -205,6 +205,11 @@ def _alternating_epochs(first: IntervalDistribution, second: IntervalDistributio
     return np.asarray(epochs)
 
 
+def _check_horizon(horizon: float) -> None:
+    if not (math.isfinite(horizon) and horizon > 0.0):
+        raise DomainError(f"horizon must be finite and positive, got {horizon!r}")
+
+
 def simulate_switch(plus: IntervalDistribution, minus: IntervalDistribution,
                     p0: float, horizon: float, seed) -> SwitchPath:
     """Simulate a switch path pinned to start at the origin.
@@ -212,8 +217,7 @@ def simulate_switch(plus: IntervalDistribution, minus: IntervalDistribution,
     The initial state is +1 with probability ``p0``; holding times then
     alternate between the state-matched distributions until the horizon.
     """
-    if not horizon > 0.0:
-        raise DomainError("horizon must be positive")
+    _check_horizon(horizon)
     if not 0.0 <= p0 <= 1.0:
         raise DomainError("p0 must be a probability")
     rng = np.random.default_rng(seed)
@@ -262,8 +266,7 @@ def simulate_stationary_switch(plus: IntervalDistribution,
     density ``(1 - F_delta(t)) / mu_delta`` by inverse-CDF sampling, and
     subsequent holding times alternate as in the pinned process.
     """
-    if not horizon > 0.0:
-        raise DomainError("horizon must be positive")
+    _check_horizon(horizon)
     rng = np.random.default_rng(seed)
     p_plus = plus.mean / (plus.mean + minus.mean)
     delta = 1 if rng.random() < p_plus else -1
@@ -286,6 +289,7 @@ def simulate_switch_paths(plus: IntervalDistribution, minus: IntervalDistributio
     """Batch of independent paths with per-path seeds spawned from ``seed``."""
     if n_paths < 1:
         raise DomainError("n_paths must be positive")
+    _check_horizon(horizon)
     seeds = spawn_seeds(seed, n_paths)
     if stationary:
         return [simulate_stationary_switch(plus, minus, horizon, s) for s in seeds]

@@ -19,7 +19,7 @@ from excursions.errors import MonotonicityViolation
 from excursions.gpsim import (extract_excursions, persistency_from_trajectories,
                               rice_crossing_rate, simulate_gp)
 from excursions.iia import build_iia, persistency_table, psi_hat, sample_excursion
-from excursions.numerics import gaver_stehfest_invert, norm_cdf
+from excursions.numerics import norm_cdf
 from excursions.slepian import (conditional_expected_clipped,
                                 expected_clipped_down, expected_clipped_up)
 from excursions.clipped import clipped_covariance

@@ -288,6 +288,25 @@ def test_bad_levels_exit_one(capsys, command, extra, levels):
     assert "--levels" in err
 
 
+@pytest.mark.parametrize("level", ["nan", "inf", "-inf"])
+def test_gp_sim_non_finite_level_exits_one(capsys, level):
+    assert run(["gp-sim", f"--level={level}"] + FAST_TRAJ) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err == f"error: level must be finite, got {float(level)!r}\n"
+
+
+@pytest.mark.parametrize("horizon", ["inf", "nan"])
+def test_switch_sim_non_finite_horizon_exits_one(tmp_path, capsys, horizon):
+    out = tmp_path / "sw.csv"
+    assert run(["switch-sim", "--paths", "10", "--horizon", horizon,
+                "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err == f"error: horizon must be finite and positive, got {float(horizon)!r}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("dt", ["0", "-0.05", "nan", "inf"])
 def test_bad_time_step_exits_one(capsys, dt):
     assert run(["table2", "--levels", "0", "--dt", dt] + FAST_TRAJ) == 1

@@ -126,6 +126,99 @@ def test_extract_drops_crossings_that_round_to_one_instant(u):
     assert exc.below_lengths == pytest.approx([0.05, 0.05], rel=1e-12)
 
 
+@pytest.mark.parametrize("values, below, above", [
+    # the crossing between 1e-200 and -1e-200, whose product underflows to -0.0
+    ([1, -1, 1, 1e-200, -1e-200, -1, 1, -1, 1], [0.1, 0.2, 0.1], [0.2, 0.1]),
+    # the same with a sample on the level, which skips it
+    ([1, -1, 0, 1, 1e-200, -1e-200, -1, 1, -1, 1], [0.15, 0.2, 0.1], [0.25, 0.1]),
+])
+def test_extract_finds_crossings_whose_product_underflows(values, below, above):
+    exc = extract_excursions(Trajectory(dt=0.1, values=np.array(values, dtype=float),
+                                        model_name="x"), 0.0)
+    assert exc.crossing_count == 6
+    # five intervals between six crossings, the sides taking turns
+    assert exc.below_lengths == pytest.approx(below, rel=1e-12)
+    assert exc.above_lengths == pytest.approx(above, rel=1e-12)
+
+
+def _per_row(rows, u, dt):
+    excs = [extract_excursions(Trajectory(dt=dt, values=row, model_name=""), u)
+            for row in rows]
+    return (np.concatenate([e.above_lengths for e in excs]),
+            np.concatenate([e.below_lengths for e in excs]),
+            sum(e.crossing_count for e in excs))
+
+
+def _loop_reference(row, u, dt):
+    # sample by sample: a crossing lies between successive off-level
+    # samples on opposite sides, interpolated from the earlier one towards
+    # its next sample; equal instants are then dropped in pairs from the left
+    d = [float(x) - u for x in row]
+    times, ends_above, last = [], [], None
+    for i, x in enumerate(d):
+        if x != 0.0:
+            if last is not None and (d[last] > 0.0) != (x > 0.0):
+                times.append((last + d[last] / (d[last] - d[last + 1])) * dt)
+                ends_above.append(d[last] > 0.0)
+            last = i
+    k = 0
+    while k < len(times) - 1:
+        if times[k] == times[k + 1]:
+            del times[k:k + 2], ends_above[k:k + 2]
+        else:
+            k += 1
+    above = [b - a for a, b, up in zip(times, times[1:], ends_above[1:]) if up]
+    below = [b - a for a, b, up in zip(times, times[1:], ends_above[1:]) if not up]
+    return above, below, len(times)
+
+
+def test_chunk_extraction_equals_per_row_extraction():
+    dt = 0.05
+    batch = simulate_gp_batch(M2, dt, 3000, 70, seed=46)
+    for u in (0.0, 0.5, 1.0, 1.25):
+        for chunk in (batch[:32], batch[32:64], batch[64:]):
+            pooled = gpsim._excursions(chunk, u, dt)
+            reference = _per_row(chunk, u, dt)
+            assert all(np.array_equal(a, b) for a, b in zip(pooled, reference))
+        # the one-row kernel against a loop over the samples, bit for bit
+        for row in batch[::10]:
+            exc = extract_excursions(Trajectory(dt=dt, values=row, model_name=""), u)
+            above, below, count = _loop_reference(row, u, dt)
+            assert exc.above_lengths.tolist() == above
+            assert exc.below_lengths.tolist() == below
+            assert exc.crossing_count == count
+
+
+@pytest.mark.parametrize("u", [0.0, 0.5])
+def test_chunk_extraction_of_irregular_rows_equals_per_row_extraction(u):
+    n, dt = 10_005, 0.05
+    rows = u + np.array([
+        np.sin(0.37 * np.arange(n) + 0.1),                  # generic
+        np.resize([1, -1, 1, 0, -1, 1, -1], n),             # through the level at samples
+        np.resize([1, -1, 0, -1, 1, -1], n),                # touches of the level
+        [1, -1] + [1] * 9997 + [-1e-15, 1, 1, 1, -1, 1],    # two crossings at one instant
+        # its last crossing and the next row's first are at one instant, 1.5 dt
+        [1, -1] + [1] * (n - 2),
+        [1, 1, -1] + [1] * (n - 3),
+    ])
+    pooled = gpsim._excursions(rows, u, dt)
+    reference = _per_row(rows, u, dt)
+    assert all(np.array_equal(a, b) for a, b in zip(pooled, reference))
+    for row in rows:
+        exc = extract_excursions(Trajectory(dt=dt, values=row, model_name=""), u)
+        above, below, count = _loop_reference(row, u, dt)
+        assert (exc.above_lengths.tolist(), exc.below_lengths.tolist()) == (above, below)
+        assert exc.crossing_count == count
+    # a row with no crossing raises as it does alone
+    flat = np.full(n, u + 2.0)
+    with pytest.raises(EmptyExcursionSet) as alone:
+        extract_excursions(Trajectory(dt=dt, values=flat, model_name=""), u)
+    assert str(alone.value) == f"no complete excursion of level {u} in the trajectory"
+    with pytest.raises(EmptyExcursionSet) as in_chunk:
+        gpsim._excursions(np.vstack([rows, flat]), u, dt)
+    assert str(in_chunk.value) == str(alone.value)
+
+
 def test_extract_alternation_and_balance():
     traj = Trajectory(dt=0.05, values=simulate_gp(M2, 0.05, 200_000, seed=5).values,
                       model_name=M2.name)
@@ -231,6 +324,13 @@ def test_every_level_reads_the_same_paths(monkeypatch):
     assert drawn == [sizes["n_traj"]] * 2
 
 
+@pytest.mark.parametrize("level", [math.nan, math.inf, -math.inf])
+def test_persistency_from_trajectories_rejects_a_non_finite_level(level):
+    with pytest.raises(DomainError, match="level must be finite"):
+        persistency_from_trajectories(M2, [0.0, level], n_traj=4, traj_len=1000,
+                                      dt=0.05, seed=8, reps=2)
+
+
 def test_persistency_needs_enough_trajectories():
     with pytest.raises(DomainError):
         persistency_from_trajectories(M2, [0.0], n_traj=3, traj_len=1000,
@@ -269,6 +369,9 @@ def test_persistency_from_trajectories_memory_is_flat_in_the_trajectory_count(
 def test_trajectory_validation():
     with pytest.raises(DomainError):
         Trajectory(dt=0.1, values=np.array([1.0]), model_name="x")
+    for bad in (math.nan, math.inf):
+        with pytest.raises(DomainError, match="must be finite"):
+            Trajectory(dt=0.1, values=np.array([1.0, -1.0, bad, 1.0]), model_name="x")
     with pytest.raises(DomainError):
         simulate_gp(M2, -0.1, 100, seed=0)
     with pytest.raises(DomainError):

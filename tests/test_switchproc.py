@@ -222,6 +222,17 @@ def test_switch_count_pmf_asymmetric_normalizes():
     assert np.all(dist >= 0.0)
 
 
+@pytest.mark.parametrize("horizon", [math.inf, math.nan, 0.0, -1.0])
+def test_switch_simulators_reject_a_horizon_that_is_not_finite_and_positive(horizon):
+    with pytest.raises(DomainError, match="horizon must be finite and positive"):
+        simulate_switch(EXP1, EXP1, 0.5, horizon, seed=0)
+    with pytest.raises(DomainError, match="horizon must be finite and positive"):
+        simulate_stationary_switch(EXP1, EXP1, horizon, seed=0)
+    for stationary in (False, True):
+        with pytest.raises(DomainError, match="horizon must be finite and positive"):
+            simulate_switch_paths(EXP1, EXP1, 3, horizon, seed=0, stationary=stationary)
+
+
 def test_switch_count_domain():
     with pytest.raises(DomainError):
         switch_count_distribution(EXP1, EXP1, 0, 1.0)
