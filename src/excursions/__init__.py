@@ -10,7 +10,7 @@ switch-process machinery with full Laplace-domain identities, and
 survival-tail persistency fitting close the validation loop.
 """
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 from .covmodel import CovarianceModel, diffusion_covariance, validate
 from .clipped import arcsin_covariance, clipped_covariance
@@ -21,20 +21,19 @@ from .gpsim import (ExcursionSet, Trajectory, extract_excursions,
                     persistency_from_trajectories, rice_crossing_rate,
                     simulate_gp, simulate_gp_batch, simulate_gp_spectral)
 from .iia import IIAModel, build_iia, persistency_table, psi_hat, sample_excursion
-from .numerics import (Grid, LaplaceEvaluable, TailModel, b_integral,
-                       fit_exponential_tail, gaver_stehfest_invert,
-                       inverse_cdf_sample, norm_cdf, numerical_laplace)
+from .numerics import (Grid, TailModel, b_integral, fit_exponential_tail,
+                       gaver_stehfest_invert, inverse_cdf_sample, norm_cdf,
+                       numerical_laplace)
 from .persistency import (BatchEstimate, SurvivalFit, aggregate_fits,
                           empirical_survival, fit_persistency)
 from .slepian import (SlepianPath, conditional_expected_clipped,
                       expected_clipped_down, expected_clipped_up,
                       sample_slepian_path)
 from .switchproc import (CharacteristicEstimate, IntervalDistribution,
-                         SwitchPath, deterministic_interval, erlang_interval,
+                         SwitchPaths, deterministic_interval, erlang_interval,
                          estimate_characteristics, exponential_interval,
                          interval_from_spec, laplace_A_less, laplace_E_delta,
                          laplace_E_prime, laplace_N_greater, laplace_N_less,
                          laplace_P_delta, laplace_stationary_P,
                          laplace_stationary_cov, recover_psi,
-                         simulate_stationary_switch, simulate_switch,
                          simulate_switch_paths, switch_count_distribution)

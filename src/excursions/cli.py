@@ -257,6 +257,8 @@ def _cmd_gp_sim(cfg: dict) -> dict:
 def _cmd_switch_sim(cfg: dict) -> dict:
     plus = interval_from_spec(cfg["plus"])
     minus = interval_from_spec(cfg["minus"])
+    if cfg["grid_points"] < 1:
+        raise DomainError(f"--grid-points must be at least 1, got {cfg['grid_points']}")
     paths = simulate_switch_paths(plus, minus, cfg["paths"], cfg["horizon"],
                                   cfg["seed"], stationary=cfg["stationary"],
                                   p0=cfg["p0"])

@@ -26,6 +26,8 @@ __all__ = ["clipped_covariance", "arcsin_covariance"]
 
 def clipped_covariance(model: CovarianceModel, u: float, t):
     """Covariance of sgn(X - u) at lag ``t`` (scalar or array, t >= 0)."""
+    if not math.isfinite(u):
+        raise DomainError(f"level must be finite, got {u!r}")
     ta = np.asarray(t, dtype=float)
     if np.any(ta < 0.0):
         raise DomainError("lag must be non-negative")

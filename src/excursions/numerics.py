@@ -28,10 +28,9 @@ that call it, so that CLI runs that never call them do not load it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Callable
 
 import numpy as np
 from scipy.special import ndtr
@@ -41,7 +40,6 @@ from .errors import DomainError, MonotonicityViolation, NumericalError
 __all__ = [
     "Grid",
     "TailModel",
-    "LaplaceEvaluable",
     "norm_cdf",
     "b_integral",
     "numerical_laplace",
@@ -151,32 +149,6 @@ class TailModel:
     def __post_init__(self):
         if not (self.rate > 0.0 and math.isfinite(self.rate)):
             raise DomainError("tail rate must be positive and finite")
-
-
-@dataclass(frozen=True, eq=False)
-class LaplaceEvaluable:
-    """A function of a positive Laplace argument.
-
-    Either a closed form ``s -> value`` or a tabulated original
-    function (a :class:`Grid` over time) plus an exponential tail
-    model, in which case evaluation goes through
-    :func:`numerical_laplace`.
-    """
-
-    closed_form: Callable[[float], float] | None = None
-    grid: Grid | None = None
-    tail: TailModel | None = field(default=None)
-
-    def __post_init__(self):
-        if (self.closed_form is None) == (self.grid is None):
-            raise DomainError("provide exactly one of closed_form or grid")
-        if self.grid is not None and self.tail is None:
-            raise DomainError("tabulated transforms require a tail model")
-
-    def __call__(self, s):
-        if self.closed_form is not None:
-            return self.closed_form(s)
-        return numerical_laplace(self.grid, s, self.tail)
 
 
 # ---------------------------------------------------------------------------

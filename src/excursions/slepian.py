@@ -197,6 +197,8 @@ def sample_slepian_path(model: CovarianceModel, u: float, grid,
         raise DomainError("grid must be strictly increasing")
     if count < 1:
         raise DomainError("count must be positive")
+    if not math.isfinite(u):
+        raise DomainError(f"level must be finite, got {u!r}")
 
     interior = t[1:]
     cov = _residual_covariance(model, interior)

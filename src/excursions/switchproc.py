@@ -28,9 +28,15 @@ The telegraph process (symmetric exponential holding times) supplies
 closed forms for all of these and is the oracle for the Monte Carlo
 estimators.
 
-The two tabulations of the stationary delay import
-``scipy.integrate`` on first use, so that CLI runs that never simulate
-a switch process do not load it.
+:func:`simulate_switch_paths` simulates a whole batch of paths with one
+generator: the initial states in one draw, the stationary delays in one
+inverse-CDF call per initial state, and the holding times as
+``(paths, K)`` blocks whose cumulative sums are the switch epochs.  A
+further block is drawn only for the paths still short of the horizon.
+The batch keeps the epochs as one matrix padded with ``inf``, so the
+state and switch count of every path on a time grid are one comparison.
+:func:`estimate_characteristics` needs only sums over paths, so it
+tallies the switches by rank and grid time instead.
 """
 
 from __future__ import annotations
@@ -44,19 +50,16 @@ import numpy as np
 from scipy.special import gammainc
 
 from .errors import DomainError, NumericalError
-from .numerics import (Grid, LaplaceEvaluable, fit_exponential_tail,
-                       inverse_cdf_sample, spawn_seeds)
+from .numerics import Grid, inverse_cdf_sample
 
 __all__ = [
     "IntervalDistribution",
-    "SwitchPath",
+    "SwitchPaths",
     "CharacteristicEstimate",
     "exponential_interval",
     "erlang_interval",
     "deterministic_interval",
     "interval_from_spec",
-    "simulate_switch",
-    "simulate_stationary_switch",
     "simulate_switch_paths",
     "laplace_P_delta",
     "laplace_E_delta",
@@ -162,83 +165,64 @@ def interval_from_spec(spec: str) -> IntervalDistribution:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True, eq=False)
-class SwitchPath:
-    """A simulated switch path: initial state and switch epochs <= horizon."""
+class SwitchPaths:
+    """A batch of simulated switch paths on ``[0, horizon]``.
 
-    initial_state: int
-    switch_epochs: np.ndarray
+    Row ``i`` of ``epochs`` holds the switch epochs of path ``i`` in
+    increasing order, padded with ``inf`` past the horizon.  ``delays``
+    holds the stationary delays (some of them past the horizon), or is
+    ``None`` for pinned paths.
+    """
+
+    initial_states: np.ndarray
+    epochs: np.ndarray
     horizon: float
-    stationary_delay: float | None = None
-
-    def state_at(self, times):
-        """State of the path at the given times (right-continuous)."""
-        n = np.searchsorted(self.switch_epochs, np.asarray(times, dtype=float),
-                            side="right")
-        return self.initial_state * (-1) ** (n % 2)
+    delays: np.ndarray | None = None
 
     def count_at(self, times):
-        """Number of switches in (0, t] for each requested t."""
-        return np.searchsorted(self.switch_epochs, np.asarray(times, dtype=float),
-                               side="right")
+        """Switches in ``(0, t]``, shape ``(paths, len(times))``.
+
+        The comparison holds ``paths * epochs.shape[1] * len(times)``
+        booleans at once; :func:`estimate_characteristics` does not need it.
+        """
+        t = np.atleast_1d(np.asarray(times, dtype=float))
+        return np.count_nonzero(self.epochs[:, :, None] <= t, axis=1)
+
+    def state_at(self, times):
+        """Right-continuous states, shape ``(paths, len(times))``."""
+        return self.initial_states[:, None] * (1 - 2 * (self.count_at(times) % 2))
 
 
-def _alternating_epochs(first: IntervalDistribution, second: IntervalDistribution,
-                        start: float, horizon: float, rng) -> np.ndarray:
-    """Cumulative switch times from ``start``, alternating first/second draws."""
-    mean_pair = first.mean + second.mean
-    epochs = []
-    total = start
-    need = max(8, int(2.2 * (horizon - start) / mean_pair) + 4)
-    toggle = 0
-    pools = [first.sampler(rng, need), second.sampler(rng, need)]
-    idx = [0, 0]
-    while total <= horizon:
-        if idx[toggle] >= len(pools[toggle]):
-            pools[toggle] = np.asarray(
-                [first, second][toggle].sampler(rng, need))
-            idx[toggle] = 0
-        total += float(pools[toggle][idx[toggle]])
-        idx[toggle] += 1
-        toggle ^= 1
-        if total <= horizon:
-            epochs.append(total)
-    return np.asarray(epochs)
+def _holding_block(plus, minus, plus_first: np.ndarray, pairs: int, rng) -> np.ndarray:
+    """``(rows, 2 pairs)`` holding times, alternating from each row's first law."""
+    a = plus.sampler(rng, (len(plus_first), pairs))
+    b = minus.sampler(rng, (len(plus_first), pairs))
+    first = plus_first[:, None]
+    block = np.empty((len(plus_first), 2 * pairs))
+    block[:, 0::2] = np.where(first, a, b)
+    block[:, 1::2] = np.where(first, b, a)
+    return block
 
 
-def _check_horizon(horizon: float) -> None:
-    if not (math.isfinite(horizon) and horizon > 0.0):
-        raise DomainError(f"horizon must be finite and positive, got {horizon!r}")
-
-
-def simulate_switch(plus: IntervalDistribution, minus: IntervalDistribution,
-                    p0: float, horizon: float, seed) -> SwitchPath:
-    """Simulate a switch path pinned to start at the origin.
-
-    The initial state is +1 with probability ``p0``; holding times then
-    alternate between the state-matched distributions until the horizon.
-    """
-    _check_horizon(horizon)
-    if not 0.0 <= p0 <= 1.0:
-        raise DomainError("p0 must be a probability")
-    rng = np.random.default_rng(seed)
-    delta = 1 if rng.random() < p0 else -1
-    first, second = (plus, minus) if delta == 1 else (minus, plus)
-    epochs = _alternating_epochs(first, second, 0.0, horizon, rng)
-    return SwitchPath(initial_state=delta, switch_epochs=epochs, horizon=horizon)
+def _delay_cdf(dist: IntervalDistribution, t: np.ndarray) -> np.ndarray:
+    """Integrated-tail CDF ``int_0^t (1 - F) / mean`` by cumulative trapezoid."""
+    survival = 1.0 - np.asarray(dist.cdf(t), dtype=float)
+    steps = np.diff(t) * (survival[1:] + survival[:-1]) / 2.0
+    return np.concatenate(([0.0], np.cumsum(steps))) / dist.mean
 
 
 @lru_cache(maxsize=32)
-def _delay_inverse(dist: IntervalDistribution) -> tuple[Grid, float]:
+def _delay_inverse(dist: IntervalDistribution) -> Grid:
     """Tabulated CDF of the integrated-tail (stationary delay) law.
 
     The delay density is ``(1 - F(t)) / mean``; its CDF is accumulated
     by cumulative trapezoid on a grid resolving the mean with 200
     points, extended until the underlying CDF is within 1e-9 of one.
-    Returns the grid plus a fitted exponential tail rate for
-    extrapolation.
+    What the trapezoid rule leaves short of one at the end is
+    discretisation error, not tail mass, so the CDF is divided by its
+    final value and needs no tail model.  That keeps laws of bounded
+    support, whose delay survival has no exponential tail to fit, usable.
     """
-    from scipy.integrate import cumulative_trapezoid
-
     t_hi = 20.0 * dist.mean
     for _ in range(40):
         if float(dist.cdf(t_hi)) >= 1.0 - 1e-9:
@@ -247,53 +231,67 @@ def _delay_inverse(dist: IntervalDistribution) -> tuple[Grid, float]:
     step = dist.mean / 200.0
     n = int(math.ceil(t_hi / step))
     t = np.linspace(0.0, t_hi, n + 1)
-    survival = 1.0 - np.asarray(dist.cdf(t), dtype=float)
-    delay_cdf = np.concatenate(
-        ([0.0], cumulative_trapezoid(survival, t))) / dist.mean
-    delay_cdf = np.minimum(np.maximum.accumulate(delay_cdf), 1.0)
-    tail_grid = Grid(points=t, values=np.maximum(1.0 - delay_cdf, 0.0))
-    tail = fit_exponential_tail(tail_grid)
-    return Grid(points=t, values=delay_cdf), tail.rate
-
-
-def simulate_stationary_switch(plus: IntervalDistribution,
-                               minus: IntervalDistribution,
-                               horizon: float, seed) -> SwitchPath:
-    """Simulate a stationary switch path on [0, horizon].
-
-    The initial state is +1 with probability ``mu+ / (mu+ + mu-)``; the
-    first switch happens after a delay drawn from the integrated-tail
-    density ``(1 - F_delta(t)) / mu_delta`` by inverse-CDF sampling, and
-    subsequent holding times alternate as in the pinned process.
-    """
-    _check_horizon(horizon)
-    rng = np.random.default_rng(seed)
-    p_plus = plus.mean / (plus.mean + minus.mean)
-    delta = 1 if rng.random() < p_plus else -1
-    current = plus if delta == 1 else minus
-    delay_cdf, tail_rate = _delay_inverse(current)
-    delay = float(inverse_cdf_sample(delay_cdf, tail_rate, rng.random()))
-    if delay > horizon:
-        epochs = np.empty(0)
-    else:
-        first, second = (minus, plus) if delta == 1 else (plus, minus)
-        later = _alternating_epochs(first, second, delay, horizon, rng)
-        epochs = np.concatenate(([delay], later))
-    return SwitchPath(initial_state=delta, switch_epochs=epochs,
-                      horizon=horizon, stationary_delay=delay)
+    delay_cdf = np.minimum(np.maximum.accumulate(_delay_cdf(dist, t)), 1.0)
+    return Grid(points=t, values=delay_cdf / delay_cdf[-1])
 
 
 def simulate_switch_paths(plus: IntervalDistribution, minus: IntervalDistribution,
                           n_paths: int, horizon: float, seed,
-                          stationary: bool = False, p0: float = 0.5) -> list[SwitchPath]:
-    """Batch of independent paths with per-path seeds spawned from ``seed``."""
+                          stationary: bool = False, p0: float = 0.5) -> SwitchPaths:
+    """Simulate ``n_paths`` independent switch paths on ``[0, horizon]``.
+
+    A pinned path starts at the origin in state +1 with probability
+    ``p0``.  A stationary path starts in state +1 with probability
+    ``mu+ / (mu+ + mu-)``, and its first switch comes after a delay
+    drawn from the integrated-tail density ``(1 - F_delta(t)) / mu_delta``
+    of its initial state by inverse-CDF sampling.  Holding times then
+    alternate between the state-matched laws until the horizon.
+
+    Every path draws from the one generator ``np.random.default_rng(seed)``,
+    in this order: the initial states; for stationary paths the delays,
+    one inverse-CDF call for the paths that start in +1 and one for the
+    rest; then blocks of holding times.  The first block gives each path
+    ``2 (int(1.1 horizon / (mu+ + mu-)) + 2)`` holding times, about 1.1
+    times the mean number of switches plus four, and each further block
+    goes only to the paths still short of the horizon.
+    """
     if n_paths < 1:
         raise DomainError("n_paths must be positive")
-    _check_horizon(horizon)
-    seeds = spawn_seeds(seed, n_paths)
+    if not (math.isfinite(horizon) and horizon > 0.0):
+        raise DomainError(f"horizon must be finite and positive, got {horizon!r}")
+    if not (stationary or 0.0 <= p0 <= 1.0):
+        raise DomainError("p0 must be a probability")
+    mean_pair = plus.mean + minus.mean
+    width = 2.2 * horizon / mean_pair
+    if not (width + 5.0) * n_paths < np.iinfo(np.intp).max:
+        raise DomainError(f"horizon {horizon!r} is too long: {n_paths} paths of about "
+                          f"{width:.3g} switches each do not fit in an array")
+    pairs = int(width / 2.0) + 2
+    rng = np.random.default_rng(seed)
+    p_plus = plus.mean / mean_pair if stationary else p0
+    states = np.where(rng.random(n_paths) < p_plus, 1, -1)
+    plus_first = states == 1
+    delays = None
+    start = np.zeros((n_paths, 0))
     if stationary:
-        return [simulate_stationary_switch(plus, minus, horizon, s) for s in seeds]
-    return [simulate_switch(plus, minus, p0, horizon, s) for s in seeds]
+        delays = np.empty(n_paths)
+        for rows, dist in ((plus_first, plus), (~plus_first, minus)):
+            delays[rows] = inverse_cdf_sample(_delay_inverse(dist), None,
+                                              rng.random(np.count_nonzero(rows)))
+        start = delays[:, None]
+        plus_first = ~plus_first    # the delay ends in a switch
+    block = _holding_block(plus, minus, plus_first, pairs, rng)
+    blocks = [np.cumsum(np.hstack([start, block]), axis=1)]
+    while (short := np.flatnonzero(blocks[-1][:, -1] <= horizon)).size:
+        block = _holding_block(plus, minus, plus_first[short], pairs, rng)
+        more = np.full((n_paths, 2 * pairs), np.inf)
+        more[short] = np.cumsum(np.hstack([blocks[-1][short, -1:], block]), axis=1)[:, 1:]
+        blocks.append(more)
+    epochs = np.hstack(blocks)
+    inside = epochs <= horizon
+    width = np.count_nonzero(inside.any(axis=0))
+    epochs = np.where(inside[:, :width], epochs[:, :width], np.inf)
+    return SwitchPaths(states, epochs, float(horizon), delays)
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +340,7 @@ def laplace_stationary_cov(plus, minus, s):
 def recover_psi(laplace_E_plus_prime, laplace_E_minus_prime, s):
     """Recover (Psi+, Psi-) from the transforms of E+' and E-'.
 
-    The inputs are evaluables of L(E+') and L(E-'), normally obtained
+    The inputs are functions of s giving L(E+') and L(E-'), normally obtained
     from L(E+-) by the initial-value shift ``s L(E)(s) - E(0+)`` with
     E+(0+) = 1 and E-(0+) = -1.
     """
@@ -412,8 +410,6 @@ def switch_count_distribution(plus: IntervalDistribution,
     deviates from one by more than 1e-3 the grid resolution is deemed
     insufficient and :class:`NumericalError` is raised.
     """
-    from scipy.integrate import cumulative_trapezoid
-
     if not t > 0.0:
         raise DomainError("time must be positive")
     if delta not in (-1, 1):
@@ -426,10 +422,7 @@ def switch_count_distribution(plus: IntervalDistribution,
     x = np.linspace(0.0, t, n + 1)
     hh = x[1] - x[0]
 
-    survival = 1.0 - np.asarray(current.cdf(x), dtype=float)
-    delay_cdf = np.concatenate(
-        ([0.0], cumulative_trapezoid(survival, x))) / current.mean
-    delay_cdf = np.minimum(delay_cdf, 1.0)
+    delay_cdf = np.minimum(_delay_cdf(current, x), 1.0)
 
     g_other = _density_on_grid(other, x)
     g_current = _density_on_grid(current, x)
@@ -480,41 +473,68 @@ class CharacteristicEstimate:
     n_minus: int
 
 
-def estimate_characteristics(paths: list[SwitchPath], grid) -> CharacteristicEstimate:
+def _mean_se(total, total_sq, n: int):
+    """Mean and CLT standard error of ``n`` values from their sum and sum of squares."""
+    if n == 0:
+        z = np.full(np.shape(total), np.nan)
+        return z, z
+    mean = total / n
+    if n == 1:
+        return mean, np.zeros_like(mean)
+    # the floor only absorbs the rounding of a variance that is exactly zero
+    return mean, np.sqrt(np.maximum(total_sq - total * mean, 0.0) / ((n - 1) * n))
+
+
+def estimate_characteristics(paths: SwitchPaths, grid) -> CharacteristicEstimate:
     """Empirical means and CLT standard errors for the process curves.
 
     Splits the paths by initial state to estimate P_delta, E_delta and
     the mean switch counts, and uses the products D(0) D(t) across all
     paths for the covariance.
+
+    Each curve is a mean over paths of a function of D(0) and of the
+    switch count N(t), so the paths enter only through ``at_least[g, j,
+    k]``: the number of paths starting in state g (+1, then -1) with at
+    least k + 1 switches by grid time t_j.  The switch of rank k of a
+    path counts there from the first grid time at or after it on, so the
+    table is one bincount of the switches and a running sum over the
+    sorted grid.  Summing by parts, the sums over a group of N, N^2 and
+    N mod 2 weight the table by 1, 2k + 1 and (-1)^k.
     """
-    if len(paths) < 2:
+    delta = paths.initial_states
+    n = len(delta)
+    if n < 2:
         raise DomainError("need at least two paths")
     t = np.asarray(grid, dtype=float)
-    states = np.stack([p.state_at(t) for p in paths]).astype(float)
-    counts = np.stack([p.count_at(t) for p in paths]).astype(float)
-    delta = np.asarray([p.initial_state for p in paths], dtype=float)
+    if t.ndim != 1 or t.size == 0:
+        raise DomainError("grid must be a 1-d array with at least one time")
+    m, k_max = len(t), paths.epochs.shape[1]
+    order = np.argsort(t)
+    rows, rank = np.nonzero(paths.epochs <= t[order[-1]])
+    slot = np.searchsorted(t[order], paths.epochs[rows, rank], side="left")
+    key = ((delta[rows] < 0) * m + slot) * k_max + rank
+    placed = np.bincount(key, minlength=2 * m * k_max).reshape(2, m, k_max)
+    at_least = np.cumsum(placed, axis=1)[:, np.argsort(order)]
+    k = np.arange(k_max)
+    n_sum, n_sq_sum, odd = (at_least @ w for w in (np.ones(k_max), 2.0 * k + 1.0,
+                                                     (-1.0) ** k))
+    sizes = [int(np.count_nonzero(delta > 0)), int(np.count_nonzero(delta < 0))]
+    up = np.stack([sizes[0] - odd[0], odd[1]])          # paths with D(t) = +1
+    d_sum = 2.0 * up - np.array(sizes)[:, None]         # sums of D(t); D^2 = 1
+    (e_plus, se_e_plus), (e_minus, se_e_minus) = (
+        _mean_se(d_sum[g], sizes[g], sizes[g]) for g in (0, 1))
+    (p_plus, se_p_plus), (p_minus, se_p_minus) = (
+        _mean_se(up[g], up[g], sizes[g]) for g in (0, 1))
+    (counts_plus, se_counts_plus), (counts_minus, se_counts_minus) = (
+        _mean_se(n_sum[g], n_sq_sum[g], sizes[g]) for g in (0, 1))
 
-    def _mean_se(mat):
-        n = mat.shape[0]
-        if n == 0:
-            z = np.full(t.shape, np.nan)
-            return z, z
-        mean = mat.mean(axis=0)
-        se = mat.std(axis=0, ddof=1) / math.sqrt(n) if n > 1 else np.zeros_like(mean)
-        return mean, se
-
-    plus_mask = delta > 0
-    e_plus, se_e_plus = _mean_se(states[plus_mask])
-    e_minus, se_e_minus = _mean_se(states[~plus_mask])
-    ind_plus = (states > 0).astype(float)
-    p_plus, se_p_plus = _mean_se(ind_plus[plus_mask])
-    p_minus, se_p_minus = _mean_se(ind_plus[~plus_mask])
-    counts_plus, se_counts_plus = _mean_se(counts[plus_mask])
-    counts_minus, se_counts_minus = _mean_se(counts[~plus_mask])
-
-    centered = (states - states.mean(axis=0)) * (delta - delta.mean())[:, None]
-    cov = centered.mean(axis=0)
-    se_cov = centered.std(axis=0, ddof=1) / math.sqrt(len(paths))
+    # x = (D(t) - mean D(t)) (D(0) - mean D(0)) over all paths
+    d_bar = d_sum.sum(axis=0) / n
+    delta_bar = (sizes[0] - sizes[1]) / n
+    x_sum = d_sum[0] - d_sum[1] - n * d_bar * delta_bar
+    x_sq_sum = sum((sign - delta_bar) ** 2 * (size - 2.0 * d_bar * d + size * d_bar ** 2)
+                   for sign, size, d in zip((1.0, -1.0), sizes, d_sum))
+    cov, se_cov = _mean_se(x_sum, x_sq_sum, n)
 
     return CharacteristicEstimate(
         grid=t,
@@ -526,16 +546,12 @@ def estimate_characteristics(paths: list[SwitchPath], grid) -> CharacteristicEst
         se_e_plus=se_e_plus, se_e_minus=se_e_minus,
         se_covariance=se_cov,
         se_counts_plus=se_counts_plus, se_counts_minus=se_counts_minus,
-        n_plus=int(plus_mask.sum()), n_minus=int((~plus_mask).sum()),
+        n_plus=sizes[0], n_minus=sizes[1],
     )
 
 
 def laplace_E_prime(plus: IntervalDistribution, minus: IntervalDistribution,
-                    delta: int) -> LaplaceEvaluable:
-    """L(E_delta') as an evaluable, via the initial-value shift."""
+                    delta: int) -> Callable:
+    """L(E_delta') as a function of s, via the initial-value shift."""
     e0 = float(delta)
-
-    def closed(s):
-        return s * laplace_E_delta(plus, minus, delta, s) - e0
-
-    return LaplaceEvaluable(closed_form=closed)
+    return lambda s: s * laplace_E_delta(plus, minus, delta, s) - e0

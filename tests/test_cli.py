@@ -289,21 +289,43 @@ def test_bad_levels_exit_one(capsys, command, extra, levels):
 
 
 @pytest.mark.parametrize("level", ["nan", "inf", "-inf"])
-def test_gp_sim_non_finite_level_exits_one(capsys, level):
-    assert run(["gp-sim", f"--level={level}"] + FAST_TRAJ) == 1
-    err = capsys.readouterr().err
-    assert "Traceback" not in err
-    assert err == f"error: level must be finite, got {float(level)!r}\n"
+def test_gp_sim_non_finite_level_exits_one(tmp_path, capsys, level):
+    for args in (["gp-sim"] + FAST_TRAJ, ["clipped-cov", "--t-max", "1"],
+                 ["slepian-sample", "--grid-max", "1", "--paths", "2"]):
+        out = tmp_path / "res.out"
+        assert run(args + [f"--level={level}", "--out", str(out)]) == 1, args[0]
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err == f"error: level must be finite, got {float(level)!r}\n"
+        assert not out.exists()
 
 
-@pytest.mark.parametrize("horizon", ["inf", "nan"])
-def test_switch_sim_non_finite_horizon_exits_one(tmp_path, capsys, horizon):
+@pytest.mark.parametrize("horizon, extra, message", [
+    ("inf", [], "horizon must be finite and positive, got inf"),
+    ("nan", [], "horizon must be finite and positive, got nan"),
+    ("1e308", [], "horizon 1e+308 is too long: 10 paths of about inf switches each "
+                  "do not fit in an array"),
+    ("1e300", ["--stationary"], "horizon 1e+300 is too long: 10 paths of about "
+                                "1.1e+300 switches each do not fit in an array"),
+], ids=["inf", "nan", "1e308", "1e300-stationary"])
+def test_switch_sim_non_finite_horizon_exits_one(tmp_path, capsys, horizon, extra, message):
     out = tmp_path / "sw.csv"
     assert run(["switch-sim", "--paths", "10", "--horizon", horizon,
+                "--out", str(out)] + extra) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("points", ["0", "-1"])
+def test_switch_sim_grid_points_below_one_exits_one(tmp_path, capsys, points):
+    out = tmp_path / "sw.csv"
+    assert run(["switch-sim", "--paths", "10", "--grid-points", points,
                 "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert "Traceback" not in err
-    assert err == f"error: horizon must be finite and positive, got {float(horizon)!r}\n"
+    assert err == f"error: --grid-points must be at least 1, got {points}\n"
     assert not out.exists()
 
 

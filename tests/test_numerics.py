@@ -9,9 +9,9 @@ from scipy.integrate import quad
 from scipy.stats import kstest
 
 from excursions.errors import DomainError, MonotonicityViolation
-from excursions.numerics import (Grid, LaplaceEvaluable, TailModel, b_integral,
-                                 fit_exponential_tail, gaver_stehfest_invert,
-                                 inverse_cdf_sample, norm_cdf, numerical_laplace)
+from excursions.numerics import (Grid, TailModel, b_integral, fit_exponential_tail,
+                                 gaver_stehfest_invert, inverse_cdf_sample, norm_cdf,
+                                 numerical_laplace)
 
 
 # ---------------------------------------------------------------- norm_cdf
@@ -136,15 +136,6 @@ def test_gaver_stehfest_order_validation():
     # all even orders in range work
     for order in (8, 10, 12, 14, 16, 18):
         gaver_stehfest_invert(lambda s: 1 / (1 + s), 1.0, order=order)
-
-
-def test_laplace_evaluable_roundtrip():
-    lap = LaplaceEvaluable(closed_form=lambda s: 1.0 / (1.0 + s))
-    assert gaver_stehfest_invert(lap, 0.7) == pytest.approx(math.exp(-0.7), abs=1e-5)
-    t = np.linspace(0.0, 60.0, 6001)
-    tab = LaplaceEvaluable(grid=Grid(points=t, values=np.exp(-t)),
-                           tail=TailModel(rate=1.0, amplitude=1.0))
-    assert tab(1.0) == pytest.approx(0.5, rel=1e-7)
 
 
 # -------------------------------------------------------- inverse_cdf_sample

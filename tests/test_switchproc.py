@@ -13,7 +13,6 @@ from excursions.switchproc import (deterministic_interval, erlang_interval,
                                    laplace_N_greater, laplace_N_less,
                                    laplace_P_delta, laplace_stationary_P,
                                    laplace_stationary_cov, recover_psi,
-                                   simulate_stationary_switch, simulate_switch,
                                    simulate_switch_paths, switch_count_distribution)
 
 EXP1 = exponential_interval(1.0)
@@ -224,10 +223,6 @@ def test_switch_count_pmf_asymmetric_normalizes():
 
 @pytest.mark.parametrize("horizon", [math.inf, math.nan, 0.0, -1.0])
 def test_switch_simulators_reject_a_horizon_that_is_not_finite_and_positive(horizon):
-    with pytest.raises(DomainError, match="horizon must be finite and positive"):
-        simulate_switch(EXP1, EXP1, 0.5, horizon, seed=0)
-    with pytest.raises(DomainError, match="horizon must be finite and positive"):
-        simulate_stationary_switch(EXP1, EXP1, horizon, seed=0)
     for stationary in (False, True):
         with pytest.raises(DomainError, match="horizon must be finite and positive"):
             simulate_switch_paths(EXP1, EXP1, 3, horizon, seed=0, stationary=stationary)
@@ -244,16 +239,44 @@ def test_switch_count_domain():
 
 def test_deterministic_intervals_epoch_pattern():
     det = deterministic_interval(1.0)
-    path = simulate_switch(det, det, 1.0, 5.5, seed=3)
-    assert np.allclose(path.switch_epochs, [1.0, 2.0, 3.0, 4.0, 5.0])
-    assert path.initial_state == 1
+    paths = simulate_switch_paths(det, det, 1, 5.5, seed=3, p0=1.0)
+    assert np.array_equal(paths.epochs, [[1.0, 2.0, 3.0, 4.0, 5.0]])
+    assert paths.initial_states.tolist() == [1]
 
 
 def test_initial_state_probability():
-    path = simulate_switch(EXP1, EXP1, 1.0, 1.0, seed=4)
-    assert path.initial_state == 1
-    path = simulate_switch(EXP1, EXP1, 0.0, 1.0, seed=4)
-    assert path.initial_state == -1
+    paths = simulate_switch_paths(EXP1, EXP1, 50, 1.0, seed=4, p0=1.0)
+    assert np.all(paths.initial_states == 1)
+    paths = simulate_switch_paths(EXP1, EXP1, 50, 1.0, seed=4, p0=0.0)
+    assert np.all(paths.initial_states == -1)
+
+
+LAWS = {"exp": (EXP1, EXP2),
+        "erlang": (erlang_interval(2, 2.0), EXP1),
+        "det": (deterministic_interval(1.0), deterministic_interval(0.5))}
+
+
+@pytest.mark.parametrize("stationary", [False, True])
+@pytest.mark.parametrize("law", sorted(LAWS))
+def test_batch_counts_and_states_match_a_per_row_search(law, stationary):
+    plus, minus = LAWS[law]
+    horizon = 3.0
+    paths = simulate_switch_paths(plus, minus, 2000, horizon, seed=13,
+                                  stationary=stationary)
+    grid = np.linspace(0.0, horizon, 13)   # holds every deterministic epoch
+    counts, states = paths.count_at(grid), paths.state_at(grid)
+    for row, delta, count, state in zip(paths.epochs, paths.initial_states,
+                                        counts, states):
+        epochs = row[np.isfinite(row)]
+        assert np.all(epochs <= horizon) and np.all(np.isinf(row[len(epochs):]))
+        reference = np.searchsorted(epochs, grid, side="right")
+        assert np.array_equal(count, reference)
+        assert np.array_equal(state, delta * (-1) ** reference)
+    # rows with more epochs than the first block of holding times (after
+    # the stationary delay) were topped up; only the random laws need it
+    first_block = 2 * (int(1.1 * horizon / (plus.mean + minus.mean)) + 2)
+    topped_up = np.isfinite(paths.epochs).sum(axis=1) > first_block + stationary
+    assert topped_up.any() == (law != "det")
 
 
 def test_symmetric_exponential_epoch_count():
@@ -261,7 +284,7 @@ def test_symmetric_exponential_epoch_count():
     lam = 1.0
     horizon = 50.0
     paths = simulate_switch_paths(EXP1, EXP1, 2000, horizon, seed=5)
-    counts = np.array([len(p.switch_epochs) for p in paths])
+    counts = paths.count_at(horizon)[:, 0]
     expect = lam * horizon
     se = counts.std(ddof=1) / math.sqrt(len(counts))
     assert abs(counts.mean() - expect) < 3.0 * se
@@ -271,8 +294,7 @@ def test_stationary_delay_memoryless():
     # symmetric exponential: the integrated-tail delay is again exponential
     paths = simulate_switch_paths(EXP1, EXP1, 100_000, 1.0, seed=6,
                                   stationary=True)
-    delays = np.array([p.stationary_delay for p in paths])
-    assert kstest(delays, "expon").statistic < 0.005
+    assert kstest(paths.delays, "expon").statistic < 0.005
 
 
 def test_stationary_state_probability():
@@ -280,8 +302,8 @@ def test_stationary_state_probability():
     paths = simulate_switch_paths(exponential_interval(1 / mu_p),
                                   exponential_interval(1 / mu_m),
                                   100_000, 0.5, seed=7, stationary=True)
-    frac = np.mean([p.initial_state == 1 for p in paths])
-    se = math.sqrt(frac * (1 - frac) / len(paths))
+    frac = np.mean(paths.initial_states == 1)
+    se = math.sqrt(frac * (1 - frac) / len(paths.initial_states))
     assert abs(frac - mu_p / (mu_p + mu_m)) < 3.5 * se
 
 
@@ -289,9 +311,9 @@ def test_stationary_mean_is_time_constant():
     paths = simulate_switch_paths(EXP1, EXP1, 20_000, 5.0, seed=8,
                                   stationary=True)
     grid = np.linspace(0.0, 5.0, 11)
-    states = np.stack([p.state_at(grid) for p in paths])
+    states = paths.state_at(grid)
     mean = states.mean(axis=0)
-    se = states.std(axis=0, ddof=1) / math.sqrt(len(paths))
+    se = states.std(axis=0, ddof=1) / math.sqrt(len(states))
     assert np.all(np.abs(mean - 0.0) < 3.5 * se + 1e-12)
 
 
@@ -320,15 +342,51 @@ def test_estimate_characteristics_covariance_and_counts():
 
 
 def test_estimate_needs_paths():
-    with pytest.raises(DomainError):
-        estimate_characteristics([], np.linspace(0, 1, 3))
+    one = simulate_switch_paths(EXP1, EXP1, 1, 1.0, seed=0)
+    with pytest.raises(DomainError, match="two paths"):
+        estimate_characteristics(one, np.linspace(0, 1, 3))
+    two = simulate_switch_paths(EXP1, EXP1, 2, 1.0, seed=0)
+    with pytest.raises(DomainError, match="at least one time"):
+        estimate_characteristics(two, [])
 
 
 def test_path_state_accounting():
-    path = simulate_switch(EXP1, EXP2, 1.0, 20.0, seed=11)
-    assert np.all(np.diff(path.switch_epochs) > 0)
-    assert np.all(path.switch_epochs <= path.horizon)
-    t = np.array([0.0, path.horizon])
-    states = path.state_at(t)
-    assert states[0] == path.initial_state
+    paths = simulate_switch_paths(EXP1, EXP2, 200, 20.0, seed=11, p0=1.0)
+    for row in paths.epochs:
+        epochs = row[np.isfinite(row)]
+        assert np.all(np.diff(epochs) > 0) and np.all(epochs <= paths.horizon)
+        assert np.all(np.isinf(row[len(epochs):]))
+    states = paths.state_at([0.0, paths.horizon])
+    assert np.array_equal(states[:, 0], paths.initial_states)
     assert set(np.unique(states)).issubset({-1, 1})
+
+
+@pytest.mark.parametrize("p0", [0.3, 1.0])
+def test_estimate_characteristics_equals_per_path_means(p0):
+    # the estimator tallies switches per grid time; the oracle averages the
+    # per-path states and counts directly, on an unsorted grid with ties and
+    # times outside the horizon (p0 = 1 leaves the -1 group empty)
+    paths = simulate_switch_paths(erlang_interval(2, 2.0), EXP1, 3000, 3.0, seed=12,
+                                  p0=p0)
+    t = np.array([0.0, 3.0, 1.0, 1.0, 2.5, 0.25, 4.0, -1.0])
+    est = estimate_characteristics(paths, t)
+    states, counts = paths.state_at(t), paths.count_at(t)
+    delta = paths.initial_states
+    centered = (states - states.mean(axis=0)) * (delta - delta.mean())[:, None]
+    curves = [("e", states), ("p", states > 0), ("counts", counts)]
+    for group, name in ((delta > 0, "plus"), (delta < 0, "minus")):
+        for curve, values in curves:
+            mean = getattr(est, f"{curve}_{name}")
+            se = getattr(est, f"se_{curve}_{name}")
+            if not group.any():
+                assert np.all(np.isnan(mean)) and np.all(np.isnan(se))
+                continue
+            rows = values[group].astype(float)
+            assert np.allclose(mean, rows.mean(axis=0), rtol=0, atol=1e-12)
+            assert np.allclose(se, rows.std(axis=0, ddof=1) / math.sqrt(len(rows)),
+                               rtol=0, atol=1e-12)
+    assert np.allclose(est.covariance, centered.mean(axis=0), rtol=0, atol=1e-12)
+    assert np.allclose(est.se_covariance,
+                       centered.std(axis=0, ddof=1) / math.sqrt(len(delta)),
+                       rtol=0, atol=1e-12)
+    assert (est.n_plus, est.n_minus) == (int((delta > 0).sum()), int((delta < 0).sum()))
