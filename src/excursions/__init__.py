@@ -10,7 +10,7 @@ switch-process machinery with full Laplace-domain identities, and
 survival-tail persistency fitting close the validation loop.
 """
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"
 
 from .covmodel import CovarianceModel, diffusion_covariance, validate
 from .clipped import arcsin_covariance, clipped_covariance
@@ -24,8 +24,7 @@ from .iia import IIAModel, build_iia, persistency_table, psi_hat, sample_excursi
 from .numerics import (Grid, TailModel, b_integral, fit_exponential_tail,
                        gaver_stehfest_invert, inverse_cdf_sample, norm_cdf,
                        numerical_laplace)
-from .persistency import (BatchEstimate, SurvivalFit, aggregate_fits,
-                          empirical_survival, fit_persistency)
+from .persistency import BatchEstimate, SurvivalFit, aggregate_fits, fit_persistency
 from .slepian import (SlepianPath, conditional_expected_clipped,
                       expected_clipped_down, expected_clipped_up,
                       sample_slepian_path)

@@ -38,6 +38,7 @@ import hashlib
 import itertools
 import json
 import math
+import re
 import sys
 import time
 from dataclasses import dataclass
@@ -64,6 +65,12 @@ _MODELS = {"diffusion": diffusion_covariance}
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse reads "-1e-3" and "-inf" as flags; no option here looks like
+        # a number, so a token that begins like a negative float is a value
+        self._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
+
     def error(self, message):
         self.print_usage(sys.stderr)
         sys.stderr.write(f"error: {message}\n")

@@ -5,8 +5,9 @@ covariance reduces to the bivariate orthant probability:
 
     R_u(t) = 4 * (B(u, r(t)) - Phi(u)^2),
 
-where ``B(u, rho) = P(rho Z + sqrt(1-rho^2) Y <= u, Z <= u)``.  At the
-zero level this is the classical arcsine law
+where ``B(u, rho) = P(rho Z + sqrt(1-rho^2) Y <= u, Z <= u)`` is Owen's
+closed form :func:`numerics.b_integral`, evaluated at every lag in one
+array expression.  At the zero level this is the classical arcsine law
 ``R_0(t) = (2/pi) arcsin r(t)``, and at ``t = 0`` it is the binary
 variance ``1 - (1 - 2 Phi(u))^2``.
 """
@@ -33,7 +34,7 @@ def clipped_covariance(model: CovarianceModel, u: float, t):
         raise DomainError("lag must be non-negative")
     phi_u = float(norm_cdf(u))
     rho = np.asarray(model.r(np.atleast_1d(ta)), dtype=float)
-    out = np.array([4.0 * (b_integral(u, float(rh)) - phi_u * phi_u) for rh in rho])
+    out = 4.0 * (b_integral(u, rho) - phi_u * phi_u)
     return float(out[0]) if ta.ndim == 0 else out
 
 

@@ -40,7 +40,7 @@ from .covmodel import CovarianceModel
 from .errors import DomainError, GridTooShort, MonotonicityViolation
 from .numerics import (Grid, TailModel, fit_exponential_tail, inverse_cdf_sample,
                        norm_cdf, numerical_laplace, spawn_seeds, uniform_grid)
-from .persistency import BatchEstimate, level_seeds, replicate_estimates
+from .persistency import BatchEstimate, replicate_estimates
 from .slepian import expected_clipped_down, expected_clipped_up
 
 __all__ = ["IIAModel", "build_iia", "sample_excursion", "persistency_table", "psi_hat"]
@@ -202,7 +202,10 @@ def persistency_table(model: CovarianceModel, levels, samples: int, reps: int,
     """
     if reps < 2:
         raise DomainError("need at least two replicates")
-    levels, seeds = level_seeds(levels, seed)
+    if np.ndim(levels) == 0:
+        levels, seeds = [levels], [seed]
+    else:
+        levels, seeds = list(levels), spawn_seeds(seed, len(levels))
     iias = [build_iia(model, u, t_max=t_max, step=step) for u in levels]
     groups = [((iia, side), side_seed, (f"u = {iia.level:g}, {side} side",))
               for iia, level_seed in zip(iias, seeds)

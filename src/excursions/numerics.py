@@ -3,12 +3,12 @@
 Everything here is pure and reentrant: the normal CDF, the
 bivariate orthant-style integral
 
-    B(u, rho) = P(rho*Z + sqrt(1-rho^2)*Y <= u, Z <= u),
+    B(u, rho) = P(rho*Z + sqrt(1-rho^2)*Y <= u, Z <= u)
 
-numerical Laplace transforms of tabulated functions with exponential
-tail corrections, Gaver-Stehfest inversion, and monotone inverse-CDF
-sampling with tail extrapolation.  These are the kernels every other
-module builds on.
+in closed form through Owen's T function, numerical Laplace transforms
+of tabulated functions with exponential tail corrections,
+Gaver-Stehfest inversion, and monotone inverse-CDF sampling with tail
+extrapolation.  These are the kernels every other module builds on.
 
 A :class:`Grid` exposes read-only copies of its arrays, so anything
 derived from them can be computed once and cached on the grid.  The
@@ -21,8 +21,9 @@ large draw.  The table only replaces the bisection inside
 segment, so the samples equal ``np.interp(u, cdf.values, cdf.points)``
 bit for bit.
 
-``scipy.integrate`` is imported on first use, inside the two functions
-that call it, so that CLI runs that never call them do not load it.
+``scipy.integrate`` is imported on first use, inside
+:func:`numerical_laplace`, so that CLI runs that never call it do not
+load it.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.special import ndtr
+from scipy.special import ndtr, owens_t
 
 from .errors import DomainError, MonotonicityViolation, NumericalError
 
@@ -165,47 +166,26 @@ def norm_cdf(x):
     return ndtr(np.asarray(x, dtype=float))
 
 
-_SQRT_2PI = math.sqrt(2.0 * math.pi)
+def b_integral(u_tilde: float, rho):
+    """P(rho*Z + sqrt(1-rho^2)*Y <= u, Z <= u) in closed form.
 
+    ``Z`` and ``Y`` are independent standard normals.  At equal limits
+    the bivariate normal orthant reduces to Owen's T function (Owen 1956):
 
-def b_integral(u_tilde: float, rho: float) -> float:
-    """P(rho*Z + sqrt(1-rho^2)*Y <= u, Z <= u) by adaptive quadrature.
+        B(u, rho) = Phi(u) - 2 T(u, sqrt((1 - rho)/(1 + rho))),
 
-    ``Z`` and ``Y`` are independent standard normals.  Evaluates
-
-        B(u, rho) = int_{-inf}^{u} phi(z) Phi((u - rho*z)/sqrt(1-rho^2)) dz
-
-    on (min(-8, u-8), u]; the dropped lower tail is below Phi(-8),
-    comfortably inside the 1e-10 accuracy budget.  The correlated
-    limits are handled analytically: B(u, 1) = Phi(u) and
-    B(u, -1) = max(0, 2*Phi(u) - 1).
+    which meets the correlated limits B(u, 1) = Phi(u) and
+    B(u, -1) = max(0, 2*Phi(u) - 1) to rounding with no special case.
+    ``rho`` is a scalar, giving a float, or an array, evaluated elementwise.
     """
-    if abs(rho) > 1.0:
+    r = np.asarray(rho, dtype=float)
+    if np.any(np.abs(r) > 1.0):
         raise DomainError(f"correlation must lie in [-1, 1], got {rho}")
     u = float(u_tilde)
-    if rho >= 1.0 - 1e-12:
-        return float(norm_cdf(u))
-    if rho <= -1.0 + 1e-12:
-        return max(0.0, 2.0 * float(norm_cdf(u)) - 1.0)
-
-    from scipy.integrate import quad
-
-    den = math.sqrt((1.0 - rho) * (1.0 + rho))
-
-    def integrand(z):
-        return math.exp(-0.5 * z * z) / _SQRT_2PI * ndtr((u - rho * z) / den)
-
-    lo = min(-8.0, u - 8.0)
-    # breakpoint where the inner CDF argument crosses zero helps quad
-    # when |rho| is close to one and the integrand is nearly a step
-    pts = None
-    if rho != 0.0:
-        zstar = u / rho
-        if lo < zstar < u:
-            pts = [zstar]
-    val, _ = quad(integrand, lo, u, epsabs=1e-13, epsrel=1e-12,
-                  limit=200, points=pts)
-    return min(1.0, max(0.0, val))
+    with np.errstate(divide="ignore"):    # rho = -1 gives a = inf
+        a = np.sqrt((1.0 - r) / (1.0 + r))
+    out = np.clip(ndtr(u) - 2.0 * owens_t(u, a), 0.0, 1.0)
+    return float(out) if out.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------

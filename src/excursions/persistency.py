@@ -24,11 +24,10 @@ import numpy as np
 from scipy.special import stdtrit
 
 from .errors import DomainError, FitError
-from .numerics import Grid, spawn_seeds
+from .numerics import spawn_seeds
 
-__all__ = ["SurvivalFit", "BatchEstimate", "empirical_survival",
-           "fit_persistency", "labelled_fit", "aggregate_fits",
-           "level_seeds", "replicate_estimates"]
+__all__ = ["SurvivalFit", "BatchEstimate", "fit_persistency", "labelled_fit",
+           "aggregate_fits", "replicate_estimates"]
 
 
 @dataclass(frozen=True)
@@ -49,25 +48,6 @@ class BatchEstimate:
     mean_theta: float
     half_width: float
     replicates: tuple[SurvivalFit, ...]
-
-
-def empirical_survival(samples) -> Grid:
-    """Right-continuous empirical survival S(t) = #{samples > t} / n.
-
-    Tabulated at the distinct sorted sample points; requires at least
-    100 positive samples.
-    """
-    x = np.asarray(samples, dtype=float)
-    if x.ndim != 1 or len(x) < 100:
-        raise DomainError("need at least 100 samples")
-    if np.any(x <= 0.0) or not np.all(np.isfinite(x)):
-        raise DomainError("samples must be positive and finite")
-    s = np.sort(x)
-    n = len(s)
-    pts, last = np.unique(s, return_index=True)
-    counts = np.diff(np.concatenate((last, [n])))
-    exceed = n - (last + counts)
-    return Grid(points=pts, values=exceed / n)
 
 
 def fit_persistency(samples, min_tail_count: int = 50) -> SurvivalFit:
@@ -158,14 +138,6 @@ def _parallel_map(fn, items):
         return [fn(x) for x in items]
     with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))
-
-
-def level_seeds(levels, seed) -> tuple[list, list]:
-    """The levels as a list, and one seed per level: the seeds spawned
-    from ``seed`` in order, or ``seed`` itself for a single level."""
-    if np.ndim(levels) == 0:
-        return [levels], [seed]
-    return list(levels), spawn_seeds(seed, len(levels))
 
 
 def replicate_estimates(draw: Callable, groups: Sequence, reps: int) -> list:

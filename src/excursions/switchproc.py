@@ -235,6 +235,11 @@ def _delay_inverse(dist: IntervalDistribution) -> Grid:
     return Grid(points=t, values=delay_cdf / delay_cdf[-1])
 
 
+# entries of the first holding-time block, 1 GiB of float64; a horizon
+# that needs more is rejected before anything is drawn
+_FIRST_BLOCK_BUDGET = 2**27
+
+
 def simulate_switch_paths(plus: IntervalDistribution, minus: IntervalDistribution,
                           n_paths: int, horizon: float, seed,
                           stationary: bool = False, p0: float = 0.5) -> SwitchPaths:
@@ -253,7 +258,8 @@ def simulate_switch_paths(plus: IntervalDistribution, minus: IntervalDistributio
     rest; then blocks of holding times.  The first block gives each path
     ``2 (int(1.1 horizon / (mu+ + mu-)) + 2)`` holding times, about 1.1
     times the mean number of switches plus four, and each further block
-    goes only to the paths still short of the horizon.
+    goes only to the paths still short of the horizon.  A horizon whose
+    first block would exceed 2**27 entries raises :class:`DomainError`.
     """
     if n_paths < 1:
         raise DomainError("n_paths must be positive")
@@ -263,7 +269,7 @@ def simulate_switch_paths(plus: IntervalDistribution, minus: IntervalDistributio
         raise DomainError("p0 must be a probability")
     mean_pair = plus.mean + minus.mean
     width = 2.2 * horizon / mean_pair
-    if not (width + 5.0) * n_paths < np.iinfo(np.intp).max:
+    if not (width + 5.0) * n_paths <= _FIRST_BLOCK_BUDGET:
         raise DomainError(f"horizon {horizon!r} is too long: {n_paths} paths of about "
                           f"{width:.3g} switches each do not fit in an array")
     pairs = int(width / 2.0) + 2

@@ -109,6 +109,16 @@ def test_switch_sim_csv(tmp_path):
     assert len(lines) == 52
 
 
+def test_negative_level_in_exponent_notation_is_a_value(tmp_path, capsys):
+    out = tmp_path / "cc.csv"
+    assert run(["clipped-cov", "--level", "-1e-3", "--t-max", "1",
+                "--out", str(out)]) == 0
+    assert out.exists()
+    assert run(["clipped-cov", "--level", "-inf", "--t-max", "1",
+                "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: level must be finite, got -inf\n"
+
+
 def test_clipped_cov_zero_level_has_reference_column(tmp_path):
     out = tmp_path / "cc.csv"
     assert run(["clipped-cov", "--level", "0", "--t-max", "2",
@@ -242,7 +252,7 @@ def test_persistency_rejects_non_numeric_line_after_header(tmp_path, capsys):
 FAST_TRAJ = ["--n-traj", "40", "--len", "8000", "--reps", "4"]
 
 
-def test_tables_load_no_scipy_stats_integrate_or_optimize(tmp_path):
+def test_tables_and_clipped_cov_load_no_scipy_stats_integrate_or_optimize(tmp_path):
     # a fresh interpreter, since this one has imported them already
     script = f"""
 import sys
@@ -251,6 +261,7 @@ assert run(["table1", "--levels", "0,1", "--seed", "3", "--out", "t1.json"]
            + {FAST_IIA!r}) == 0
 assert run(["table2", "--levels", "0", "--seed", "3", "--out", "t2.json"]
            + {FAST_TRAJ!r}) == 0
+assert run(["clipped-cov", "--level", "1", "--out", "cc.csv"]) == 0
 print(sorted(m for m in sys.modules if m.split(".")[:2] in
              (["scipy", "stats"], ["scipy", "integrate"], ["scipy", "optimize"])))
 """
@@ -307,7 +318,9 @@ def test_gp_sim_non_finite_level_exits_one(tmp_path, capsys, level):
                   "do not fit in an array"),
     ("1e300", ["--stationary"], "horizon 1e+300 is too long: 10 paths of about "
                                 "1.1e+300 switches each do not fit in an array"),
-], ids=["inf", "nan", "1e308", "1e300-stationary"])
+    ("1e12", [], "horizon 1000000000000.0 is too long: 10 paths of about 1.1e+12 "
+                 "switches each do not fit in an array"),
+], ids=["inf", "nan", "1e308", "1e300-stationary", "1e12"])
 def test_switch_sim_non_finite_horizon_exits_one(tmp_path, capsys, horizon, extra, message):
     out = tmp_path / "sw.csv"
     assert run(["switch-sim", "--paths", "10", "--horizon", horizon,

@@ -54,9 +54,27 @@ def test_b_integral_independence_and_limits():
     assert b_integral(-1.0, -1.0) == 0.0
 
 
+def test_b_integral_matches_quadrature_oracle():
+    # oracle: the defining integral int_{-inf}^u phi(z) Phi((u - rho z)/sqrt(1-rho^2)) dz,
+    # split where the inner argument changes sign, independent of Owen's T
+    for u in (0.0, 0.5, 1.0, 1.25, -0.7, 3.0):
+        for rho in (-0.999999, -0.99, -0.6, -0.2, 0.0, 0.3, 0.75, 0.99, 0.999999):
+            den = math.sqrt((1.0 - rho) * (1.0 + rho))
+
+            def integrand(z):
+                return (math.exp(-z * z / 2) / math.sqrt(2 * math.pi)
+                        * norm_cdf((u - rho * z) / den))
+
+            cuts = [-math.inf] + ([u / rho] if rho != 0.0 and u / rho < u else []) + [u]
+            oracle = sum(quad(integrand, a, b, epsabs=1e-15, epsrel=1e-13, limit=200)[0]
+                         for a, b in zip(cuts, cuts[1:]))
+            assert b_integral(u, rho) == pytest.approx(oracle, abs=1e-12), (u, rho)
+
+
 def test_b_integral_monotone_in_both_args():
     rhos = np.linspace(-0.95, 0.95, 20)
-    vals = [b_integral(0.5, r) for r in rhos]
+    vals = b_integral(0.5, rhos)
+    assert np.array_equal(vals, [b_integral(0.5, r) for r in rhos])
     assert np.all(np.diff(vals) >= -1e-12)
     us = np.linspace(-2, 2, 20)
     vals = [b_integral(u, 0.3) for u in us]

@@ -5,38 +5,8 @@ import pytest
 from scipy.stats import t as student_t
 
 from excursions.errors import DomainError, FitError
-from excursions.persistency import (SurvivalFit, aggregate_fits, empirical_survival,
-                                    fit_persistency, labelled_fit,
-                                    replicate_estimates)
-
-
-def _step_value(surv, t):
-    idx = np.searchsorted(surv.points, t, side="right") - 1
-    return 1.0 if idx < 0 else surv.values[idx]
-
-
-def test_empirical_survival_counting():
-    samples = np.concatenate([np.array([1.0, 2.0, 3.0, 4.0])] * 25)
-    surv = empirical_survival(samples)
-    assert _step_value(surv, 2.5) == pytest.approx(0.5)
-    assert _step_value(surv, 0.5) == 1.0       # S just left of the data
-    assert surv.values[-1] == 0.0              # S(max) = 0
-    assert surv.values[0] == pytest.approx(0.75)
-
-
-def test_empirical_survival_dkw():
-    rng = np.random.default_rng(3)
-    x = rng.exponential(1.0, 1_000_000)
-    surv = empirical_survival(x)
-    dev = np.abs(surv.values - np.exp(-surv.points))
-    assert dev.max() < 0.002
-
-
-def test_empirical_survival_domain():
-    with pytest.raises(DomainError):
-        empirical_survival(np.ones(50))
-    with pytest.raises(DomainError):
-        empirical_survival(np.concatenate([np.ones(200), [-1.0]]))
+from excursions.persistency import (SurvivalFit, aggregate_fits, fit_persistency,
+                                    labelled_fit, replicate_estimates)
 
 
 def test_fit_exponential_oracle():
