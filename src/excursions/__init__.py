@@ -4,13 +4,14 @@ The package approximates the lengths of excursions above and below a
 level u through the independent interval approximation driven by the
 crossing-conditioned (Slepian) representation: the expected value of
 the clipped crossing process is matched to a non-stationary binary
-switch process, whose switching-time laws then admit an explicit
-geometric-sum sampler.  A trajectory simulator (circulant embedding),
+switch process, whose switching-time laws are geometric sums with a
+renewal law that one FFT solves and one inverse-CDF draw per excursion
+samples.  A trajectory simulator (circulant embedding),
 switch-process machinery with full Laplace-domain identities, and
 survival-tail persistency fitting close the validation loop.
 """
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"
 
 from .covmodel import CovarianceModel, diffusion_covariance, validate
 from .clipped import arcsin_covariance, clipped_covariance
@@ -20,7 +21,8 @@ from .errors import (DomainError, EmptyExcursionSet, ExcursionError, FitError,
 from .gpsim import (ExcursionSet, Trajectory, extract_excursions,
                     persistency_from_trajectories, rice_crossing_rate,
                     simulate_gp, simulate_gp_batch, simulate_gp_spectral)
-from .iia import IIAModel, build_iia, persistency_table, psi_hat, sample_excursion
+from .iia import (IIAModel, build_iia, excursion_law, persistency_table, psi_hat,
+                  sample_excursion)
 from .numerics import (Grid, TailModel, b_integral, fit_exponential_tail,
                        gaver_stehfest_invert, inverse_cdf_sample, norm_cdf,
                        numerical_laplace)

@@ -24,32 +24,53 @@ laws follow from the expected value curves:
     Psi_+(s) = L(E_u^+')(s) / (L(E_u^-')(s) - 2),
     Psi_-(s) = L(E_u^-')(s) / (L(E_u^+')(s) + 2),
 
-with L(E') = s L(E) - E(0+).  Sampling through the geometric-sum
-representation and checking the empirical transform against these
-expressions is the package's core cross-validation.
+with L(E') = s L(E) - E(0+).
+
+The excursion law itself is solved, not simulated: lumping each divisor
+on the grid knots by the trapezoid rule (half of a cell's mass to each
+end) turns the geometric sum into the renewal equation
+q = a p_X + b (p_Y * q) for the above side, which one real FFT solves,
+
+    Q = a P_X / (1 - b P_Y),
+
+and the below side swaps X and Y and a and b.  Each excursion is then
+one inverse-CDF draw from that law.  Checking its empirical transform
+against Psi_+ and Psi_-, which come from the clipped means alone, is
+the package's core cross-validation; the tests keep the geometric sum
+itself as a reference sampler.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import threading
+from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.fft
 
 from .covmodel import CovarianceModel
-from .errors import DomainError, GridTooShort, MonotonicityViolation
+from .errors import DomainError, GridTooShort, MonotonicityViolation, NumericalError
 from .numerics import (Grid, TailModel, fit_exponential_tail, inverse_cdf_sample,
                        norm_cdf, numerical_laplace, spawn_seeds, uniform_grid)
 from .persistency import BatchEstimate, replicate_estimates
 from .slepian import expected_clipped_down, expected_clipped_up
 
-__all__ = ["IIAModel", "build_iia", "sample_excursion", "persistency_table", "psi_hat"]
+__all__ = ["IIAModel", "build_iia", "excursion_law", "sample_excursion",
+           "persistency_table", "psi_hat"]
+
+SIDES = ("above", "below")
 
 # per-step downticks smaller than this are roundoff, not violations
 MONOTONE_TOL = 1e-12
 
-# extra (divisor) draws per inverse-CDF call in sample_excursion
-_EXTRA_CHUNK = 1 << 18
+# an excursion law is solved on more knots until the mass past the last
+# one is at most _LAW_END, and fails past _LAW_MAX_KNOTS knots
+_LAW_END = 1e-10
+_LAW_MAX_KNOTS = 1 << 21
+
+# FFT round-off leaves negative masses; more than this in total is an error
+_NEGATIVE_MASS_TOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,6 +84,10 @@ class IIAModel:
     f_y_cdf: Grid
     tail_rates: tuple[float, float]
     source: str
+    # side -> excursion_law(self, side), filled on first request under the lock
+    _laws: dict = field(default_factory=dict, init=False, repr=False)
+    _laws_lock: threading.Lock = field(default_factory=threading.Lock, init=False,
+                                       repr=False)
 
     def __post_init__(self):
         if abs(self.alpha + self.beta - 1.0) > 1e-12:
@@ -101,6 +126,8 @@ def build_iia(model: CovarianceModel, u: float, t_max: float = 200.0,
     d = 2 diffusion model) and :class:`GridTooShort` when the grid does
     not reach the asymptotic regime within 1e-6.
     """
+    if not math.isfinite(u):
+        raise DomainError(f"level must be finite, got {float(u)!r}")
     if not (step > 0.0 and t_max > 10.0 * step):
         raise DomainError("need step > 0 and t_max well above the step")
     t = uniform_grid(t_max, step)
@@ -148,45 +175,89 @@ def build_iia(model: CovarianceModel, u: float, t_max: float = 200.0,
     )
 
 
-def sample_excursion(iia: IIAModel, side: str, n: int, seed) -> np.ndarray:
-    """Draw excursion lengths through the geometric-sum representation.
+def _knot_masses(cdf: Grid, tail_rate: float, knots: int) -> np.ndarray:
+    # trapezoid lumping of a divisor law on the first `knots` grid knots:
+    # half of each cell's mass goes to either end; the cells past the
+    # grid take their mass from the exponential tail
+    f, step = cdf.values, cdf.points[1]
+    tail = (1.0 - f[-1]) * np.exp(-tail_rate * step * np.arange(knots - len(f) + 2))
+    cells = np.concatenate((np.diff(f), -np.diff(tail)))
+    return 0.5 * (cells[:knots] + np.concatenate(([0.0], cells[:knots - 1])))
 
-    For the above side: one X draw plus (nu - 1) independent Y draws
-    with nu geometric(alpha) on {1, 2, ...}; the empty sum contributes
-    zero.  The below side swaps the roles of X and Y and uses beta.
-    All marginals are drawn by inverse-CDF sampling with exponential
-    tail extrapolation beyond the grid.
+
+def _solve_law(iia: IIAModel, side: str) -> tuple[Grid, float]:
+    x, y = (iia.f_x_cdf, iia.tail_rates[0]), (iia.f_y_cdf, iia.tail_rates[1])
+    a, b, first, extra = ((iia.alpha, iia.beta, x, y) if side == "above"
+                          else (iia.beta, iia.alpha, y, x))
+    step, knots = iia.f_x_cdf.points[1], len(iia.f_x_cdf)
+    while True:
+        size = scipy.fft.next_fast_len(2 * knots, real=True)
+        first_hat = scipy.fft.rfft(_knot_masses(*first, knots), size)
+        extra_hat = scipy.fft.rfft(_knot_masses(*extra, knots), size)
+        q = scipy.fft.irfft(a * first_hat / (1.0 - b * extra_hat), size)[:knots]
+        # the knot masses, then the mass past the last knot
+        mass = np.append(q, 1.0 - q.sum())
+        if mass[-1] <= _LAW_END:
+            break
+        if 2 * knots > _LAW_MAX_KNOTS:
+            raise NumericalError(
+                f"u = {iia.level:g}, {side} side: the excursion law holds "
+                f"{mass[-1]:.2e} past t = {(knots - 1) * step:g}; "
+                f"more than {_LAW_MAX_KNOTS} knots would be needed")
+        knots *= 2
+    negative = -float(mass[mass < 0.0].sum())
+    if negative > _NEGATIVE_MASS_TOL:
+        raise NumericalError(
+            f"u = {iia.level:g}, {side} side: the excursion law has {negative:.2e} "
+            f"of negative mass (round-off allows {_NEGATIVE_MASS_TOL:g})")
+    # survival from the far end, so it resolves values far below 1e-14
+    surv = np.cumsum(np.maximum(mass, 0.0)[::-1])[::-1]
+    # knot k's mass is spread over [(k - 1/2) h, (k + 1/2) h], cut at 0
+    points = np.append(0.0, (np.arange(knots) + 0.5) * step)
+    cdf = Grid(points=points, values=np.append(0.0, 1.0 - surv[1:]))
+    tail = fit_exponential_tail(Grid(points=points[1:], values=surv[1:]))
+    return cdf, tail.rate
+
+
+def excursion_law(iia: IIAModel, side: str) -> tuple[Grid, float]:
+    """The approximated excursion law of one side: its CDF and tail rate.
+
+    The divisor laws are lumped on the grid knots by the trapezoid rule
+    and extended past the grid by their exponential tails; the knot
+    masses of the geometric sum then solve
+
+        q = irfft(a rfft(p_X, L) / (1 - b rfft(p_Y, L))),
+
+    with a = alpha, b = beta above and X, Y and a, b swapped below, on
+    ``L = next_fast_len(2 n)``.  ``n`` starts at the grid's knot count
+    and doubles until at most 1e-10 of the mass lies past the last knot
+    (:class:`NumericalError` past 2**21 knots, or if round-off leaves
+    over 1e-12 of negative mass).  Each knot's mass is spread evenly
+    over the half steps either side of it, so the CDF is piecewise
+    linear, zero at t = 0, and ends within 1e-10 of one; the tail rate
+    extrapolates it, fitted to the last decade of the survival.  The law
+    is computed on the first request for each side and cached on
+    ``iia``.
+    """
+    if side not in SIDES:
+        raise DomainError(f"side must be 'above' or 'below', got {side!r}")
+    with iia._laws_lock:
+        if side not in iia._laws:
+            iia._laws[side] = _solve_law(iia, side)
+        return iia._laws[side]
+
+
+def sample_excursion(iia: IIAModel, side: str, n: int, seed) -> np.ndarray:
+    """Draw ``n`` excursion lengths of one side, all positive.
+
+    Each length is one inverse-CDF draw, from ``n`` uniforms of a
+    generator seeded with ``seed``, of :func:`excursion_law`, with its
+    exponential tail beyond the solved range.
     """
     if n < 1:
         raise DomainError("sample count must be positive")
-    if side == "above":
-        p, first, first_tail = iia.alpha, iia.f_x_cdf, iia.tail_rates[0]
-        extra, extra_tail = iia.f_y_cdf, iia.tail_rates[1]
-    elif side == "below":
-        p, first, first_tail = iia.beta, iia.f_y_cdf, iia.tail_rates[1]
-        extra, extra_tail = iia.f_x_cdf, iia.tail_rates[0]
-    else:
-        raise DomainError(f"side must be 'above' or 'below', got {side!r}")
-
-    rng = np.random.default_rng(seed)
-    nu = rng.geometric(p, size=n)
-    out = np.asarray(inverse_cdf_sample(first, first_tail, rng.random(n)))
-    n_extra = nu - 1
-    ends = np.cumsum(n_extra)
-    # the extra draws go in runs of whole owners, about _EXTRA_CHUNK
-    # draws each, which bounds their temporaries; the uniforms are read
-    # in the order one call would read them, and each owner's sum is
-    # accumulated in the same order, so the result does not change
-    lo, done = 0, 0
-    while lo < n:
-        hi = max(int(np.searchsorted(ends, done + _EXTRA_CHUNK, side="right")), lo + 1)
-        count = int(ends[hi - 1]) - done
-        if count > 0:
-            draws = inverse_cdf_sample(extra, extra_tail, rng.random(count))
-            owner = np.repeat(np.arange(hi - lo), n_extra[lo:hi])
-            out[lo:hi] += np.bincount(owner, weights=draws, minlength=hi - lo)
-        lo, done = hi, done + count
-    return out
+    cdf, tail_rate = excursion_law(iia, side)
+    return inverse_cdf_sample(cdf, tail_rate, np.random.default_rng(seed).random(n))
 
 
 def persistency_table(model: CovarianceModel, levels, samples: int, reps: int,
@@ -196,9 +267,11 @@ def persistency_table(model: CovarianceModel, levels, samples: int, reps: int,
 
     Level k's seed is the k-th spawned from ``seed`` (``seed`` itself for
     a single level); it spawns a seed per side and each of those a seed
-    per replicate of ``samples`` draws.  All (level, side, replicate)
-    tasks share the one pool of :func:`persistency.replicate_estimates`,
-    which ``EXCURSION_IIA_THREADS`` caps.
+    per replicate of ``samples`` draws.  Every (level, side) law is
+    solved before the pool starts and shared by that side's replicates.
+    All (level, side, replicate) tasks share the one pool of
+    :func:`persistency.replicate_estimates`, which
+    ``EXCURSION_IIA_THREADS`` caps.
     """
     if reps < 2:
         raise DomainError("need at least two replicates")
@@ -207,9 +280,13 @@ def persistency_table(model: CovarianceModel, levels, samples: int, reps: int,
     else:
         levels, seeds = list(levels), spawn_seeds(seed, len(levels))
     iias = [build_iia(model, u, t_max=t_max, step=step) for u in levels]
+    # every law is solved here, before the pool, so its tasks only look them up
+    for iia in iias:
+        for side in SIDES:
+            excursion_law(iia, side)
     groups = [((iia, side), side_seed, (f"u = {iia.level:g}, {side} side",))
               for iia, level_seed in zip(iias, seeds)
-              for side, side_seed in zip(("above", "below"), spawn_seeds(level_seed, 2))]
+              for side, side_seed in zip(SIDES, spawn_seeds(level_seed, 2))]
     sides = replicate_estimates(
         lambda context, rep_seed: (sample_excursion(*context, samples, rep_seed),),
         groups, reps)
@@ -237,7 +314,7 @@ def psi_hat(iia: IIAModel, side: str, s: float) -> float:
     """
     if not s > 0.0:
         raise DomainError("Laplace argument must be positive")
-    if side not in ("above", "below"):
+    if side not in SIDES:
         raise DomainError(f"side must be 'above' or 'below', got {side!r}")
     ls_x = _survival_laplace(iia.f_x_cdf, iia.tail_rates[0], s)
     ls_y = _survival_laplace(iia.f_y_cdf, iia.tail_rates[1], s)

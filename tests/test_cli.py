@@ -311,6 +311,18 @@ def test_gp_sim_non_finite_level_exits_one(tmp_path, capsys, level):
         assert not out.exists()
 
 
+@pytest.mark.parametrize("level", ["inf", "-inf", "nan"])
+def test_iia_non_finite_level_exits_one(tmp_path, level):
+    # a fresh interpreter, so that a warning would reach its stderr
+    out = tmp_path / "res.json"
+    proc = subprocess.run([sys.executable, "-m", "excursions.cli", "iia",
+                           f"--level={level}", "--out", str(out)] + FAST_IIA,
+                          capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert proc.stderr == f"error: level must be finite, got {float(level)!r}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("horizon, extra, message", [
     ("inf", [], "horizon must be finite and positive, got inf"),
     ("nan", [], "horizon must be finite and positive, got nan"),

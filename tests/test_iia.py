@@ -1,12 +1,20 @@
+import concurrent.futures
 import math
+import sys
 
 import numpy as np
 import pytest
+from scipy.integrate import simpson
+from scipy.optimize import brentq
+from scipy.stats import ks_2samp
 
+import excursions.iia
 from excursions.covmodel import diffusion_covariance
-from excursions.errors import DomainError, GridTooShort, MonotonicityViolation
-from excursions.iia import build_iia, persistency_table, psi_hat, sample_excursion
-from excursions.numerics import norm_cdf
+from excursions.errors import (DomainError, GridTooShort, MonotonicityViolation,
+                               NumericalError)
+from excursions.iia import (build_iia, excursion_law, persistency_table, psi_hat,
+                            sample_excursion)
+from excursions.numerics import gaver_stehfest_invert, norm_cdf
 from excursions.persistency import aggregate_fits, fit_persistency
 
 M2 = diffusion_covariance(2)
@@ -75,6 +83,99 @@ def test_side_duality():
     assert np.max(np.abs(a.f_y_cdf.values - b.f_x_cdf.values)) <= 1e-12
 
 
+@pytest.mark.parametrize("u", [math.inf, -math.inf, math.nan])
+def test_non_finite_level_is_a_domain_error(u):
+    with pytest.raises(DomainError, match=f"level must be finite, got {u}"):
+        build_iia(M2, u)
+
+
+def _divisors(iia, side):
+    """((first CDF, tail rate), (extra CDF, tail rate), success probability)."""
+    x, y = (iia.f_x_cdf, iia.tail_rates[0]), (iia.f_y_cdf, iia.tail_rates[1])
+    return (x, y, iia.alpha) if side == "above" else (y, x, iia.beta)
+
+
+def _geometric_sum(iia, side, n, seed):
+    # the representation itself: one first divisor plus nu - 1 extra ones
+    first, extra, p = _divisors(iia, side)
+    rng = np.random.default_rng(seed)
+
+    def draw(cdf, rate, k):
+        u, f_end = rng.random(k), cdf.values[-1]
+        t = np.interp(u, cdf.values, cdf.points)
+        over = u > f_end
+        t[over] = cdf.points[-1] + np.log((1.0 - f_end) / (1.0 - u[over])) / rate
+        return t
+
+    n_extra = rng.geometric(p, n) - 1
+    out = draw(*first, n)
+    np.add.at(out, np.repeat(np.arange(n), n_extra), draw(*extra, n_extra.sum()))
+    return out
+
+
+@pytest.mark.parametrize("side", ["above", "below"])
+@pytest.mark.parametrize("u", [0.0, 1.25])
+def test_law_samples_match_the_geometric_sum(u, side):
+    n = 200_000
+    iia = build_iia(M2, u)
+    stat = ks_2samp(sample_excursion(iia, side, n, seed=2601),
+                    _geometric_sum(iia, side, n, seed=2602)).statistic
+    # asymptotic two-sample critical value at the 0.1% level
+    assert stat < math.sqrt(-0.5 * math.log(0.0005)) * math.sqrt(2.0 / n)
+
+
+@pytest.mark.parametrize("side", ["above", "below"])
+@pytest.mark.parametrize("u", [0.0, 1.0, 1.25])
+def test_law_survival_matches_laplace_inversion(u, side):
+    iia = build_iia(M2, u)
+    cdf, _ = excursion_law(iia, side)
+    for t in (0.5, 5.0, 10.0):
+        inverted = gaver_stehfest_invert(lambda s: (1.0 - psi_hat(iia, side, s)) / s, t)
+        assert 1.0 - cdf.interpolate(t) == pytest.approx(inverted, abs=1e-4)
+
+
+def _lundberg_root(iia, side):
+    # b E[exp(theta Y)] = 1 above (X and a below), from the divisor curve
+    _, (cdf, rate), p = _divisors(iia, side)
+    t, surv = cdf.points, 1.0 - cdf.values
+
+    def mgf(theta):
+        tail = surv[-1] * math.exp(theta * t[-1]) / (rate - theta)
+        return 1.0 + theta * (simpson(np.exp(theta * t) * surv, x=t) + tail)
+
+    return brentq(lambda theta: (1.0 - p) * mgf(theta) - 1.0, 1e-6, rate - 1e-9)
+
+
+@pytest.mark.parametrize("side", ["above", "below"])
+@pytest.mark.parametrize("u", [0.0, 0.5, 1.0])
+def test_law_slope_matches_lundberg_root(u, side):
+    iia = build_iia(M2, u)
+    cdf, _ = excursion_law(iia, side)
+    surv = 1.0 - cdf.values
+    window = (surv >= 5e-5) & (surv <= 0.5)
+    slope = np.polyfit(cdf.points[window], np.log(surv[window]), 1)[0]
+    assert -slope == pytest.approx(_lundberg_root(iia, side), abs=1e-4)
+
+
+def test_law_is_a_cdf_from_zero_to_one(iia_u1):
+    for side in ("above", "below"):
+        cdf, tail_rate = excursion_law(iia_u1, side)
+        assert cdf.points[0] == 0.0 and cdf.values[0] == 0.0
+        assert np.all(np.diff(cdf.values) >= 0.0)
+        assert abs(1.0 - cdf.values[-1]) <= 1e-10
+        assert tail_rate > 0.0
+        assert excursion_law(iia_u1, side) is excursion_law(iia_u1, side)
+
+
+def test_law_needing_knots_past_the_cap_is_a_numerical_error(monkeypatch):
+    # u = 1.25 below needs 8e4 knots of 0.01 to leave at most 1e-10 past the end
+    monkeypatch.setattr(excursions.iia, "_LAW_MAX_KNOTS", 50_000)
+    iia = build_iia(M2, 1.25)
+    with pytest.raises(NumericalError, match="u = 1.25, below side"):
+        excursion_law(iia, "below")
+    assert excursion_law(iia, "above")[0].points[-1] < 201.0
+
+
 def test_sample_mean_zero_level(iia_u0):
     # E[T] = E[X] + (1-a)/a E[Y] with E[X] = E[Y] = int sech(t/2) dt = pi
     draws = sample_excursion(iia_u0, "above", 1_000_000, seed=21)
@@ -84,8 +185,6 @@ def test_sample_mean_zero_level(iia_u0):
 
 
 def test_sample_bare_first_draw(iia_u0):
-    # a geometric count of one contributes no extra summands, so samples
-    # are bounded by the largest X quantile reachable from the grid
     draws = sample_excursion(iia_u0, "above", 1000, seed=22)
     assert np.all(draws > 0)
 
@@ -167,6 +266,47 @@ def test_persistency_table_equals_a_sequential_reference(monkeypatch, threads):
                 _assert_same_estimate(est, aggregate_fits([
                     fit_persistency(sample_excursion(ref_iia, side, samples, s))
                     for s in side_seed.spawn(reps)]))
+
+
+def test_persistency_table_shares_one_law_per_level_and_side(monkeypatch):
+    monkeypatch.setenv("EXCURSION_IIA_THREADS", "3")
+    sample = excursions.iia.inverse_cdf_sample
+    grids = []
+
+    def recording(cdf, tail_rate, uniform):
+        grids.append(cdf)
+        return sample(cdf, tail_rate, uniform)
+
+    monkeypatch.setattr(excursions.iia, "inverse_cdf_sample", recording)
+    rows = persistency_table(M2, [0.0, 1.0], 2000, 3, 5, t_max=120.0, step=0.02)
+    laws = {id(excursion_law(iia, side)[0]) for iia, _, _ in rows
+            for side in ("above", "below")}
+    assert len(grids) == 2 * 2 * 3
+    assert {id(g) for g in grids} == laws and len(laws) == 4
+
+
+def test_concurrent_first_requests_solve_each_law_once(monkeypatch):
+    solve = excursions.iia._solve_law
+    solved = []
+
+    def counting(iia, side):
+        solved.append(side)
+        return solve(iia, side)
+
+    monkeypatch.setattr(excursions.iia, "_solve_law", counting)
+    iia = build_iia(M2, 0.5, t_max=120.0, step=0.02)
+    sides = ["above", "below"] * 4
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with concurrent.futures.ThreadPoolExecutor(max_workers=len(sides)) as pool:
+            futures = [pool.submit(excursion_law, iia, side) for side in sides]
+            laws = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(solved) == ["above", "below"]
+    for side, law in zip(sides, laws):
+        assert law is excursion_law(iia, side)
 
 
 def test_persistency_table_checks_replicates_before_building():
