@@ -11,7 +11,7 @@ switch-process machinery with full Laplace-domain identities, and
 survival-tail persistency fitting close the validation loop.
 """
 
-__version__ = "0.6.0"
+__version__ = "0.7.0"
 
 from .covmodel import CovarianceModel, diffusion_covariance, validate
 from .clipped import arcsin_covariance, clipped_covariance

@@ -231,7 +231,7 @@ def _cmd_iia(cfg: dict) -> dict:
                        ((x,) for x in draws))
     return {
         "alpha": "iia.build_iia",
-        "theta_plus/theta_minus": "iia.sample_excursion + persistency.fit_persistency",
+        "theta_plus/theta_minus": "iia.persistency_table + persistency.fit_persistency",
         "ci_plus/ci_minus": "persistency.aggregate_fits",
     }
 

@@ -252,7 +252,11 @@ def sample_excursion(iia: IIAModel, side: str, n: int, seed) -> np.ndarray:
 
     Each length is one inverse-CDF draw, from ``n`` uniforms of a
     generator seeded with ``seed``, of :func:`excursion_law`, with its
-    exponential tail beyond the solved range.
+    exponential tail beyond the solved range.  The draws come in the
+    order the uniforms were generated, not sorted: ``iia --samples-csv``
+    writes them, and ``persistency --reps`` splits such a file into
+    contiguous chunks, which are independent replicates only if the
+    file is in generation order.
     """
     if n < 1:
         raise DomainError("sample count must be positive")
@@ -269,12 +273,18 @@ def persistency_table(model: CovarianceModel, levels, samples: int, reps: int,
     a single level); it spawns a seed per side and each of those a seed
     per replicate of ``samples`` draws.  Every (level, side) law is
     solved before the pool starts and shared by that side's replicates.
+    A replicate sorts its uniforms before the inverse-CDF draw, so its
+    lengths come out ascending, and are the lengths of
+    :func:`sample_excursion` at that seed in ascending order: the draw
+    finds each segment next to the last one and the fit skips its sort.
     All (level, side, replicate) tasks share the one pool of
     :func:`persistency.replicate_estimates`, which
     ``EXCURSION_IIA_THREADS`` caps.
     """
     if reps < 2:
         raise DomainError("need at least two replicates")
+    if samples < 1:
+        raise DomainError("sample count must be positive")
     if np.ndim(levels) == 0:
         levels, seeds = [levels], [seed]
     else:
@@ -287,9 +297,14 @@ def persistency_table(model: CovarianceModel, levels, samples: int, reps: int,
     groups = [((iia, side), side_seed, (f"u = {iia.level:g}, {side} side",))
               for iia, level_seed in zip(iias, seeds)
               for side, side_seed in zip(SIDES, spawn_seeds(level_seed, 2))]
-    sides = replicate_estimates(
-        lambda context, rep_seed: (sample_excursion(*context, samples, rep_seed),),
-        groups, reps)
+
+    def draw(context, rep_seed):
+        cdf, tail_rate = excursion_law(*context)
+        u = np.random.default_rng(rep_seed).random(samples)
+        u.sort()
+        return (inverse_cdf_sample(cdf, tail_rate, u),)
+
+    sides = replicate_estimates(draw, groups, reps)
     return [(iia, above, below)
             for iia, (above,), (below,) in zip(iias, sides[::2], sides[1::2])]
 

@@ -11,15 +11,9 @@ Gaver-Stehfest inversion, and monotone inverse-CDF sampling with tail
 extrapolation.  These are the kernels every other module builds on.
 
 A :class:`Grid` exposes read-only copies of its arrays, so anything
-derived from them can be computed once and cached on the grid.  The
-inverse-CDF sampler uses this twice: a grid is checked to be a CDF
-(nondecreasing, starting at zero) on its first use as one, and large
-draws find their segment through a guide table (an indexed search,
-Chen & Asau 1974; Devroye 1986, section III.2) built on that first
-large draw.  The table only replaces the bisection inside
-``np.interp``; every quantile is the same expression on the same
-segment, so the samples equal ``np.interp(u, cdf.values, cdf.points)``
-bit for bit.
+derived from them can be computed once and cached on the grid: the
+inverse-CDF sampler checks a grid to be a CDF (nondecreasing, starting
+at zero) on its first use as one.
 
 ``scipy.integrate`` is imported on first use, inside
 :func:`numerical_laplace`, so that CLI runs that never call it do not
@@ -81,8 +75,7 @@ class Grid:
     Invariants are enforced at construction: ``points`` strictly
     increasing with ``points[0] >= 0``, equal lengths, at least two
     entries.  Both arrays are read-only views of private copies of the
-    inputs, which lets the CDF check and the inverse table below be
-    cached.
+    inputs, which lets the CDF check below be cached.
     """
 
     points: np.ndarray
@@ -133,11 +126,6 @@ class Grid:
         if abs(vals[0]) > 1e-12:
             raise DomainError("cdf must start at zero")
         return float(vals[-1])
-
-    @cached_property
-    def _inverse(self) -> _GuideTable:
-        self._cdf_end
-        return _GuideTable.build(self._vals, self._pts)
 
 
 @dataclass(frozen=True)
@@ -289,67 +277,6 @@ def gaver_stehfest_invert(psi, t: float, order: int = 14) -> float:
 # inverse-CDF sampling
 # ---------------------------------------------------------------------------
 
-# draws per pass of the guide-table lookup; bounds its temporaries
-_CHUNK = 1 << 16
-
-
-@dataclass(frozen=True, eq=False)
-class _GuideTable:
-    """Guide table for inverting a nondecreasing piecewise-linear CDF.
-
-    The unit interval is cut into ``size`` equal-probability buckets,
-    ``size`` the power of two at or above the knot count, so that the
-    bucket of a draw ``u`` is exactly ``floor(u * size)``.  ``guide[k]``
-    is the last knot at or below the bucket's lower edge.  When at most
-    one more knot lies inside the bucket, a draw's segment is
-    ``guide[k]`` or the one after it, the segment ``np.interp`` finds by
-    bisection, and the quantile is the expression ``np.interp``
-    evaluates there.  The other buckets are flagged ``wide`` and left to
-    ``np.interp``: those that hold two knots or more, lie below the
-    first knot or reach the last one, or whose candidate segments have
-    an infinite slope (``np.interp`` answers an exact hit on such a
-    segment with the knot itself, where the expression gives NaN).
-    """
-
-    size: int
-    guide: np.ndarray
-    wide: np.ndarray
-    slopes: np.ndarray
-
-    @classmethod
-    def build(cls, vals: np.ndarray, pts: np.ndarray) -> _GuideTable:
-        n = len(vals)
-        size = 1 << (n - 1).bit_length()
-        edges = np.arange(size + 1) / size
-        lo = np.searchsorted(vals, edges[:-1], side="right") - 1
-        hi = np.searchsorted(vals, edges[1:], side="left") - 1
-        # flat and nearly flat CDF steps divide to +inf, flagged steep
-        # below; the padding slope and the clipped guide keep the
-        # lookups of wide-bucket draws in bounds; their results are
-        # discarded
-        with np.errstate(divide="ignore", over="ignore"):
-            slopes = np.append(np.diff(pts) / np.diff(vals), 0.0)
-        guide = np.clip(lo, 0, n - 2)
-        steep = ~np.isfinite(slopes)
-        wide = ((hi - lo > 1) | (lo < 0) | (hi >= n - 1)
-                | steep[guide] | steep[guide + 1])
-        return cls(size=size, guide=guide, wide=wide, slopes=slopes)
-
-    def lookup(self, u: np.ndarray, vals: np.ndarray, pts: np.ndarray) -> np.ndarray:
-        """``np.interp(u, vals, pts)`` for one chunk of draws in (0, 1)."""
-        k = (u * self.size).astype(np.intp)
-        j = self.guide[k]
-        j += u >= vals[1:][j]
-        # the infinite slope of a flat CDF step times an exact hit is
-        # NaN; such draws lie in wide buckets and are redone below
-        with np.errstate(invalid="ignore"):
-            out = self.slopes[j] * (u - vals[j]) + pts[j]
-        redo = self.wide[k]
-        if redo.any():
-            out[redo] = np.interp(u[redo], vals, pts)
-        return out
-
-
 def inverse_cdf_sample(cdf: Grid, tail_rate: float | None, uniform):
     """Monotone piecewise-linear inversion of a tabulated CDF.
 
@@ -359,12 +286,10 @@ def inverse_cdf_sample(cdf: Grid, tail_rate: float | None, uniform):
     tail rate the final CDF value must already be within 1e-9 of one,
     and such draws clamp to the last grid point.
 
-    Below the final CDF level the result equals
-    ``np.interp(u, cdf.values, cdf.points)`` bit for bit.  Draws at
-    least as many as the grid's knots go through the grid's cached
-    guide table (see :class:`_GuideTable`) in chunks of ``_CHUNK``;
-    fewer draws, scalars included, use ``np.interp`` directly.  The
-    grid is checked to be a CDF once, on its first use here.
+    Below the final CDF level the result is
+    ``np.interp(u, cdf.values, cdf.points)``, whose search starts from
+    the previous draw's segment, so ascending draws cost about O(1)
+    each.  The grid is checked to be a CDF once, on its first use here.
     """
     f_end = cdf._cdf_end
     if tail_rate is None and f_end < 1.0 - 1e-9:
@@ -379,14 +304,7 @@ def inverse_cdf_sample(cdf: Grid, tail_rate: float | None, uniform):
     if not np.all((u > 0.0) & (u < 1.0)):
         raise DomainError("uniform draws must lie strictly inside (0, 1)")
 
-    vals, pts = cdf._vals, cdf._pts
-    if u.size < len(vals):
-        out = np.interp(u, vals, pts)
-    else:
-        table = cdf._inverse
-        out = np.empty_like(u)
-        for lo in range(0, u.size, _CHUNK):
-            out[lo:lo + _CHUNK] = table.lookup(u[lo:lo + _CHUNK], vals, pts)
+    out = np.interp(u, cdf._vals, cdf._pts)
     over = u > f_end
     if over.any():
         if tail_rate is None:

@@ -6,10 +6,17 @@ slope -theta.  Estimation is ordinary least squares of the log
 empirical survival on t, restricted to the window where S <= 1/2
 (only the tail is informative) and at least ``min_tail_count``
 exceedances remain (the extreme tail of an empirical survival is pure
-noise and would otherwise bias the slope).  Confidence intervals come
-from independent replicates via the t distribution, whose quantile is
-``scipy.special.stdtrit`` (what ``scipy.stats.t.ppf`` evaluates), so
-that importing this module does not load ``scipy.stats``.
+noise and would otherwise bias the slope).  The slope is the centred
+closed form of simple regression, written with ``np.sum`` of products
+and no BLAS call: the fits run in the replicate pool's threads, where
+BLAS would start threads of its own and oversubscribe the CPUs.
+Samples that arrive sorted, as the replicates of
+:func:`iia.persistency_table` do, are not sorted again.
+
+Confidence intervals come from independent replicates via the t
+distribution, whose quantile is ``scipy.special.stdtrit`` (what
+``scipy.stats.t.ppf`` evaluates), so that importing this module does
+not load ``scipy.stats``.
 """
 
 from __future__ import annotations
@@ -54,14 +61,25 @@ def fit_persistency(samples, min_tail_count: int = 50) -> SurvivalFit:
     """OLS tail slope of the log empirical survival.
 
     Uses the sorted sample points with S(t) <= 1/2 and at least
-    ``min_tail_count`` samples beyond t; needs at least 10 such points.
+    ``min_tail_count`` samples beyond t; needs at least 10 such points,
+    not all equal.  Samples already in nondecreasing order skip the
+    sort.  With ``tc`` and ``lc`` the window's times and log survivals
+    less their means, the fit is the closed form
+
+        slope = Sxy / Sxx,   intercept = mean(l) - slope mean(t),
+        r^2 = Sxy^2 / (Sxx Syy),
+
+    where ``Sxx = sum(tc^2)``, ``Sxy = sum(tc lc)``, ``Syy = sum(lc^2)``.
     """
     if min_tail_count < 1:
         raise DomainError(f"min_tail_count must be at least 1, got {min_tail_count!r}")
-    x = np.sort(np.asarray(samples, dtype=float))
+    x = np.asarray(samples, dtype=float)
     n = len(x)
     if n < 100:
         raise DomainError("need at least 100 samples")
+    # a NaN fails the comparison, so it takes the sort
+    if not np.all(x[1:] >= x[:-1]):
+        x = np.sort(x)
     # NaNs sort last, so the two ends decide
     if not (x[0] > 0.0 and np.isfinite(x[-1])):
         raise DomainError("samples must be positive and finite")
@@ -73,20 +91,22 @@ def fit_persistency(samples, min_tail_count: int = 50) -> SurvivalFit:
         raise FitError(
             f"tail window holds {n_pts} points; need at least 10")
     tt = x[lo:hi]
+    if tt[0] == tt[-1]:
+        raise FitError(f"tail window holds one distinct value, {float(tt[0])!r}; no slope")
     ls = np.log((n - 1 - np.arange(lo, hi)) / n)
-    design = np.column_stack((tt, np.ones_like(tt)))
-    (slope, intercept), res, *_ = np.linalg.lstsq(design, ls, rcond=None)
+    # np.sum of products, not @ or lstsq: BLAS threads oversubscribe the pool
+    t_mean, l_mean = tt.mean(), ls.mean()
+    tc, lc = tt - t_mean, ls - l_mean
+    sxx, sxy, syy = np.sum(tc * tc), np.sum(tc * lc), np.sum(lc * lc)
+    slope = sxy / sxx
     if not slope < 0.0:
         raise FitError("tail slope is not negative; no exponential decay")
-    ss_tot = float(np.sum((ls - ls.mean()) ** 2))
-    ss_res = float(res[0]) if len(res) else float(np.sum((ls - design @ (slope, intercept)) ** 2))
-    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
     return SurvivalFit(
         theta=float(-slope),
-        intercept=float(intercept),
+        intercept=float(l_mean - slope * t_mean),
         fit_window=(float(tt[0]), float(tt[-1])),
         n_points=n_pts,
-        r_squared=r2,
+        r_squared=float(sxy * sxy / (sxx * syy)),
     )
 
 

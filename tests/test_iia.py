@@ -1,6 +1,9 @@
 import concurrent.futures
+import inspect
+import io
 import math
 import sys
+import tokenize
 
 import numpy as np
 import pytest
@@ -9,6 +12,7 @@ from scipy.optimize import brentq
 from scipy.stats import ks_2samp
 
 import excursions.iia
+import excursions.persistency
 from excursions.covmodel import diffusion_covariance
 from excursions.errors import (DomainError, GridTooShort, MonotonicityViolation,
                                NumericalError)
@@ -312,3 +316,51 @@ def test_concurrent_first_requests_solve_each_law_once(monkeypatch):
 def test_persistency_table_checks_replicates_before_building():
     with pytest.raises(DomainError, match="two replicates"):
         persistency_table(M2, [1.5], 1000, 1, 3)
+
+
+def test_persistency_table_draws_are_sorted_sample_excursion_draws(monkeypatch):
+    # replicate i of a side draws from the i-th seed its side seed spawns
+    fitted = {}
+
+    def recording(samples, label, min_tail_count=50):
+        fitted[label] = samples
+        return fit_persistency(samples, min_tail_count)
+
+    monkeypatch.setattr(excursions.persistency, "labelled_fit", recording)
+    samples, reps = 20_000, 3
+    rows = persistency_table(M2, [0.0, 1.25], samples, reps, 43, t_max=120.0, step=0.02)
+    for (iia, _, _), level_seed in zip(rows, np.random.SeedSequence(43).spawn(2)):
+        for side, side_seed in zip(("above", "below"), level_seed.spawn(2)):
+            for i, rep_seed in enumerate(side_seed.spawn(reps)):
+                draws = fitted.pop(f"u = {iia.level:g}, {side} side, replicate {i}")
+                assert np.all(draws[1:] >= draws[:-1])
+                want = np.sort(sample_excursion(iia, side, samples, rep_seed))
+                assert np.array_equal(draws.view(np.int64), want.view(np.int64))
+    assert not fitted
+
+
+def test_sample_excursion_keeps_generation_order(iia_u1):
+    # persistency --reps splits a --samples-csv file into contiguous
+    # replicates, which a sorted file would make dependent
+    draws = sample_excursion(iia_u1, "above", 10_000, seed=44)
+    assert not np.all(draws[1:] >= draws[:-1])
+
+
+def test_persistency_table_makes_no_blas_call(monkeypatch):
+    # BLAS starts threads of its own inside the pool's tasks and
+    # oversubscribes the CPUs; the fit is written without it
+    def blas(*args, **kwargs):
+        raise AssertionError("BLAS call in persistency_table")
+
+    monkeypatch.setattr(np.linalg, "lstsq", blas)
+    monkeypatch.setattr(np, "dot", blas)
+    monkeypatch.setenv("EXCURSION_IIA_THREADS", "2")
+    persistency_table(M2, [0.0, 1.0], 2000, 3, 5, t_max=120.0, step=0.02)
+    tokens = tokenize.generate_tokens(io.StringIO(inspect.getsource(fit_persistency)).readline)
+    assert "@" not in {tok.string for tok in tokens if tok.type == tokenize.OP}
+
+
+def test_persistency_table_checks_the_sample_count_before_building():
+    for samples in (0, -5):
+        with pytest.raises(DomainError, match="sample count must be positive"):
+            persistency_table(M2, [1.5], samples, 3, 3)

@@ -197,8 +197,8 @@ def test_inverse_cdf_monotonicity_violation():
 
 
 def test_inverse_cdf_bad_cdf_raises_on_every_call():
-    # the CDF check is cached only when it passes; large draws (which
-    # build the guide table) and scalars fail alike
+    # the CDF check is cached only when it passes; arrays and scalars
+    # fail alike
     dip = Grid(points=np.arange(5.0), values=np.array([0.0, 0.2, 0.1, 0.6, 1.0]))
     for u in (0.5, np.full(100, 0.5), 0.5):
         with pytest.raises(MonotonicityViolation):
@@ -241,15 +241,15 @@ def test_inverse_cdf_equals_np_interp_bitwise(steps, start, scale, span, seed):
     pts = np.concatenate(([0.0], np.cumsum(rng.uniform(1e-4, 1.0, len(steps)) * span)))
     g = Grid(points=pts, values=vals)
     size = 1 << (len(vals) - 1).bit_length()
-    # knots and their successors, bucket edges, midpoints and draws
-    # spread over every bucket, all below f_end
+    # knots and their successors, the fractions k / size, midpoints and
+    # draws spread over every 1 / size interval, all below f_end
     u = np.concatenate((vals, np.nextafter(vals, 2.0), np.arange(1, size) / size,
                         0.5 * (vals[1:] + vals[:-1]),
                         ((np.arange(size)[:, None] + rng.random((size, 8))) / size).ravel()))
     u = u[(u > 0.0) & (u < min(vals[-1], 1.0))]
     if u.size == 0:
         return
-    u = np.resize(u, max(u.size, len(vals)))    # the guide-table path
+    u = np.resize(u, max(u.size, len(vals)))    # at least one draw per knot
     assert np.array_equal(_bits(inverse_cdf_sample(g, 1.0, u)),
                           _bits(np.interp(u, vals, pts)))
     for x in u[:5]:                             # scalars
@@ -258,7 +258,7 @@ def test_inverse_cdf_equals_np_interp_bitwise(steps, start, scale, span, seed):
 
 
 def test_inverse_cdf_exact_hit_on_steep_segment():
-    # a knot on a bucket edge followed by a segment whose slope
+    # a knot at 0.5 followed by a segment whose slope
     # overflows: np.interp answers the knot itself, not inf * 0
     vals = np.array([0.0, 0.5, np.nextafter(0.5, 1.0), 1.0])
     pts = np.array([0.0, 1.0, 1e305, 2e305])
@@ -268,10 +268,8 @@ def test_inverse_cdf_exact_hit_on_steep_segment():
 
 
 def test_guide_table_is_quiet_on_flat_and_steep_steps():
-    # a flat step divides by zero and a steep one overflows in the slope
-    # table, and exact hits on them make inf * 0 in the lookup; these
-    # are scoped, so they raise no warning and leave the error state as
-    # it was
+    # exact hits on a flat step and on a step whose slope overflows
+    # raise no warning and leave the error state as it was
     vals = np.array([0.0, 0.25, 0.25, 0.5, np.nextafter(0.5, 1.0), 1.0])
     pts = np.array([0.0, 1.0, 2.0, 3.0, 1e305, 2e305])
     g = Grid(points=pts, values=vals)
@@ -285,7 +283,7 @@ def test_guide_table_is_quiet_on_flat_and_steep_steps():
 
 
 def test_inverse_cdf_bitwise_over_several_chunks():
-    # an IIA-like CDF with a long flat tail, drawn in more than one chunk
+    # an IIA-like CDF with a long flat tail, drawn 3 * 2**16 + 17 times
     t = np.linspace(0.0, 200.0, 20_001)
     f = np.minimum(1.0 - np.exp(-0.3 * t) * (1.0 + 0.2 * np.sin(t)), 1.0)
     f = np.maximum.accumulate(np.maximum(f, 0.0))

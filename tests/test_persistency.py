@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -137,3 +138,48 @@ def test_aggregate_half_width_is_the_t_quantile_bitwise():
         est = aggregate_fits(fits)
         sd = float(np.std([f.theta for f in fits], ddof=1))
         assert est.half_width == float(student_t.ppf(0.975, k - 1)) * sd / math.sqrt(k)
+
+
+def _lstsq_fit(samples, min_tail_count=50):
+    # the least-squares fit by np.linalg.lstsq, as a reference
+    x = np.sort(samples)
+    n = len(x)
+    lo, hi = n - 1 - n // 2, n - min_tail_count
+    tt = x[lo:hi]
+    ls = np.log((n - 1 - np.arange(lo, hi)) / n)
+    design = np.column_stack((tt, np.ones_like(tt)))
+    (slope, intercept), res, *_ = np.linalg.lstsq(design, ls, rcond=None)
+    return -slope, intercept, 1.0 - res[0] / np.sum((ls - ls.mean()) ** 2)
+
+
+def test_closed_form_fit_equals_an_lstsq_reference():
+    rng = np.random.default_rng(13)
+    n = 10_000
+    body = -np.log((n - np.arange(1, n)) / n) / 0.37
+    cases = [(rng.exponential(2.0, 200_000), 50), (rng.gamma(2.5, 1.3, 50_000), 20),
+             (np.concatenate([body, [body[-1] + 1.0]]), 50)]
+    for x, count in cases:
+        fit = fit_persistency(x, count)
+        ref = _lstsq_fit(x, count)
+        for got, want in zip((fit.theta, fit.intercept, fit.r_squared), ref):
+            assert got == pytest.approx(want, rel=1e-12)
+
+
+def test_sorted_and_shuffled_samples_fit_alike():
+    x = np.random.default_rng(14).exponential(1.0, 50_000)
+    assert fit_persistency(x) == fit_persistency(np.sort(x))
+
+
+def test_nan_at_the_end_of_sorted_samples_is_a_domain_error():
+    x = np.append(np.sort(np.random.default_rng(15).exponential(1.0, 1000)), np.nan)
+    with pytest.raises(DomainError, match="positive and finite"):
+        fit_persistency(x)
+
+
+def test_fit_error_when_the_tail_window_holds_one_value():
+    # lstsq's minimum-norm answer gave theta = 0.4003 with r^2 = 0 here
+    x = np.concatenate((np.linspace(0.1, 0.5, 50), np.full(150, 2.0)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FitError, match="one distinct value"):
+            fit_persistency(x)
