@@ -6,9 +6,11 @@ crossing-conditioned (Slepian) representation: the expected value of
 the clipped crossing process is matched to a non-stationary binary
 switch process, whose switching-time laws are geometric sums with a
 renewal law that one FFT solves and one inverse-CDF draw per excursion
-samples.  A trajectory simulator (circulant embedding),
-switch-process machinery with full Laplace-domain identities, and
-survival-tail persistency fitting close the validation loop.
+samples.  A trajectory simulator (circulant embedding) with crossing
+extraction, switch-process machinery with full Laplace-domain
+identities, and survival-tail persistency fitting close the validation
+loop.  Simulated paths, whether trajectories or crossing-conditioned
+samples, are plain arrays with one row per path.
 """
 
 __version__ = "0.7.0"
@@ -18,18 +20,16 @@ from .clipped import arcsin_covariance, clipped_covariance
 from .errors import (DomainError, EmptyExcursionSet, ExcursionError, FitError,
                      GridTooShort, MonotonicityViolation, NumericalError,
                      ValidationError)
-from .gpsim import (ExcursionSet, Trajectory, extract_excursions,
-                    persistency_from_trajectories, rice_crossing_rate,
-                    simulate_gp, simulate_gp_batch, simulate_gp_spectral)
+from .gpsim import (extract_excursions, persistency_from_trajectories,
+                    rice_crossing_rate, simulate_gp_batch, simulate_gp_spectral)
 from .iia import (IIAModel, build_iia, excursion_law, persistency_table, psi_hat,
                   sample_excursion)
 from .numerics import (Grid, TailModel, b_integral, fit_exponential_tail,
                        gaver_stehfest_invert, inverse_cdf_sample, norm_cdf,
                        numerical_laplace)
 from .persistency import BatchEstimate, SurvivalFit, aggregate_fits, fit_persistency
-from .slepian import (SlepianPath, conditional_expected_clipped,
-                      expected_clipped_down, expected_clipped_up,
-                      sample_slepian_path)
+from .slepian import (conditional_expected_clipped, expected_clipped_down,
+                      expected_clipped_up, sample_slepian_path)
 from .switchproc import (CharacteristicEstimate, IntervalDistribution,
                          SwitchPaths, deterministic_interval, erlang_interval,
                          estimate_characteristics, exponential_interval,

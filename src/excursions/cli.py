@@ -21,7 +21,13 @@ A JSON config file can set the subcommand's optional keys and ``seed``;
 explicit flags win.  Each value it sets must have the declared type
 (``None`` where the default is ``None``); any other key or value is a
 ``DomainError``.  An integer given for a float option is stored as a
-float, so it records and hashes as the flag would.
+float, so it records and hashes as the flag would.  A negative seed,
+from either source, is a ``DomainError``.
+
+Exit codes: 0 on success, 1 for bad input (``DomainError``), 2 for a
+numerical failure (other ``ExcursionError``) and 64 for a usage error.
+A reader that closes stdout early, as ``| head`` does, also ends the run
+with 0 and nothing on stderr: the rest of the output is discarded.
 
 ``table1``/``iia`` and ``table2``/``gp-sim`` each make one call of
 :func:`iia.persistency_table` or :func:`gpsim.persistency_from_trajectories`,
@@ -38,6 +44,7 @@ import hashlib
 import itertools
 import json
 import math
+import os
 import re
 import sys
 import time
@@ -130,6 +137,8 @@ def _merged_config(ns: argparse.Namespace) -> dict:
             # a JSON integer for a float option is the setting the flag gives
             cfg[key] = float(value) if kind is float and value is not None else value
     cfg.update((k, v) for k, v in vars(ns).items() if k != "config")
+    if cfg["seed"] < 0:
+        raise DomainError(f"seed must be a non-negative integer, got {cfg['seed']}")
     return cfg
 
 
@@ -271,6 +280,11 @@ def _cmd_switch_sim(cfg: dict) -> dict:
                                   p0=cfg["p0"])
     grid = np.linspace(0.0, cfg["horizon"], cfg["grid_points"])
     est = estimate_characteristics(paths, grid)
+    for state, size in (("+1", est.n_plus), ("-1", est.n_minus)):
+        if size == 0:
+            raise DomainError(f"no path starts in state {state}, so its columns "
+                              "would be empty; give --p0 strictly between 0 and 1 "
+                              "and enough --paths")
     _write_csv(cfg["out"],
                "t,p_plus,se_p_plus,p_minus,se_p_minus,e_plus,se_e_plus,"
                "e_minus,se_e_minus,covariance,se_covariance,"
@@ -298,11 +312,13 @@ def _cmd_clipped_cov(cfg: dict) -> dict:
 def _cmd_slepian_sample(cfg: dict) -> dict:
     model = _model_from(cfg)
     grid = uniform_grid(cfg["grid_max"], cfg["grid_step"])
-    paths = sample_slepian_path(model, cfg["level"], grid, cfg["paths"], cfg["seed"])
+    det, slope, residual = sample_slepian_path(model, cfg["level"], grid, cfg["paths"],
+                                               cfg["seed"])
+    total = det + slope + residual
     _write_csv(cfg["out"], "t,deterministic,slope_component,residual,total,replicate_id",
-               (row for rep, p in enumerate(paths)
-                for row in zip(grid, p.deterministic_part, p.slope_part,
-                               p.residual_part, p.total, itertools.repeat(rep))))
+               (row for rep in range(cfg["paths"])
+                for row in zip(grid, det, slope[rep], residual[rep], total[rep],
+                               itertools.repeat(rep))))
     return {"paths": "slepian.sample_slepian_path"}
 
 
@@ -455,6 +471,12 @@ def run(argv) -> int:
         cfg = _merged_config(ns)
         provenance = _COMMANDS[ns.command][0](cfg)
         _write_manifest(cfg, provenance, started)
+        sys.stdout.flush()      # a closed pipe raises here, not at shutdown
+        return 0
+    except BrokenPipeError:
+        # the reader has gone; point stdout at devnull so that the flush
+        # at shutdown finds somewhere to put what is left
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
     except DomainError as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -45,8 +45,8 @@ zero cannot hide one.  Extraction runs once per chunk of paths and
 level: a few passes over the whole chunk find every row's crossings
 with no per-row loop, and only the rare irregular cases (a sample on
 the level next to a crossing, two crossings at one instant, a row with
-fewer than two crossings) take slower rules.  A single trajectory is
-the one-row chunk.  The Rice crossing intensity
+fewer than two crossings) take slower rules; one path is extracted as a
+one-row chunk.  The Rice crossing intensity
 
     (1/pi) sqrt(-r''(0)) exp(-u^2 / 2)
 
@@ -63,7 +63,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft
@@ -73,9 +72,6 @@ from .errors import DomainError, EmptyExcursionSet, NumericalError
 from .persistency import BatchEstimate, replicate_estimates
 
 __all__ = [
-    "Trajectory",
-    "ExcursionSet",
-    "simulate_gp",
     "simulate_gp_batch",
     "simulate_gp_spectral",
     "extract_excursions",
@@ -86,36 +82,6 @@ __all__ = [
 _COV_FLOOR = 1e-16          # treat the covariance as dead beyond this
 _NEG_EIG_BUDGET = 1e-8      # relative to the embedding trace
 _CHUNK_ROWS = 32            # complex rows transformed together
-
-
-@dataclass(frozen=True, eq=False)
-class Trajectory:
-    """A simulated stationary Gaussian path on a uniform grid."""
-
-    dt: float
-    values: np.ndarray
-    model_name: str
-    seed: object = None
-
-    def __post_init__(self):
-        if len(self.values) < 2:
-            raise DomainError("trajectory needs at least two samples")
-        if not np.isfinite(self.values).all():
-            raise DomainError("trajectory values must be finite")
-
-    @property
-    def duration(self) -> float:
-        return self.dt * (len(self.values) - 1)
-
-
-@dataclass(frozen=True, eq=False)
-class ExcursionSet:
-    """Complete excursion lengths of one trajectory at a level."""
-
-    above_lengths: np.ndarray
-    below_lengths: np.ndarray
-    level: float
-    crossing_count: int
 
 
 def _check_grid(dt: float, n: int) -> None:
@@ -198,14 +164,6 @@ def _iter_paths(lam: np.ndarray, starts: tuple, n: int, count: int, rng):
                     yield paths
 
 
-def simulate_gp(model: CovarianceModel, dt: float, n: int, seed) -> Trajectory:
-    """One stationary Gaussian trajectory with exact grid covariance."""
-    _check_grid(dt, n)
-    rng = np.random.default_rng(seed)
-    values = next(_iter_paths(*_embedding(model, dt, n), n, 1, rng))[0].copy()
-    return Trajectory(dt=dt, values=values, model_name=model.name, seed=seed)
-
-
 def simulate_gp_batch(model: CovarianceModel, dt: float, n: int,
                       count: int, seed) -> np.ndarray:
     """``count`` independent trajectories as a (count, n) array."""
@@ -221,7 +179,7 @@ def simulate_gp_batch(model: CovarianceModel, dt: float, n: int,
     return out
 
 
-def simulate_gp_spectral(model: CovarianceModel, dt: float, n: int, seed) -> Trajectory:
+def simulate_gp_spectral(model: CovarianceModel, dt: float, n: int, seed) -> np.ndarray:
     """Spectral synthesis route; requires the model to carry a spectrum.
 
     Independent of the circulant path, hence usable to bound simulator
@@ -246,8 +204,7 @@ def simulate_gp_spectral(model: CovarianceModel, dt: float, n: int, seed) -> Tra
     coeff = np.sqrt(bin_var / 2.0) * (re - 1j * im)
     coeff[0] = math.sqrt(bin_var[0]) * re[0]
     coeff[-1] = math.sqrt(bin_var[-1]) * re[-1]
-    values = np.fft.irfft(coeff, n=m) * m
-    return Trajectory(dt=dt, values=values[:n], model_name=model.name, seed=seed)
+    return (np.fft.irfft(coeff, n=m) * m)[:n]
 
 
 def _excursions(paths: np.ndarray, u: float, dt: float):
@@ -297,24 +254,30 @@ def _excursions(paths: np.ndarray, u: float, dt: float):
     return lengths[above], lengths[~above], len(row)
 
 
-def extract_excursions(traj: Trajectory, u: float) -> ExcursionSet:
-    """Alternating above/below interval lengths of one trajectory.
+def extract_excursions(values, u: float, dt: float):
+    """Alternating above/below interval lengths of one path at level ``u``.
 
-    Crossing instants are located by linear interpolation between the
-    bracketing samples; boundary intervals (cut by the window) are
-    dropped.  A sample exactly at the level is on neither side: a path
-    that passes through the level at a run of such samples crosses once,
-    at the first sample of the run, and one that touches the level and
-    returns does not cross.  Two crossings that round to the same instant
-    are such a touch, within rounding: both are dropped and the intervals
-    on either side merge, so every length is positive.  Raises
-    :class:`EmptyExcursionSet` when fewer than two crossings exist.  This
-    is the one-row case of the chunk extraction that the table estimator
-    runs.
+    ``values`` is a 1-d path of at least two finite samples spaced ``dt``
+    apart.  Returns ``(above, below, crossings)``, the lengths on each
+    side and the number of crossings.  Crossing instants are located by
+    linear interpolation between the bracketing samples; boundary
+    intervals (cut by the window) are dropped.  A sample exactly at the
+    level is on neither side: a path that passes through the level at a
+    run of such samples crosses once, at the first sample of the run,
+    and one that touches the level and returns does not cross.  Two
+    crossings that round to the same instant are such a touch, within
+    rounding: both are dropped and the intervals on either side merge,
+    so every length is positive.  Raises :class:`EmptyExcursionSet` when
+    fewer than two crossings exist.  This is the one-row case of the
+    chunk extraction that the table estimator runs.
     """
-    above, below, crossings = _excursions(traj.values[None, :], u, traj.dt)
-    return ExcursionSet(above_lengths=above, below_lengths=below,
-                        level=float(u), crossing_count=crossings)
+    values = np.asarray(values, dtype=float)
+    if values.ndim != 1:
+        raise DomainError(f"a path must be a 1-d array, got shape {values.shape}")
+    _check_grid(dt, len(values))
+    if not np.isfinite(values).all():
+        raise DomainError("path values must be finite")
+    return _excursions(values[None, :], u, dt)
 
 
 def rice_crossing_rate(model: CovarianceModel, u: float) -> float:

@@ -21,9 +21,10 @@ sgn(X_u(t) - u),
     sD = sqrt(1 - r^2 + r'^2 / r''(0)),
 
 with limits E_u^+(0+) = 1 and E_u^+(inf) = 1 - 2 Phi(u), together with
-the down-crossing counterpart E_u^-(t) = -E_{-u}^+(t), the conditional
-version given the slope factor, and a sampler for the three-component
-decomposition.
+the down-crossing counterpart E_u^-(t) = -E_{-u}^+(t) and the conditional
+version given the slope factor.  A sampler draws the three components
+of many crossing-conditioned paths on one grid: the deterministic part
+once, the slope and residual parts as one row per path.
 
 Numerically the formula is a 0/0 battleground as t -> 0: both
 ``1 - r^2`` and ``r'^2 / r''(0)`` collapse onto each other at order
@@ -36,7 +37,6 @@ exhausted.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtr
@@ -45,7 +45,6 @@ from .covmodel import CovarianceModel
 from .errors import DomainError, NumericalError
 
 __all__ = [
-    "SlepianPath",
     "expected_clipped_up",
     "expected_clipped_down",
     "conditional_expected_clipped",
@@ -148,22 +147,6 @@ def conditional_expected_clipped(model: CovarianceModel, u: float, t, s):
     return out
 
 
-@dataclass(frozen=True, eq=False)
-class SlepianPath:
-    """One sampled path of the three-component crossing decomposition."""
-
-    grid: np.ndarray
-    deterministic_part: np.ndarray
-    slope_part: np.ndarray
-    residual_part: np.ndarray
-    rayleigh_draw: float
-    level: float
-
-    @property
-    def total(self) -> np.ndarray:
-        return self.deterministic_part + self.slope_part + self.residual_part
-
-
 def _residual_covariance(model: CovarianceModel, t: np.ndarray) -> np.ndarray:
     tt = t[:, None]
     ss = t[None, :]
@@ -174,15 +157,18 @@ def _residual_covariance(model: CovarianceModel, t: np.ndarray) -> np.ndarray:
 
 
 def sample_slepian_path(model: CovarianceModel, u: float, grid,
-                        count: int, seed) -> list[SlepianPath]:
-    """Sample crossing-conditioned paths on a grid starting at zero.
+                        count: int, seed):
+    """Sample ``count`` crossing-conditioned paths on a grid starting at zero.
 
-    Draws ``R ~ Rayleigh(1)`` and the residual as a zero-mean Gaussian
-    vector with covariance ``r_Delta``.  The residual vanishes
-    identically at ``t = 0`` (its variance there is exactly zero), so
-    it is sampled on the interior grid and pinned to zero at the
-    origin; every returned path satisfies ``total[0] == u`` exactly and
-    starts with positive slope.
+    Returns ``(deterministic, slope, residual)`` with shapes ``(n,)``,
+    ``(count, n)`` and ``(count, n)`` for a grid of ``n`` points; path
+    ``i`` is ``deterministic + slope[i] + residual[i]``.  The generator
+    draws the ``count`` factors ``R ~ Rayleigh(1)`` first, then the
+    residuals, each a zero-mean Gaussian vector with covariance
+    ``r_Delta``.  The residual vanishes identically at ``t = 0`` (its
+    variance there is exactly zero), so it is sampled on the interior
+    grid and pinned to zero at the origin; every path equals ``u`` at
+    ``t = 0`` exactly and starts with positive slope.
 
     The covariance factorization retries with escalating diagonal
     jitter from 1e-14 to 1e-10 and raises :class:`NumericalError`
@@ -219,16 +205,6 @@ def sample_slepian_path(model: CovarianceModel, u: float, grid,
     slope_shape = -np.asarray(model.r_prime(t), dtype=float) / math.sqrt(g2)
 
     rdraws = rng.rayleigh(1.0, size=count)
-    residuals = rng.standard_normal((count, len(interior))) @ chol.T
-
-    paths = []
-    for i in range(count):
-        paths.append(SlepianPath(
-            grid=t,
-            deterministic_part=det_part,
-            slope_part=rdraws[i] * slope_shape,
-            residual_part=np.concatenate(([0.0], residuals[i])),
-            rayleigh_draw=float(rdraws[i]),
-            level=float(u),
-        ))
-    return paths
+    residual = np.zeros((count, len(t)))
+    residual[:, 1:] = rng.standard_normal((count, len(interior))) @ chol.T
+    return det_part, rdraws[:, None] * slope_shape, residual

@@ -17,7 +17,7 @@ from excursions.cli import run
 from excursions.covmodel import diffusion_covariance
 from excursions.errors import MonotonicityViolation
 from excursions.gpsim import (extract_excursions, persistency_from_trajectories,
-                              rice_crossing_rate, simulate_gp)
+                              rice_crossing_rate, simulate_gp_batch)
 from excursions.iia import build_iia, persistency_table, psi_hat, sample_excursion
 from excursions.numerics import norm_cdf
 from excursions.slepian import (conditional_expected_clipped,
@@ -213,11 +213,12 @@ def test_criterion_11_trajectory_side(table2_estimates):
                        abs(below.mean_theta - ref_m), tol)
     ok_theta = all(dp < tol and dm < tol for dp, dm, tol in devs.values())
 
-    traj = simulate_gp(M2, 0.05, 4_000_000, seed=7)
+    dt, n = 0.05, 4_000_000
+    path = simulate_gp_batch(M2, dt, n, 1, seed=7)[0]
     worst_rate = 0.0
     for u in (0.0, 1.0):
-        exc = extract_excursions(traj, u)
-        rate = exc.crossing_count / traj.duration
+        _, _, crossings = extract_excursions(path, u, dt)
+        rate = crossings / (dt * (n - 1))
         worst_rate = max(worst_rate,
                          abs(rate / rice_crossing_rate(M2, u) - 1.0))
     ok = ok_theta and worst_rate < 0.02

@@ -539,3 +539,53 @@ def test_persistency_reps_below_one_is_an_error(tmp_path, capsys):
     assert run(["persistency", "--samples", csv, "--reps", "1", "--out", str(out)]) == 0
     res = json.loads(out.read_text())
     assert res["reps"] == 1 and res["ci"] is None
+
+
+@pytest.mark.parametrize("args", [
+    ["iia", "--level", "0"] + FAST_IIA,
+    ["gp-sim", "--level", "0"] + FAST_TRAJ,
+    ["switch-sim", "--paths", "10"],
+    ["slepian-sample", "--level", "0", "--paths", "2"],
+    ["table1", "--levels", "0"] + FAST_IIA,
+    ["table2", "--levels", "0"] + FAST_TRAJ,
+], ids=lambda args: args[0])
+def test_negative_seed_exits_one(tmp_path, capsys, args):
+    out = tmp_path / "res.out"
+    assert run(args + ["--seed", "-1", "--out", str(out)]) == 1
+    config = tmp_path / "seed.json"
+    config.write_text(json.dumps({"seed": -3}))
+    assert run(args + ["--config", str(config), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err == ("error: seed must be a non-negative integer, got -1\n"
+                   "error: seed must be a non-negative integer, got -3\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["slepian-sample", "--level", "0", "--paths", "2000"],
+    ["switch-sim", "--paths", "10", "--grid-points", "20000"],
+    ["clipped-cov", "--level", "0.5", "--t-max", "200", "--step", "0.001"],
+], ids=lambda args: args[0])
+def test_csv_to_a_reader_that_stops_early_exits_quietly(args):
+    # as `| head -1` does: read the header, then close the pipe while the
+    # command still has megabytes to write
+    proc = subprocess.Popen([sys.executable, "-m", "excursions.cli"] + args,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline().startswith(b"t,")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 0
+    assert err == b""
+
+
+@pytest.mark.parametrize("p0, state", [("0", "+1"), ("1", "-1")])
+def test_switch_sim_with_an_empty_initial_state_exits_one(tmp_path, capsys, p0, state):
+    out = tmp_path / "sw.csv"
+    assert run(["switch-sim", "--paths", "20", "--p0", p0, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err == (f"error: no path starts in state {state}, so its columns would be "
+                   "empty; give --p0 strictly between 0 and 1 and enough --paths\n")
+    assert not out.exists()

@@ -7,9 +7,9 @@ import pytest
 from excursions import gpsim
 from excursions.covmodel import CovarianceModel, diffusion_covariance
 from excursions.errors import DomainError, EmptyExcursionSet
-from excursions.gpsim import (Trajectory, _embedding, extract_excursions,
+from excursions.gpsim import (_embedding, extract_excursions,
                               persistency_from_trajectories, rice_crossing_rate,
-                              simulate_gp, simulate_gp_batch, simulate_gp_spectral)
+                              simulate_gp_batch, simulate_gp_spectral)
 from excursions.persistency import aggregate_fits, fit_persistency
 
 M2 = diffusion_covariance(2)
@@ -46,10 +46,9 @@ def test_lag_covariance_matches_model():
 
 
 def test_equal_seeds_bit_identical():
-    a = simulate_gp(M2, 0.05, 4000, seed=3)
-    b = simulate_gp(M2, 0.05, 4000, seed=3)
-    assert np.array_equal(a.values, b.values)
-    assert a.dt == b.dt
+    a = simulate_gp_batch(M2, 0.05, 4000, 1, seed=3)[0]
+    b = simulate_gp_batch(M2, 0.05, 4000, 1, seed=3)[0]
+    assert np.array_equal(a, b)
 
 
 def test_marginal_normality_moments():
@@ -61,7 +60,7 @@ def test_marginal_normality_moments():
 
 def test_spectral_route_agrees():
     paths = np.stack([
-        simulate_gp_spectral(M2, 0.05, 10_000, seed=s).values
+        simulate_gp_spectral(M2, 0.05, 10_000, seed=s)
         for s in range(200)])
     flat = paths.ravel()
     assert abs(flat.var() - 1.0) < 0.02
@@ -78,34 +77,25 @@ def test_spectral_requires_spectrum():
 def test_extract_excursions_sine_wave():
     dt = 1e-3
     t = np.arange(0.0, 5.0, dt)
-    traj = Trajectory(dt=dt, values=np.sin(2 * math.pi * t), model_name="sine")
-    exc = extract_excursions(traj, 0.0)
-    lengths = np.concatenate([exc.above_lengths, exc.below_lengths])
+    above, below, _ = extract_excursions(np.sin(2 * math.pi * t), 0.0, dt)
+    lengths = np.concatenate([above, below])
     assert np.all(np.abs(lengths - 0.5) < 2 * dt)
-    assert abs(len(exc.above_lengths) - len(exc.below_lengths)) <= 1
+    assert abs(len(above) - len(below)) <= 1
 
 
 @pytest.mark.parametrize("u", [0.0, 0.5])
 def test_extract_crossings_through_samples_at_the_level(u):
     def excursions(values):
-        return extract_excursions(
-            Trajectory(dt=1.0, values=u + np.array(values, dtype=float), model_name="x"), u)
+        above, below, crossings = extract_excursions(
+            u + np.array(values, dtype=float), u, 1.0)
+        return above.tolist(), below.tolist(), crossings
 
     # passing through the level at a sample crosses once, at that sample
-    through = excursions([1, -1, 1, 0, -1, 1, -1])
-    assert through.crossing_count == 5
-    assert through.above_lengths.tolist() == [1.5, 1.0]
-    assert through.below_lengths.tolist() == [1.0, 1.5]
+    assert excursions([1, -1, 1, 0, -1, 1, -1]) == ([1.5, 1.0], [1.0, 1.5], 5)
     # touching the level and returning to the same side does not cross
-    touch = excursions([1, -1, 0, -1, 1, -1])
-    assert touch.crossing_count == 3
-    assert touch.above_lengths.tolist() == [1.0]
-    assert touch.below_lengths.tolist() == [3.0]
+    assert excursions([1, -1, 0, -1, 1, -1]) == ([1.0], [3.0], 3)
     # a run of samples at the level crosses once, at its first sample
-    run = excursions([1, -1, 0, 0, 1, 0, 0, 0, -1, 1])
-    assert run.crossing_count == 4
-    assert run.above_lengths.tolist() == [3.0]
-    assert run.below_lengths.tolist() == [1.5, 3.5]
+    assert excursions([1, -1, 0, 0, 1, 0, 0, 0, -1, 1]) == ([3.0], [1.5, 3.5], 4)
 
 
 @pytest.mark.parametrize("u", [0.0, 0.5])
@@ -114,16 +104,16 @@ def test_extract_drops_crossings_that_round_to_one_instant(u):
     # into and out of it both round to t = 9999 dt and are dropped, so the
     # above intervals around them merge
     values = u + np.array([1, -1] + [1] * 9997 + [-1e-15, 1, 1, 1, -1, 1], dtype=float)
-    exc = extract_excursions(Trajectory(dt=0.05, values=values, model_name="x"), u)
-    assert exc.crossing_count == 4
-    lengths = np.concatenate([exc.above_lengths, exc.below_lengths])
+    above, below, crossings = extract_excursions(values, u, 0.05)
+    assert crossings == 4
+    lengths = np.concatenate([above, below])
     assert np.all(lengths > 0.0)
     # alternation: one interval between each pair of successive crossings,
     # and the sides take turns
-    assert len(lengths) == exc.crossing_count - 1
-    assert abs(len(exc.above_lengths) - len(exc.below_lengths)) <= 1
-    assert exc.above_lengths == pytest.approx([10_001 * 0.05], rel=1e-12)
-    assert exc.below_lengths == pytest.approx([0.05, 0.05], rel=1e-12)
+    assert len(lengths) == crossings - 1
+    assert abs(len(above) - len(below)) <= 1
+    assert above == pytest.approx([10_001 * 0.05], rel=1e-12)
+    assert below == pytest.approx([0.05, 0.05], rel=1e-12)
 
 
 @pytest.mark.parametrize("values, below, above", [
@@ -133,20 +123,17 @@ def test_extract_drops_crossings_that_round_to_one_instant(u):
     ([1, -1, 0, 1, 1e-200, -1e-200, -1, 1, -1, 1], [0.15, 0.2, 0.1], [0.25, 0.1]),
 ])
 def test_extract_finds_crossings_whose_product_underflows(values, below, above):
-    exc = extract_excursions(Trajectory(dt=0.1, values=np.array(values, dtype=float),
-                                        model_name="x"), 0.0)
-    assert exc.crossing_count == 6
+    got_above, got_below, crossings = extract_excursions(
+        np.array(values, dtype=float), 0.0, 0.1)
+    assert crossings == 6
     # five intervals between six crossings, the sides taking turns
-    assert exc.below_lengths == pytest.approx(below, rel=1e-12)
-    assert exc.above_lengths == pytest.approx(above, rel=1e-12)
+    assert got_below == pytest.approx(below, rel=1e-12)
+    assert got_above == pytest.approx(above, rel=1e-12)
 
 
 def _per_row(rows, u, dt):
-    excs = [extract_excursions(Trajectory(dt=dt, values=row, model_name=""), u)
-            for row in rows]
-    return (np.concatenate([e.above_lengths for e in excs]),
-            np.concatenate([e.below_lengths for e in excs]),
-            sum(e.crossing_count for e in excs))
+    above, below, crossings = zip(*(extract_excursions(row, u, dt) for row in rows))
+    return np.concatenate(above), np.concatenate(below), sum(crossings)
 
 
 def _loop_reference(row, u, dt):
@@ -182,11 +169,8 @@ def test_chunk_extraction_equals_per_row_extraction():
             assert all(np.array_equal(a, b) for a, b in zip(pooled, reference))
         # the one-row kernel against a loop over the samples, bit for bit
         for row in batch[::10]:
-            exc = extract_excursions(Trajectory(dt=dt, values=row, model_name=""), u)
-            above, below, count = _loop_reference(row, u, dt)
-            assert exc.above_lengths.tolist() == above
-            assert exc.below_lengths.tolist() == below
-            assert exc.crossing_count == count
+            above, below, count = extract_excursions(row, u, dt)
+            assert (above.tolist(), below.tolist(), count) == _loop_reference(row, u, dt)
 
 
 @pytest.mark.parametrize("u", [0.0, 0.5])
@@ -205,14 +189,12 @@ def test_chunk_extraction_of_irregular_rows_equals_per_row_extraction(u):
     reference = _per_row(rows, u, dt)
     assert all(np.array_equal(a, b) for a, b in zip(pooled, reference))
     for row in rows:
-        exc = extract_excursions(Trajectory(dt=dt, values=row, model_name=""), u)
-        above, below, count = _loop_reference(row, u, dt)
-        assert (exc.above_lengths.tolist(), exc.below_lengths.tolist()) == (above, below)
-        assert exc.crossing_count == count
+        above, below, count = extract_excursions(row, u, dt)
+        assert (above.tolist(), below.tolist(), count) == _loop_reference(row, u, dt)
     # a row with no crossing raises as it does alone
     flat = np.full(n, u + 2.0)
     with pytest.raises(EmptyExcursionSet) as alone:
-        extract_excursions(Trajectory(dt=dt, values=flat, model_name=""), u)
+        extract_excursions(flat, u, dt)
     assert str(alone.value) == f"no complete excursion of level {u} in the trajectory"
     with pytest.raises(EmptyExcursionSet) as in_chunk:
         gpsim._excursions(np.vstack([rows, flat]), u, dt)
@@ -220,22 +202,17 @@ def test_chunk_extraction_of_irregular_rows_equals_per_row_extraction(u):
 
 
 def test_extract_alternation_and_balance():
-    traj = Trajectory(dt=0.05, values=simulate_gp(M2, 0.05, 200_000, seed=5).values,
-                      model_name=M2.name)
-    exc = extract_excursions(traj, 0.0)
-    assert abs(len(exc.above_lengths) - len(exc.below_lengths)) <= 1
+    path = simulate_gp_batch(M2, 0.05, 200_000, 1, seed=5)[0]
+    above, below, _ = extract_excursions(path, 0.0, 0.05)
+    assert abs(len(above) - len(below)) <= 1
     # zero level: above and below lengths share the same law
-    mean_a = exc.above_lengths.mean()
-    mean_b = exc.below_lengths.mean()
-    se = (exc.above_lengths.std() / math.sqrt(len(exc.above_lengths))
-          + exc.below_lengths.std() / math.sqrt(len(exc.below_lengths)))
-    assert abs(mean_a - mean_b) < 3.0 * se
+    se = (above.std() / math.sqrt(len(above)) + below.std() / math.sqrt(len(below)))
+    assert abs(above.mean() - below.mean()) < 3.0 * se
 
 
 def test_extract_no_crossings():
-    traj = Trajectory(dt=0.1, values=np.zeros(100) + 0.2, model_name="flat")
     with pytest.raises(EmptyExcursionSet):
-        extract_excursions(traj, 5.0)
+        extract_excursions(np.zeros(100) + 0.2, 5.0, 0.1)
 
 
 def test_rice_rate_values():
@@ -246,10 +223,11 @@ def test_rice_rate_values():
 
 
 def test_empirical_crossing_rate_matches_rice():
-    traj = simulate_gp(M2, 0.05, 4_000_000, seed=7)
+    dt, n = 0.05, 4_000_000
+    path = simulate_gp_batch(M2, dt, n, 1, seed=7)[0]
     for u in (0.0, 1.0):
-        exc = extract_excursions(traj, u)
-        rate = exc.crossing_count / traj.duration
+        _, _, crossings = extract_excursions(path, u, dt)
+        rate = crossings / (dt * (n - 1))
         assert rate == pytest.approx(rice_crossing_rate(M2, u), rel=0.02)
 
 
@@ -276,11 +254,10 @@ def test_persistency_from_trajectories_equals_a_sequential_reference(monkeypatch
         fits = []                           # per replicate: per level, both sides
         for rep_seed in np.random.SeedSequence(43).spawn(reps):
             batch = simulate_gp_batch(M2, dt, n, n_traj // reps, rep_seed)
-            excs = [[extract_excursions(Trajectory(dt=dt, values=row, model_name=""), u)
-                     for row in batch] for u in us]
-            fits.append([(fit_persistency(np.concatenate([e.above_lengths for e in level])),
-                          fit_persistency(np.concatenate([e.below_lengths for e in level])))
-                         for level in excs])
+            excs = [zip(*(extract_excursions(row, u, dt) for row in batch)) for u in us]
+            fits.append([(fit_persistency(np.concatenate(above)),
+                          fit_persistency(np.concatenate(below)))
+                         for above, below, _ in excs])
         for k, estimates in enumerate(rows):
             for est, side in zip(estimates, zip(*(rep[k] for rep in fits))):
                 ref = aggregate_fits(side)
@@ -368,14 +345,17 @@ def test_persistency_from_trajectories_memory_is_flat_in_the_trajectory_count(
 
 def test_trajectory_validation():
     with pytest.raises(DomainError):
-        Trajectory(dt=0.1, values=np.array([1.0]), model_name="x")
+        extract_excursions(np.array([1.0]), 0.0, 0.1)
     for bad in (math.nan, math.inf):
         with pytest.raises(DomainError, match="must be finite"):
-            Trajectory(dt=0.1, values=np.array([1.0, -1.0, bad, 1.0]), model_name="x")
+            extract_excursions(np.array([1.0, -1.0, bad, 1.0]), 0.0, 0.1)
+    for dt in (0.0, -0.1, math.nan, math.inf):
+        with pytest.raises(DomainError):
+            extract_excursions(np.array([1.0, -1.0, 1.0]), 0.0, dt)
     with pytest.raises(DomainError):
-        simulate_gp(M2, -0.1, 100, seed=0)
+        simulate_gp_batch(M2, -0.1, 100, 1, seed=0)
     with pytest.raises(DomainError):
-        simulate_gp(M2, 0.1, 1, seed=0)
+        simulate_gp_batch(M2, 0.1, 1, 1, seed=0)
 
 
 def _out_of_place(model, dt, n, count, seed, windows):
@@ -413,7 +393,7 @@ def test_one_window_batch_equals_out_of_place_reference(count):
                                                    (CAUCHY, 0.2, 1000, 1)])
 def test_single_path_is_the_first_path_of_the_out_of_place_reference(model, dt, n,
                                                                     windows):
-    assert np.array_equal(simulate_gp(model, dt, n, seed=17).values,
+    assert np.array_equal(simulate_gp_batch(model, dt, n, 1, seed=17)[0],
                           _out_of_place(model, dt, n, 1, 17, windows)[0])
 
 
@@ -459,6 +439,6 @@ def test_grid_checked_before_simulation(dt, n):
     with pytest.raises(DomainError):
         simulate_gp_batch(M2, dt, n, 4, seed=0)
     with pytest.raises(DomainError):
-        simulate_gp(M2, dt, n, seed=0)
+        simulate_gp_batch(M2, dt, n, 1, seed=0)
     with pytest.raises(DomainError):
         simulate_gp_spectral(M2, dt, n, seed=0)

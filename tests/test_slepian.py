@@ -97,27 +97,29 @@ def test_rayleigh_mixture_identity():
 def test_sampled_paths_start_on_level():
     grid = np.linspace(0.0, 10.0, 41)
     for u in (0.0, 1.0):
-        paths = sample_slepian_path(M2, u, grid, 50, seed=5)
-        assert len(paths) == 50
-        for p in paths:
-            assert p.total[0] == u
-            assert p.residual_part[0] == 0.0
-            assert p.rayleigh_draw > 0
+        det, slope, residual = sample_slepian_path(M2, u, grid, 50, seed=5)
+        assert det.shape == (41,)
+        assert slope.shape == residual.shape == (50, 41)
+        total = det + slope + residual
+        assert np.all(total[:, 0] == u)
+        assert np.all(residual[:, 0] == 0.0)
+        # the slope part is R times a shape that is positive just after 0
+        assert np.all(slope[:, 1] > 0)
 
 
 def test_sampled_paths_upcross():
     # just after the crossing the slope term dominates, so nearly every
     # path sits above the level at the first grid step
     grid = np.array([0.0, 0.01, 0.5, 1.0])
-    paths = sample_slepian_path(M2, 0.5, grid, 10_000, seed=6)
-    above = np.mean([p.total[1] > p.level for p in paths])
+    det, slope, residual = sample_slepian_path(M2, 0.5, grid, 10_000, seed=6)
+    above = np.mean((det + slope + residual)[:, 1] > 0.5)
     assert above >= 1.0 - 1e-3
 
 
 def test_sampled_sign_mean_matches_clipped_expectation():
     grid = np.array([0.0, 1.0])
-    paths = sample_slepian_path(M2, 0.0, grid, 100_000, seed=7)
-    signs = np.array([math.copysign(1.0, p.total[1] - p.level) for p in paths])
+    det, slope, residual = sample_slepian_path(M2, 0.0, grid, 100_000, seed=7)
+    signs = np.copysign(1.0, (det + slope + residual)[:, 1])
     expect = expected_clipped_up(M2, 0.0, 1.0)
     se = signs.std() / math.sqrt(len(signs))
     assert abs(signs.mean() - expect) < 3.0 * se
@@ -125,8 +127,7 @@ def test_sampled_sign_mean_matches_clipped_expectation():
 
 def test_residual_covariance_monte_carlo():
     grid = np.array([0.0, 0.5, 1.0, 2.0, 4.0])
-    paths = sample_slepian_path(M2, 0.0, grid, 100_000, seed=8)
-    res = np.stack([p.residual_part for p in paths])
+    _, _, res = sample_slepian_path(M2, 0.0, grid, 100_000, seed=8)
     emp = res.T @ res / len(res)
     tt = grid[:, None]
     ss = grid[None, :]
