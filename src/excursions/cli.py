@@ -34,6 +34,11 @@ with 0 and nothing on stderr: the rest of the output is discarded.
 which own the seed tree and the thread pool.  ``table2`` reads every
 level from the same trajectories, so its row for a level equals
 ``gp-sim`` at that level with the same seed and sizes.
+
+Importing this module loads no scipy, and neither does any subcommand
+but two: ``clipped-cov``, whose Owen's T is ``scipy.special.owens_t``,
+and ``switch-sim`` with an ``erlang:`` law, whose CDF is
+``scipy.special.gammainc``.  Each imports it on first use.
 """
 
 from __future__ import annotations

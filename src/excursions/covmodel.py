@@ -12,8 +12,8 @@ The shipped family is the d-dimensional diffusion covariance
 
 with the explicit spectrum ``sech(pi*w)`` attached for d = 2.
 
-:func:`validate` imports ``scipy.integrate`` on first use, so that CLI
-runs, which never validate, do not load it.
+Only :func:`validate` uses scipy, importing ``scipy.integrate`` on first
+use, so that CLI runs, which never validate, load no scipy here.
 """
 
 from __future__ import annotations

@@ -24,7 +24,9 @@ covariance at lag ``n - 1 + pad`` is dead or the cap is reached.
 
 The embedding is exact as long as its eigenvalues are non-negative;
 tiny negative eigenvalues (total magnitude below 1e-8 of the trace) are
-clipped, anything worse raises.  Paths are made in chunks of up to 32
+clipped, anything worse raises.  A ``dt`` so large that the lags up to
+the padding cap overflow is a :class:`DomainError`, raised before the
+covariance is evaluated.  Paths are made in chunks of up to 32
 complex rows.  A path stream holds one complex chunk buffer and one row
 of normals: it draws the normals row by row, scales each row straight
 into the buffer's real or imaginary part, transforms the buffer in place
@@ -65,10 +67,10 @@ import functools
 import math
 
 import numpy as np
-import scipy.fft
 
 from .covmodel import CovarianceModel
 from .errors import DomainError, EmptyExcursionSet, NumericalError
+from .numerics import next_fast_len
 from .persistency import BatchEstimate, replicate_estimates
 
 __all__ = [
@@ -106,8 +108,12 @@ def _embedding(model: CovarianceModel, dt: float, n: int):
     """Read-only circulant eigenvalues and the window offsets of a path."""
     block = max(64, n // 8)
     cap = 60 * block
+    if not math.isfinite(dt * (n - 1 + cap)):
+        raise DomainError(
+            f"dt = {dt!r} is too large: the lag grid's span dt * {n - 1 + cap} "
+            "is not finite")
     g = _dead_lag(model, dt, n - 1 + cap, block)
-    half = None if g is None else scipy.fft.next_fast_len(n + g)
+    half = None if g is None else next_fast_len(n + g)
     # the lags between the two windows must all be dead, not just g
     if half is not None and np.abs(
             model.r(np.arange(half - n + 1, half + 1) * dt)).max() < _COV_FLOOR:

@@ -47,12 +47,12 @@ import threading
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.fft
 
 from .covmodel import CovarianceModel
 from .errors import DomainError, GridTooShort, MonotonicityViolation, NumericalError
 from .numerics import (Grid, TailModel, fit_exponential_tail, inverse_cdf_sample,
-                       norm_cdf, numerical_laplace, spawn_seeds, uniform_grid)
+                       next_fast_len, norm_cdf, numerical_laplace, spawn_seeds,
+                       uniform_grid)
 from .persistency import BatchEstimate, replicate_estimates
 from .slepian import expected_clipped_down, expected_clipped_up
 
@@ -124,10 +124,17 @@ def build_iia(model: CovarianceModel, u: float, t_max: float = 200.0,
     :class:`MonotonicityViolation` when a curve runs the wrong way
     (down-crossing curves do for levels above roughly 5/4 with the
     d = 2 diffusion model) and :class:`GridTooShort` when the grid does
-    not reach the asymptotic regime within 1e-6.
+    not reach the asymptotic regime within 1e-6.  A level at which
+    Phi(u) rounds to 0 or 1, so that one side has no mass, is a
+    :class:`DomainError`.
     """
     if not math.isfinite(u):
         raise DomainError(f"level must be finite, got {float(u)!r}")
+    alpha = float(norm_cdf(u))
+    beta = 1.0 - alpha
+    if alpha in (0.0, 1.0):
+        raise DomainError(f"level {float(u)!r}: Phi(u) rounds to {alpha:g}, so the "
+                          f"excursions {'above' if alpha else 'below'} it have no mass")
     if not (step > 0.0 and t_max > 10.0 * step):
         raise DomainError("need step > 0 and t_max well above the step")
     t = uniform_grid(t_max, step)
@@ -139,7 +146,7 @@ def build_iia(model: CovarianceModel, u: float, t_max: float = 200.0,
     e_dn[0] = -1.0
     e_dn[1:] = expected_clipped_down(model, u, t[1:])
 
-    e_inf = 1.0 - 2.0 * float(norm_cdf(u))
+    e_inf = 1.0 - 2.0 * alpha
     if abs(e_up[-1] - e_inf) >= 1e-6 or abs(e_dn[-1] - e_inf) >= 1e-6:
         raise GridTooShort(
             f"clipped means at t_max = {t[-1]:g} are {abs(e_up[-1] - e_inf):.2e} / "
@@ -147,9 +154,6 @@ def build_iia(model: CovarianceModel, u: float, t_max: float = 200.0,
 
     _check_monotone(e_up, t, direction=-1, which="up-crossing mean")
     _check_monotone(e_dn, t, direction=+1, which="down-crossing mean")
-
-    alpha = float(norm_cdf(u))
-    beta = 1.0 - alpha
 
     surv_x = np.maximum((e_up - e_inf) / (2.0 * alpha), 0.0)
     surv_y = np.maximum((e_inf - e_dn) / (2.0 * beta), 0.0)
@@ -191,10 +195,10 @@ def _solve_law(iia: IIAModel, side: str) -> tuple[Grid, float]:
                           else (iia.beta, iia.alpha, y, x))
     step, knots = iia.f_x_cdf.points[1], len(iia.f_x_cdf)
     while True:
-        size = scipy.fft.next_fast_len(2 * knots, real=True)
-        first_hat = scipy.fft.rfft(_knot_masses(*first, knots), size)
-        extra_hat = scipy.fft.rfft(_knot_masses(*extra, knots), size)
-        q = scipy.fft.irfft(a * first_hat / (1.0 - b * extra_hat), size)[:knots]
+        size = next_fast_len(2 * knots, real=True)
+        first_hat = np.fft.rfft(_knot_masses(*first, knots), size)
+        extra_hat = np.fft.rfft(_knot_masses(*extra, knots), size)
+        q = np.fft.irfft(a * first_hat / (1.0 - b * extra_hat), size)[:knots]
         # the knot masses, then the mass past the last knot
         mass = np.append(q, 1.0 - q.sum())
         if mass[-1] <= _LAW_END:
@@ -256,12 +260,19 @@ def sample_excursion(iia: IIAModel, side: str, n: int, seed) -> np.ndarray:
     order the uniforms were generated, not sorted: ``iia --samples-csv``
     writes them, and ``persistency --reps`` splits such a file into
     contiguous chunks, which are independent replicates only if the
-    file is in generation order.
+    file is in generation order.  The draw itself walks the uniforms in
+    ascending order, where each segment search starts next to the last
+    one, and scatters the lengths back; each length is the one an
+    unsorted draw gives.
     """
     if n < 1:
         raise DomainError("sample count must be positive")
     cdf, tail_rate = excursion_law(iia, side)
-    return inverse_cdf_sample(cdf, tail_rate, np.random.default_rng(seed).random(n))
+    u = np.random.default_rng(seed).random(n)
+    order = np.argsort(u)
+    out = np.empty(n)
+    out[order] = inverse_cdf_sample(cdf, tail_rate, u[order])
+    return out
 
 
 def persistency_table(model: CovarianceModel, levels, samples: int, reps: int,

@@ -15,27 +15,31 @@ derived from them can be computed once and cached on the grid: the
 inverse-CDF sampler checks a grid to be a CDF (nondecreasing, starting
 at zero) on its first use as one.
 
-``scipy.integrate`` is imported on first use, inside
-:func:`numerical_laplace`, so that CLI runs that never call it do not
-load it.
+The normal CDF is a numpy port of cephes' ``ndtr`` and the FFT sizes
+come from a table of smooth numbers, so importing this module loads no
+scipy.  ``scipy.special.owens_t`` is imported inside
+:func:`b_integral` and ``scipy.integrate`` inside
+:func:`numerical_laplace`, on first use.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.special import ndtr, owens_t
 
 from .errors import DomainError, MonotonicityViolation, NumericalError
 
 __all__ = [
     "Grid",
     "TailModel",
+    "ndtr",
     "norm_cdf",
+    "next_fast_len",
     "b_integral",
     "numerical_laplace",
     "fit_exponential_tail",
@@ -144,14 +148,98 @@ class TailModel:
 # special functions
 # ---------------------------------------------------------------------------
 
-def norm_cdf(x):
-    """Standard normal CDF, accurate to well below 1e-14 absolute.
+# cephes' ndtr.c (Moshier), the algorithm of scipy.special.ndtr, with
+# coefficients from the highest power down and a monic denominator's
+# leading 1 written out: erf(x) = x T(x^2)/U(x^2) for |x| <= 1, and
+# erfc(x) = exp(-x^2) P(x)/Q(x) for 1 <= x < 8, exp(-x^2) R(x)/S(x) above
+_ERF_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+          7.00332514112805075473e3, 5.55923013010394962768e4)
+_ERF_U = (1.0, 3.35617141647503099647e1, 5.21357949780152679795e2,
+          4.59432382970980127987e3, 2.26290000613890934246e4, 4.92673942608635921086e4)
+_ERFC_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+           4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+           9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2)
+_ERFC_Q = (1.0, 1.32281951154744992508e1, 8.67072140885989742329e1,
+           3.54937778887819891062e2, 9.75708501743205489753e2, 1.82390916687909736289e3,
+           2.24633760818710981792e3, 1.65666309194161350182e3, 5.57535340817727675546e2)
+_ERFC_R = (5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
+           6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0)
+_ERFC_S = (1.0, 2.26052863220117276590e0, 9.39603524938001434673e0,
+           1.20489539808096656605e1, 1.70814450747565897222e1, 9.60896809063285878198e0,
+           3.36907645100081516050e0)
+_MAXLOG = 7.09782712893383996843e2      # erfc(x) is 0 once x^2 exceeds this
 
-    Accepts scalars (including +-inf) or arrays.
+
+def _horner(x, coeffs):
+    acc = coeffs[0] * x
+    for c in coeffs[1:-1]:
+        acc += c
+        acc *= x
+    acc += coeffs[-1]
+    return acc
+
+
+def _half_erf(z):
+    # (1 + erf(z))/2 for |z| < 1
+    zz = z * z
+    return 0.5 + 0.5 * (z * _horner(zz, _ERF_T) / _horner(zz, _ERF_U))
+
+
+def ndtr(x):
+    """Standard normal CDF of an array, elementwise: a numpy port of cephes' ``ndtr``.
+
+    With ``z = x / sqrt 2`` it is ``(1 + erf(z))/2`` for ``|z| < 1`` and
+    ``erfc(|z|)/2``, or one less that for ``z > 0``, beyond.  It equals
+    ``scipy.special.ndtr`` bit for bit below ``|x| = sqrt 2``, where no
+    ``exp`` is taken, and differs beyond only where numpy's ``exp`` and
+    the C library's round differently.  Like cephes it is 0 below -37.7.
     """
+    z = np.asarray(x, dtype=float) * math.sqrt(0.5)
+    y = np.abs(z)
+    small = y < 1.0
+    if small.all():
+        return _half_erf(z)
+    out = np.empty_like(z)
+    out[small] = _half_erf(z[small])
+    big = ~small
+    yb = np.minimum(y[big], 40.0)       # keeps inf finite
+    yb[yb * yb > _MAXLOG] = 40.0        # cephes' erfc is 0 there, as is exp(-1600)
+    p, q = np.empty_like(yb), np.empty_like(yb)
+    for sel, num, den in ((yb < 8.0, _ERFC_P, _ERFC_Q), (yb >= 8.0, _ERFC_R, _ERFC_S)):
+        ys = yb[sel]
+        p[sel], q[sel] = _horner(ys, num), _horner(ys, den)
+    h = 0.5 * (np.exp(-yb * yb) * p / q)
+    out[big] = np.where(z[big] > 0.0, 1.0 - h, h)
+    return out
+
+
+def norm_cdf(x):
+    """Standard normal CDF, :func:`ndtr`; a scalar (including +-inf) gives a float."""
     if np.isscalar(x):
         return float(ndtr(x))
-    return ndtr(np.asarray(x, dtype=float))
+    return ndtr(x)
+
+
+@lru_cache(maxsize=None)
+def _smooth_numbers(primes: tuple[int, ...], limit: int) -> list[int]:
+    nums = [1]
+    for p in primes:
+        nums = [m * p ** k for m in nums for k in range(limit.bit_length())
+                if m * p ** k <= limit]
+    return sorted(nums)
+
+
+def next_fast_len(n: int, real: bool = False) -> int:
+    """The least ``m >= n`` with no prime factor above 11, or above 5 if ``real``.
+
+    These are the sizes pocketfft, behind ``numpy.fft``, transforms
+    fastest, and the ones ``scipy.fft.next_fast_len`` returns.
+    """
+    if n < 1:
+        raise DomainError(f"FFT length must be positive, got {n!r}")
+    nums = _smooth_numbers((2, 3, 5) if real else (2, 3, 5, 7, 11),
+                           1 << (n - 1).bit_length())
+    return nums[bisect.bisect_left(nums, n)]
 
 
 def b_integral(u_tilde: float, rho):
@@ -169,6 +257,8 @@ def b_integral(u_tilde: float, rho):
     r = np.asarray(rho, dtype=float)
     if np.any(np.abs(r) > 1.0):
         raise DomainError(f"correlation must lie in [-1, 1], got {rho}")
+    from scipy.special import owens_t
+
     u = float(u_tilde)
     with np.errstate(divide="ignore"):    # rho = -1 gives a = inf
         a = np.sqrt((1.0 - r) / (1.0 + r))

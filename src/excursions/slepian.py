@@ -31,7 +31,8 @@ Numerically the formula is a 0/0 battleground as t -> 0: both
 t^2, leaving an O(t^4) denominator.  Evaluation therefore goes through
 the model's stable ``1 - r(t)`` and returns the analytic limit below a
 small threshold or whenever the residual variance is numerically
-exhausted.
+exhausted.  Phi is :func:`numerics.ndtr`, numpy's own, so this module
+loads no scipy.
 """
 
 from __future__ import annotations
@@ -39,10 +40,10 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import ndtr
 
 from .covmodel import CovarianceModel
 from .errors import DomainError, NumericalError
+from .numerics import ndtr
 
 __all__ = [
     "expected_clipped_up",

@@ -47,7 +47,6 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-from scipy.special import gammainc
 
 from .errors import DomainError, NumericalError
 from .numerics import Grid, inverse_cdf_sample
@@ -117,11 +116,17 @@ def erlang_interval(shape: int, rate: float) -> IntervalDistribution:
     if not rate > 0.0:
         raise DomainError(f"rate must be positive, got {rate}")
     k, lam = int(shape), float(rate)
+
+    def cdf(t):
+        from scipy.special import gammainc
+
+        return gammainc(k, lam * np.maximum(t, 0.0))
+
     return IntervalDistribution(
         name=f"erlang:{k}:{lam:g}",
         mean=k / lam,
         psi=lambda s: (lam / (lam + s)) ** k,
-        cdf=lambda t: gammainc(k, lam * np.maximum(t, 0.0)),
+        cdf=cdf,
         pdf=lambda t: lam * np.exp(
             -lam * np.maximum(t, 0.0) + (k - 1) * np.log(lam * np.maximum(t, 1e-300))
             - math.lgamma(k)),

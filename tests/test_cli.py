@@ -271,6 +271,51 @@ print(sorted(m for m in sys.modules if m.split(".")[:2] in
     assert proc.stdout.splitlines()[-1] == "[]"
 
 
+def test_cli_subcommands_load_no_scipy(tmp_path):
+    # a fresh interpreter; only clipped-cov and erlang: laws may load scipy
+    script = f"""
+import sys
+from excursions.cli import run
+runs = [["iia", "--level", "0.5", "--samples-csv", "s", "--out", "i.json"] + {FAST_IIA!r},
+        ["persistency", "--samples", "s.above.csv", "--reps", "2", "--out", "p.json"],
+        ["table1", "--levels", "0,1", "--out", "t1.json"] + {FAST_IIA!r},
+        ["gp-sim", "--level", "0", "--out", "g.json"] + {FAST_TRAJ!r},
+        ["table2", "--levels", "0", "--out", "t2.json"] + {FAST_TRAJ!r},
+        ["switch-sim", "--plus", "exp:1.0", "--minus", "exp:2.0", "--stationary",
+         "--paths", "200", "--out", "sw.csv"]]
+for args in runs:
+    assert run(args + ["--seed", "3"]) == 0, args[0]
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+    proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
+@pytest.mark.parametrize("args, message", [
+    (["iia", "--level", "1e308"] + FAST_IIA,
+     "level 1e+308: Phi(u) rounds to 1, so the excursions above it have no mass"),
+    (["table1", "--levels", "0,1e308"] + FAST_IIA,
+     "level 1e+308: Phi(u) rounds to 1, so the excursions above it have no mass"),
+    (["iia", "--level=-1e308"] + FAST_IIA,
+     "level -1e+308: Phi(u) rounds to 0, so the excursions below it have no mass"),
+    (["table2", "--dt", "1e308", "--levels", "0"] + FAST_TRAJ,
+     "dt = 1e+308 is too large: the lag grid's span dt * 67999 is not finite"),
+    (["gp-sim", "--level", "0", "--dt", "1e308"] + FAST_TRAJ,
+     "dt = 1e+308 is too large: the lag grid's span dt * 67999 is not finite"),
+], ids=["iia-level", "table1-levels", "iia-negative-level", "table2-dt", "gp-sim-dt"])
+def test_huge_level_or_step_is_a_domain_error_without_warnings(tmp_path, args, message):
+    # a fresh interpreter, so that a warning would reach its stderr
+    out = tmp_path / "res.json"
+    proc = subprocess.run([sys.executable, "-m", "excursions.cli", *args, "--out", str(out)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
+    assert proc.stderr == f"error: {message}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("args", [
     ["table1", "--levels", "0,1.25"] + FAST_IIA,
     ["iia", "--level", "1"] + FAST_IIA,

@@ -18,7 +18,7 @@ from excursions.errors import (DomainError, GridTooShort, MonotonicityViolation,
                                NumericalError)
 from excursions.iia import (build_iia, excursion_law, persistency_table, psi_hat,
                             sample_excursion)
-from excursions.numerics import gaver_stehfest_invert, norm_cdf
+from excursions.numerics import gaver_stehfest_invert, inverse_cdf_sample, norm_cdf
 from excursions.persistency import aggregate_fits, fit_persistency
 
 M2 = diffusion_covariance(2)
@@ -242,6 +242,17 @@ def test_sampling_deterministic_under_seed(iia_u1):
     a = sample_excursion(iia_u1, "below", 1000, seed=77)
     b = sample_excursion(iia_u1, "below", 1000, seed=77)
     assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("u, side", [(1.0, "above"), (1.25, "below")])
+def test_sorted_walk_draws_the_unsorted_lengths_bitwise(u, side):
+    # the reference is the draw in generation order; the 1.25 below law
+    # holds 80005 knots
+    iia = build_iia(M2, u)
+    cdf, tail_rate = excursion_law(iia, side)
+    want = inverse_cdf_sample(cdf, tail_rate, np.random.default_rng(31).random(200_000))
+    got = sample_excursion(iia, side, 200_000, seed=31)
+    assert (got == want).all()
 
 
 def _assert_same_estimate(est, ref):

@@ -3,15 +3,20 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.fft
+import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.stats import kstest
 
+import excursions.slepian
+from excursions.covmodel import diffusion_covariance
 from excursions.errors import DomainError, MonotonicityViolation
+from excursions.iia import build_iia
 from excursions.numerics import (Grid, TailModel, b_integral, fit_exponential_tail,
-                                 gaver_stehfest_invert, inverse_cdf_sample, norm_cdf,
-                                 numerical_laplace)
+                                 gaver_stehfest_invert, inverse_cdf_sample, ndtr,
+                                 next_fast_len, norm_cdf, numerical_laplace)
 
 
 # ---------------------------------------------------------------- norm_cdf
@@ -36,6 +41,48 @@ def test_norm_cdf_symmetry_bulk():
 def test_norm_cdf_monotone():
     x = np.linspace(-10, 10, 5001)
     assert np.all(np.diff(norm_cdf(x)) >= 0.0)
+
+
+def test_ndtr_matches_scipy_on_a_dense_grid():
+    x = np.linspace(-38.0, 9.0, 470_001)
+    got, ref = ndtr(x), scipy.special.ndtr(x)
+    # the same cephes arithmetic: below |x| = sqrt 2 no exp is taken
+    inner = np.abs(x) < math.sqrt(2.0)
+    np.testing.assert_array_equal(got[inner], ref[inner])
+    # beyond, numpy's exp and the C library's may round exp(-x^2/2) apart
+    # (measured: 5.3e-16 relative, 1e-323 on the subnormal results below -37.5)
+    np.testing.assert_allclose(got, ref, rtol=2e-15, atol=1e-322)
+    special = np.array([-np.inf, -1e308, -38.0, 0.0, 1e308, np.inf])
+    np.testing.assert_array_equal(ndtr(special), [0.0, 0.0, 0.0, 0.5, 1.0, 1.0])
+    assert np.isnan(ndtr(np.nan))
+
+
+def test_ndtr_equals_scipy_on_the_arguments_build_iia_passes(monkeypatch):
+    seen = []
+
+    def recording(x):
+        seen.append(np.array(x, dtype=float))
+        return ndtr(x)
+
+    monkeypatch.setattr(excursions.slepian, "ndtr", recording)
+    for u in (0.5, 1.25):
+        build_iia(diffusion_covariance(2), u)
+    assert len(seen) == 8       # two terms each of E_u^+ and E_u^- per level
+    args = np.concatenate(seen)
+    np.testing.assert_array_equal(ndtr(args), scipy.special.ndtr(args))
+
+
+def test_next_fast_len_matches_scipy():
+    n = np.arange(1, 100_001)
+    for real in (False, True):
+        ours = [next_fast_len(int(k), real) for k in n]
+        assert ours == [scipy.fft.next_fast_len(int(k), real) for k in n]
+    # the complex size is 11-smooth, as table2's circles need: 5544 = 2^3 3^2 7 11
+    assert (next_fast_len(5541), next_fast_len(5541, real=True)) == (5544, 5625)
+    assert next_fast_len(2**21 + 1, real=True) == scipy.fft.next_fast_len(2**21 + 1, True)
+    for bad in (0, -3):
+        with pytest.raises(DomainError):
+            next_fast_len(bad)
 
 
 # ---------------------------------------------------------------- b_integral

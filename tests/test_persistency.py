@@ -3,11 +3,11 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.stats import t as student_t
+from scipy.special import stdtrit
 
 from excursions.errors import DomainError, FitError
 from excursions.persistency import (SurvivalFit, aggregate_fits, fit_persistency,
-                                    labelled_fit, replicate_estimates)
+                                    labelled_fit, replicate_estimates, t_quantile)
 
 
 def test_fit_exponential_oracle():
@@ -137,7 +137,24 @@ def test_aggregate_half_width_is_the_t_quantile_bitwise():
                 for th in rng.uniform(0.1, 0.5, k)]
         est = aggregate_fits(fits)
         sd = float(np.std([f.theta for f in fits], ddof=1))
-        assert est.half_width == float(student_t.ppf(0.975, k - 1)) * sd / math.sqrt(k)
+        assert est.half_width == t_quantile(k - 1, 0.975) * sd / math.sqrt(k)
+
+
+@pytest.mark.parametrize("p", [0.6, 0.9, 0.975, 0.995])
+def test_t_quantile_matches_stdtrit(p):
+    # scipy's quantile inverts the incomplete beta function, an independent route
+    df = np.arange(1, 201)
+    upper = np.array([t_quantile(int(k), p) for k in df])
+    lower = np.array([t_quantile(int(k), 1.0 - p) for k in df])
+    np.testing.assert_allclose(upper, stdtrit(df, p), rtol=3e-14, atol=0)
+    np.testing.assert_allclose(lower, stdtrit(df, 1.0 - p), rtol=3e-14, atol=0)
+
+
+def test_t_quantile_closed_forms():
+    # df = 1 is the Cauchy law and df = 2 has t = (2p - 1) sqrt(2 / (4 p (1 - p)))
+    assert t_quantile(1, 0.975) == pytest.approx(math.tan(0.475 * math.pi), rel=1e-14)
+    assert t_quantile(2, 0.9) == pytest.approx(0.8 * math.sqrt(2.0 / 0.36), rel=1e-14)
+    assert t_quantile(7, 0.5) == 0.0
 
 
 def _lstsq_fit(samples, min_tail_count=50):
