@@ -13,7 +13,7 @@ loop.  Simulated paths, whether trajectories or crossing-conditioned
 samples, are plain arrays with one row per path.
 """
 
-__version__ = "0.8.0"
+__version__ = "0.9.0"
 
 from .covmodel import CovarianceModel, diffusion_covariance, validate
 from .clipped import arcsin_covariance, clipped_covariance

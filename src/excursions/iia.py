@@ -50,9 +50,9 @@ import numpy as np
 
 from .covmodel import CovarianceModel
 from .errors import DomainError, GridTooShort, MonotonicityViolation, NumericalError
-from .numerics import (Grid, TailModel, fit_exponential_tail, inverse_cdf_sample,
-                       next_fast_len, norm_cdf, numerical_laplace, spawn_seeds,
-                       uniform_grid)
+from .numerics import (NEGATIVE_MASS_TOL, Grid, TailModel, fit_exponential_tail,
+                       inverse_cdf_sample, lump_cells, next_fast_len, norm_cdf,
+                       numerical_laplace, spawn_seeds, uniform_grid)
 from .persistency import BatchEstimate, replicate_estimates
 from .slepian import expected_clipped_down, expected_clipped_up
 
@@ -68,9 +68,6 @@ MONOTONE_TOL = 1e-12
 # one is at most _LAW_END, and fails past _LAW_MAX_KNOTS knots
 _LAW_END = 1e-10
 _LAW_MAX_KNOTS = 1 << 21
-
-# FFT round-off leaves negative masses; more than this in total is an error
-_NEGATIVE_MASS_TOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -180,13 +177,10 @@ def build_iia(model: CovarianceModel, u: float, t_max: float = 200.0,
 
 
 def _knot_masses(cdf: Grid, tail_rate: float, knots: int) -> np.ndarray:
-    # trapezoid lumping of a divisor law on the first `knots` grid knots:
-    # half of each cell's mass goes to either end; the cells past the
-    # grid take their mass from the exponential tail
+    # a divisor law on the first `knots` knots; cells past the grid follow its tail
     f, step = cdf.values, cdf.points[1]
     tail = (1.0 - f[-1]) * np.exp(-tail_rate * step * np.arange(knots - len(f) + 2))
-    cells = np.concatenate((np.diff(f), -np.diff(tail)))
-    return 0.5 * (cells[:knots] + np.concatenate(([0.0], cells[:knots - 1])))
+    return lump_cells(np.concatenate((np.diff(f), -np.diff(tail))), knots)
 
 
 def _solve_law(iia: IIAModel, side: str) -> tuple[Grid, float]:
@@ -210,10 +204,10 @@ def _solve_law(iia: IIAModel, side: str) -> tuple[Grid, float]:
                 f"more than {_LAW_MAX_KNOTS} knots would be needed")
         knots *= 2
     negative = -float(mass[mass < 0.0].sum())
-    if negative > _NEGATIVE_MASS_TOL:
+    if negative > NEGATIVE_MASS_TOL:
         raise NumericalError(
             f"u = {iia.level:g}, {side} side: the excursion law has {negative:.2e} "
-            f"of negative mass (round-off allows {_NEGATIVE_MASS_TOL:g})")
+            f"of negative mass (round-off allows {NEGATIVE_MASS_TOL:g})")
     # survival from the far end, so it resolves values far below 1e-14
     surv = np.cumsum(np.maximum(mass, 0.0)[::-1])[::-1]
     # knot k's mass is spread over [(k - 1/2) h, (k + 1/2) h], cut at 0

@@ -7,8 +7,9 @@ bivariate orthant-style integral
 
 in closed form through Owen's T function, numerical Laplace transforms
 of tabulated functions with exponential tail corrections,
-Gaver-Stehfest inversion, and monotone inverse-CDF sampling with tail
-extrapolation.  These are the kernels every other module builds on.
+Gaver-Stehfest inversion, monotone inverse-CDF sampling with tail
+extrapolation, and laws lumped on grid knots for FFT convolution.  These
+are the kernels every other module builds on.
 
 A :class:`Grid` exposes read-only copies of its arrays, so anything
 derived from them can be computed once and cached on the grid: the
@@ -40,6 +41,8 @@ __all__ = [
     "ndtr",
     "norm_cdf",
     "next_fast_len",
+    "lump_cells",
+    "lumped_cdf",
     "b_integral",
     "numerical_laplace",
     "fit_exponential_tail",
@@ -142,6 +145,25 @@ class TailModel:
     def __post_init__(self):
         if not (self.rate > 0.0 and math.isfinite(self.rate)):
             raise DomainError("tail rate must be positive and finite")
+
+
+# FFT round-off leaves negative masses; more than this in total is an error
+NEGATIVE_MASS_TOL = 1e-12
+
+
+def lump_cells(cells: np.ndarray, knots: int) -> np.ndarray:
+    """Masses of knots ``0 .. knots - 1`` from a law's cell masses, by the trapezoid rule.
+
+    Cell i, between knots i and i + 1, gives half its mass to either end;
+    ``cells`` needs ``knots`` entries for the last knot to get both halves.
+    """
+    return 0.5 * (cells[:knots] + np.concatenate(([0.0], cells[:knots - 1])))
+
+
+def lumped_cdf(masses: np.ndarray, knot: int) -> float:
+    """CDF of a lumped law at a knot: the masses below it plus half its own,
+    each knot's mass being spread evenly over the half steps either side."""
+    return float(masses[:knot].sum() + 0.5 * masses[knot])
 
 
 # ---------------------------------------------------------------------------

@@ -37,6 +37,11 @@ The batch keeps the epochs as one matrix padded with ``inf``, so the
 state and switch count of every path on a time grid are one comparison.
 :func:`estimate_characteristics` needs only sums over paths, so it
 tallies the switches by rank and grid time instead.
+
+:func:`switch_count_distribution` shares the kernel of
+:func:`iia.excursion_law`: every law is lumped on the grid knots by the
+trapezoid rule (:func:`numerics.lump_cells`), and the epoch of each
+switch is the last one convolved with a holding law by one real FFT.
 """
 
 from __future__ import annotations
@@ -49,7 +54,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, NumericalError
-from .numerics import Grid, inverse_cdf_sample
+from .numerics import (NEGATIVE_MASS_TOL, Grid, inverse_cdf_sample, lump_cells,
+                       lumped_cdf, next_fast_len)
 
 __all__ = [
     "IntervalDistribution",
@@ -80,14 +86,13 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class IntervalDistribution:
-    """One switching-time law: sampler, CDF, optional density, mean, Psi."""
+    """One switching-time law: sampler, CDF, mean, Psi."""
 
     name: str
     mean: float
     psi: Callable
     cdf: Callable
     sampler: Callable
-    pdf: Callable | None = None
 
     def __post_init__(self):
         if not (self.mean > 0.0 and math.isfinite(self.mean)):
@@ -104,7 +109,6 @@ def exponential_interval(rate: float) -> IntervalDistribution:
         mean=1.0 / lam,
         psi=lambda s: lam / (lam + s),
         cdf=lambda t: -np.expm1(-lam * np.maximum(t, 0.0)),
-        pdf=lambda t: lam * np.exp(-lam * np.maximum(t, 0.0)),
         sampler=lambda rng, size=None: rng.exponential(1.0 / lam, size=size),
     )
 
@@ -127,9 +131,6 @@ def erlang_interval(shape: int, rate: float) -> IntervalDistribution:
         mean=k / lam,
         psi=lambda s: (lam / (lam + s)) ** k,
         cdf=cdf,
-        pdf=lambda t: lam * np.exp(
-            -lam * np.maximum(t, 0.0) + (k - 1) * np.log(lam * np.maximum(t, 1e-300))
-            - math.lgamma(k)),
         sampler=lambda rng, size=None: rng.gamma(k, 1.0 / lam, size=size),
     )
 
@@ -144,7 +145,6 @@ def deterministic_interval(value: float) -> IntervalDistribution:
         mean=c,
         psi=lambda s: np.exp(-c * s),
         cdf=lambda t: (np.asarray(t, dtype=float) >= c).astype(float),
-        pdf=None,
         sampler=lambda rng, size=None: (c if size is None
                                         else np.full(size, c)),
     )
@@ -209,13 +209,6 @@ def _holding_block(plus, minus, plus_first: np.ndarray, pairs: int, rng) -> np.n
     return block
 
 
-def _delay_cdf(dist: IntervalDistribution, t: np.ndarray) -> np.ndarray:
-    """Integrated-tail CDF ``int_0^t (1 - F) / mean`` by cumulative trapezoid."""
-    survival = 1.0 - np.asarray(dist.cdf(t), dtype=float)
-    steps = np.diff(t) * (survival[1:] + survival[:-1]) / 2.0
-    return np.concatenate(([0.0], np.cumsum(steps))) / dist.mean
-
-
 @lru_cache(maxsize=32)
 def _delay_inverse(dist: IntervalDistribution) -> Grid:
     """Tabulated CDF of the integrated-tail (stationary delay) law.
@@ -236,7 +229,10 @@ def _delay_inverse(dist: IntervalDistribution) -> Grid:
     step = dist.mean / 200.0
     n = int(math.ceil(t_hi / step))
     t = np.linspace(0.0, t_hi, n + 1)
-    delay_cdf = np.minimum(np.maximum.accumulate(_delay_cdf(dist, t)), 1.0)
+    survival = 1.0 - np.asarray(dist.cdf(t), dtype=float)
+    steps = np.diff(t) * (survival[1:] + survival[:-1]) / 2.0
+    delay_cdf = np.concatenate(([0.0], np.cumsum(steps))) / dist.mean
+    delay_cdf = np.minimum(np.maximum.accumulate(delay_cdf), 1.0)
     return Grid(points=t, values=delay_cdf / delay_cdf[-1])
 
 
@@ -389,72 +385,71 @@ def laplace_N_greater(plus, minus, s):
 
 
 # ---------------------------------------------------------------------------
-# switch-count distribution by numerical convolution
+# switch-count distribution by FFT convolution of lumped laws
 # ---------------------------------------------------------------------------
 
-def _density_on_grid(dist: IntervalDistribution, t: np.ndarray) -> np.ndarray:
-    if dist.pdf is not None:
-        return np.asarray(dist.pdf(t), dtype=float)
-    # central differences of the CDF; one-sided at the ends
-    f = np.asarray(dist.cdf(t), dtype=float)
-    g = np.gradient(f, t)
-    return np.maximum(g, 0.0)
-
-
-def _convolve_cdf_density(h: np.ndarray, g: np.ndarray, step: float) -> np.ndarray:
-    # (H * G)(x_i) = int_0^{x_i} H(x_i - y) g(y) dy by trapezoid rule
-    full = np.convolve(h, g)[:len(h)] * step
-    return full - 0.5 * step * (h * g[0] + h[0] * g)
+# a switch-count law has at most this many knots, and for k_max = None counts
+_MAX_KNOTS, _MAX_TERMS = 1 << 21, 10_000
 
 
 def switch_count_distribution(plus: IntervalDistribution,
                               minus: IntervalDistribution,
                               delta: int, t: float,
                               k_max: int | None = None) -> np.ndarray:
-    """P(N(t) = k | delta) for k = 0..k_max via grid convolutions.
+    """P(N(t) = k | delta) for k = 0..k_max by the lumped-mass kernel.
 
-    The stationary delay enters as the integrated-tail CDF of the
-    initial state's holding time; holding-time convolutions use the
-    trapezoid rule on a uniform grid with at least 200 points per mean
-    interval.  Iteration continues until the remaining mass is
-    negligible (or ``k_max`` is reached); if the total recovered mass
-    deviates from one by more than 1e-3 the grid resolution is deemed
-    insufficient and :class:`NumericalError` is raised.
+    The k-th switch of a stationary path starting in state ``delta`` ends
+    the integrated-tail delay of that state's holding law and k - 1
+    holding times alternating from the other state's.  With the laws
+    lumped on the knots 0..n of [0, t], 200 per shorter mean, each epoch is
+    the last one convolved with a holding law by one real FFT, and
+    P(N(t) >= k) is its :func:`numerics.lumped_cdf` at t.
+
+    Counts stop once at most 1e-12 of the mass lies past them, and later
+    ones up to ``k_max`` are 0; with ``k_max = None``, 10 000 counts that
+    leave more raise :class:`NumericalError`, as does an epoch with over
+    1e-12 of negative mass.  Entries are within O(step^2) for laws with
+    densities; a CDF that jumps (``det:``) moves them by O(step / mean),
+    and P(N(t) = 0) can fall to -step / (3 mean).  A horizon that is not
+    finite and positive or needs over 2**21 knots, and a ``k_max`` outside
+    the integers 0..10 000, are :class:`DomainError`.
     """
-    if not t > 0.0:
-        raise DomainError("time must be positive")
+    if not (math.isfinite(t) and t > 0.0):
+        raise DomainError(f"horizon must be finite and positive, got {t!r}")
     if delta not in (-1, 1):
         raise DomainError("delta must be +1 or -1")
-    current = plus if delta == 1 else minus
-    other = minus if delta == 1 else plus
-
+    if k_max is not None and not (isinstance(k_max, (int, np.integer))
+                                  and 0 <= k_max <= _MAX_TERMS):
+        raise DomainError(f"k_max must be an integer in [0, {_MAX_TERMS}], got {k_max!r}")
     step = min(plus.mean, minus.mean) / 200.0
-    n = max(4, int(math.ceil(t / step)))
-    x = np.linspace(0.0, t, n + 1)
-    hh = x[1] - x[0]
-
-    delay_cdf = np.minimum(_delay_cdf(current, x), 1.0)
-
-    g_other = _density_on_grid(other, x)
-    g_current = _density_on_grid(current, x)
-
-    probs = [1.0 - delay_cdf[-1]]
-    d_l = delay_cdf
-    # alternation after the delay starts with the opposite state's law
-    hard_cap = 10_000 if k_max is None else k_max
-    while len(probs) <= hard_cap:
-        e_l = _convolve_cdf_density(d_l, g_other, hh)
-        probs.append(max(0.0, d_l[-1] - e_l[-1]))        # odd k
-        d_next = _convolve_cdf_density(e_l, g_current, hh)
-        probs.append(max(0.0, e_l[-1] - d_next[-1]))     # even k
-        d_l = d_next
-        if k_max is None and d_l[-1] < 1e-12:
-            break
-    total = math.fsum(probs)
-    if k_max is None and abs(total - 1.0) > 1e-3:
-        raise NumericalError(
-            f"switch-count mass {total:.6f} deviates from one; grid too coarse")
-    return np.asarray(probs if k_max is None else probs[:k_max + 1])
+    if not t / step <= _MAX_KNOTS:
+        raise DomainError(f"horizon {t!r} is too long: it needs {t / step:.3g} knots "
+                          f"of {step:g}, more than {_MAX_KNOTS}")
+    current, other = (plus, minus) if delta == 1 else (minus, plus)
+    n = max(4, math.ceil(t / step))
+    # the knots 0..n + 1 at the even entries, the midpoints of their cells between
+    x = np.arange(2 * n + 3) * (t / (2 * n))
+    f_current = np.asarray(current.cdf(x), dtype=float)
+    # the delay's cells by Simpson's rule on its density (1 - F) / mean
+    s = 1.0 - f_current
+    delay_cells = (s[:-2:2] + 4.0 * s[1::2] + s[2::2]) * (t / (6.0 * n * current.mean))
+    size = next_fast_len(2 * (n + 1), real=True)
+    # the holding time that ends an epoch of even rank follows the other state's law
+    hats = [np.fft.rfft(lump_cells(np.diff(f), n + 1), size)
+            for f in (other.cdf(x[::2]), f_current[::2])]
+    masses = lump_cells(delay_cells, n + 1)
+    probs = [1.0 - (reached := lumped_cdf(masses, n))]     # reached: P(N(t) >= k)
+    while reached > 1e-12 and len(probs) <= (_MAX_TERMS if k_max is None else k_max):
+        masses = np.fft.irfft(np.fft.rfft(masses, size) * hats[(len(probs) - 1) % 2],
+                              size)[:n + 1]
+        if (negative := -masses[masses < 0.0].sum()) > NEGATIVE_MASS_TOL:
+            raise NumericalError(f"switch {len(probs) + 1} has {negative:.2e} of "
+                                 f"negative mass by t = {t:g}")
+        probs.append(reached - (reached := lumped_cdf(masses, n)))
+    if k_max is None and reached > 1e-12:
+        raise NumericalError(f"{reached:.2e} of the switch-count mass lies past "
+                             f"{_MAX_TERMS} switches")
+    return np.pad(probs, (0, 0 if k_max is None else k_max + 1 - len(probs)))
 
 
 # ---------------------------------------------------------------------------

@@ -15,8 +15,9 @@ from excursions.covmodel import diffusion_covariance
 from excursions.errors import DomainError, MonotonicityViolation
 from excursions.iia import build_iia
 from excursions.numerics import (Grid, TailModel, b_integral, fit_exponential_tail,
-                                 gaver_stehfest_invert, inverse_cdf_sample, ndtr,
-                                 next_fast_len, norm_cdf, numerical_laplace)
+                                 gaver_stehfest_invert, inverse_cdf_sample, lump_cells,
+                                 lumped_cdf, ndtr, next_fast_len, norm_cdf,
+                                 numerical_laplace)
 
 
 # ---------------------------------------------------------------- norm_cdf
@@ -83,6 +84,22 @@ def test_next_fast_len_matches_scipy():
     for bad in (0, -3):
         with pytest.raises(DomainError):
             next_fast_len(bad)
+
+
+# ---------------------------------------------------------------- lumped laws
+
+def test_lumped_law_of_a_uniform_cdf():
+    # uniform on [0, 1] in 8 cells of h, tabulated two knots past its end:
+    # the end knots get half a cell, and the lumped CDF at a knot is exact
+    # wherever the CDF is linear either side of it, a quarter cell off at
+    # the kinks 0 and 1
+    h = 0.125
+    f = np.minimum(np.arange(11) * h, 1.0)
+    masses = lump_cells(np.diff(f), 10)
+    assert np.array_equal(masses, [h / 2] + [h] * 7 + [h / 2, 0.0])
+    expected = f[:10].copy()
+    expected[[0, 8]] = h / 4, 1.0 - h / 4
+    assert [lumped_cdf(masses, k) for k in range(10)] == list(expected)
 
 
 # ---------------------------------------------------------------- b_integral

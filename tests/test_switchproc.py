@@ -4,16 +4,18 @@ import numpy as np
 import pytest
 from scipy.stats import kstest
 
+import excursions.switchproc
 from excursions.errors import DomainError, NumericalError
 from excursions.numerics import gaver_stehfest_invert
-from excursions.switchproc import (deterministic_interval, erlang_interval,
-                                   estimate_characteristics, exponential_interval,
-                                   interval_from_spec, laplace_A_less,
-                                   laplace_E_delta, laplace_E_prime,
-                                   laplace_N_greater, laplace_N_less,
-                                   laplace_P_delta, laplace_stationary_P,
-                                   laplace_stationary_cov, recover_psi,
-                                   simulate_switch_paths, switch_count_distribution)
+from excursions.switchproc import (IntervalDistribution, deterministic_interval,
+                                   erlang_interval, estimate_characteristics,
+                                   exponential_interval, interval_from_spec,
+                                   laplace_A_less, laplace_E_delta,
+                                   laplace_E_prime, laplace_N_greater,
+                                   laplace_N_less, laplace_P_delta,
+                                   laplace_stationary_P, laplace_stationary_cov,
+                                   recover_psi, simulate_switch_paths,
+                                   switch_count_distribution)
 
 EXP1 = exponential_interval(1.0)
 EXP2 = exponential_interval(2.0)
@@ -199,7 +201,7 @@ def test_switch_count_matches_poisson():
     # stationary symmetric exponential: the switch epochs form a Poisson
     # stream of rate lam
     lam = 1.0
-    for t in (0.5, 1.0, 2.0):
+    for t in (0.5, 1.0, 2.0, 20.0):
         dist = switch_count_distribution(EXP1, EXP1, -1, t)
         assert abs(dist.sum() - 1.0) < 1e-3
         for k in range(4):
@@ -208,8 +210,8 @@ def test_switch_count_matches_poisson():
 
 
 def test_switch_count_k0_is_delay_survival():
-    # k = 0 is exactly the survival of the stationary delay; the delay CDF
-    # itself is tabulated by trapezoid, so the tolerance is its O(h^2) error
+    # k = 0 is exactly the survival of the stationary delay; reading the
+    # delay's lumped CDF at t costs O(h^2), so that is the tolerance
     t = 0.8
     p0 = switch_count_distribution(EXP1, EXP1, -1, t)[0]
     assert p0 == pytest.approx(math.exp(-t), abs=1e-5)
@@ -219,6 +221,57 @@ def test_switch_count_pmf_asymmetric_normalizes():
     dist = switch_count_distribution(EXP1, EXP2, +1, 1.5)
     assert abs(dist.sum() - 1.0) < 1e-3
     assert np.all(dist >= 0.0)
+
+
+@pytest.mark.parametrize("plus, minus", [("exp:1", "exp:2"), ("erlang:2:1", "exp:1")])
+@pytest.mark.parametrize("t", [1.0, 3.0])
+def test_switch_count_mean_matches_inverted_transform(plus, minus, t):
+    # sum_k k P(N(t) = k | delta) against Gaver-Stehfest inversion of the
+    # mean count's transform; order 14 limits the inversion to about 1e-4
+    plus, minus = interval_from_spec(plus), interval_from_spec(minus)
+    for delta, laplace in ((-1, laplace_N_less), (+1, laplace_N_greater)):
+        pmf = switch_count_distribution(plus, minus, delta, t)
+        exact = gaver_stehfest_invert(lambda s: laplace(plus, minus, s), t)
+        assert np.arange(len(pmf)) @ pmf == pytest.approx(exact, rel=1e-3)
+
+
+@pytest.mark.parametrize("t, exact", [(0.7, (0.3, 0.7)), (1.5, (0.0, 0.5, 0.5))])
+def test_switch_count_deterministic_intervals(t, exact):
+    # det:1 on both sides: the stationary delay is uniform on [0, 1] and
+    # the switches after it come every 1; lumping a jump on the knots
+    # costs up to half a step of the mean 1
+    det = deterministic_interval(1.0)
+    step = det.mean / 200.0
+    for delta in (-1, 1):
+        pmf = switch_count_distribution(det, det, delta, t, k_max=4)
+        expected = np.zeros(5)
+        expected[:len(exact)] = exact
+        assert np.max(np.abs(pmf - expected)) <= step / det.mean
+
+
+def test_switch_count_k_max_pads_past_the_negligible_counts():
+    full = switch_count_distribution(EXP1, EXP2, -1, 1.5)
+    assert np.array_equal(switch_count_distribution(EXP1, EXP2, -1, 1.5, k_max=3),
+                          full[:4])
+    padded = switch_count_distribution(EXP1, EXP2, -1, 1.5, k_max=len(full) + 5)
+    assert np.array_equal(padded[:len(full)], full)
+    assert np.all(padded[len(full):] == 0.0)
+
+
+def test_switch_count_too_many_counts_is_a_numerical_error(monkeypatch):
+    monkeypatch.setattr(excursions.switchproc, "_MAX_TERMS", 3)
+    with pytest.raises(NumericalError, match="past 3 switches"):
+        switch_count_distribution(EXP1, EXP1, -1, 2.0)
+    assert len(switch_count_distribution(EXP1, EXP1, -1, 2.0, k_max=3)) == 4
+
+
+def test_switch_count_decreasing_cdf_is_negative_mass():
+    # a survival function given as the CDF: every cell mass is negative
+    backwards = IntervalDistribution(name="backwards", mean=1.0, psi=EXP1.psi,
+                                     cdf=lambda t: np.exp(-np.asarray(t)),
+                                     sampler=EXP1.sampler)
+    with pytest.raises(NumericalError, match="switch 2 has .* negative mass"):
+        switch_count_distribution(EXP1, backwards, +1, 3.0)
 
 
 @pytest.mark.parametrize("horizon", [math.inf, math.nan, 0.0, -1.0])
@@ -233,6 +286,34 @@ def test_switch_count_domain():
         switch_count_distribution(EXP1, EXP1, 0, 1.0)
     with pytest.raises(DomainError):
         switch_count_distribution(EXP1, EXP1, +1, 0.0)
+
+
+def _unevaluated(name):
+    # a law whose CDF must not be reached: the input check comes first
+    def cdf(t):
+        raise AssertionError(f"{name} CDF evaluated")
+    return IntervalDistribution(name=name, mean=1.0, psi=EXP1.psi, cdf=cdf,
+                                sampler=EXP1.sampler)
+
+
+@pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan, 0.0, -1.0])
+def test_switch_count_rejects_a_horizon_that_is_not_finite_and_positive(t):
+    with pytest.raises(DomainError, match="horizon must be finite and positive"):
+        switch_count_distribution(_unevaluated("plus"), _unevaluated("minus"), -1, t)
+
+
+@pytest.mark.parametrize("t", [1e9, 10_500.0])
+def test_switch_count_rejects_a_horizon_past_the_knot_cap(t):
+    # 200 knots per mean of 1: 1e9 needs 2e11 knots, 10 500 just over 2**21
+    with pytest.raises(DomainError, match="too long"):
+        switch_count_distribution(_unevaluated("plus"), _unevaluated("minus"), -1, t)
+
+
+@pytest.mark.parametrize("k_max", [-1, -5, 2.5, 10_001, "3"])
+def test_switch_count_rejects_a_bad_k_max(k_max):
+    with pytest.raises(DomainError, match="k_max must be an integer"):
+        switch_count_distribution(_unevaluated("plus"), _unevaluated("minus"), -1, 1.0,
+                                  k_max=k_max)
 
 
 # --------------------------------------------------------------- simulation
