@@ -34,10 +34,12 @@ q = a p_X + b (p_Y * q) for the above side, which one real FFT solves,
     Q = a P_X / (1 - b P_Y),
 
 and the below side swaps X and Y and a and b.  Each excursion is then
-one inverse-CDF draw from that law.  Checking its empirical transform
-against Psi_+ and Psi_-, which come from the clipped means alone, is
-the package's core cross-validation; the tests keep the geometric sum
-itself as a reference sampler.
+one inverse-CDF draw from that law; a replicate of the persistency
+table maps only the uniforms whose ranks its tail fit reads, the
+upper half of the sorted draws less the top few.  Checking the law's
+empirical transform against Psi_+ and Psi_-, which come from the
+clipped means alone, is the package's core cross-validation; the tests
+keep the geometric sum itself as a reference sampler.
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ from .errors import DomainError, GridTooShort, MonotonicityViolation, NumericalE
 from .numerics import (NEGATIVE_MASS_TOL, Grid, TailModel, fit_exponential_tail,
                        inverse_cdf_sample, lump_cells, next_fast_len, norm_cdf,
                        numerical_laplace, spawn_seeds, uniform_grid)
-from .persistency import BatchEstimate, replicate_estimates
+from .persistency import BatchEstimate, _fit_window, _tail_ranks, replicate_estimates
 from .slepian import expected_clipped_down, expected_clipped_up
 
 __all__ = ["IIAModel", "build_iia", "excursion_law", "sample_excursion",
@@ -257,7 +259,8 @@ def sample_excursion(iia: IIAModel, side: str, n: int, seed) -> np.ndarray:
     file is in generation order.  The draw itself walks the uniforms in
     ascending order, where each segment search starts next to the last
     one, and scatters the lengths back; each length is the one an
-    unsorted draw gives.
+    unsorted draw gives, and the one a :func:`persistency_table`
+    replicate at that seed maps, if it maps that uniform at all.
     """
     if n < 1:
         raise DomainError("sample count must be positive")
@@ -278,10 +281,12 @@ def persistency_table(model: CovarianceModel, levels, samples: int, reps: int,
     a single level); it spawns a seed per side and each of those a seed
     per replicate of ``samples`` draws.  Every (level, side) law is
     solved before the pool starts and shared by that side's replicates.
-    A replicate sorts its uniforms before the inverse-CDF draw, so its
-    lengths come out ascending, and are the lengths of
-    :func:`sample_excursion` at that seed in ascending order: the draw
-    finds each segment next to the last one and the fit skips its sort.
+    A replicate draws the uniforms of :func:`sample_excursion` at its
+    seed but maps only those whose ranks the tail fit reads, ``[lo, hi)``:
+    it partitions them at ``lo``, sorts the rest and maps the first
+    ``hi - lo`` of them, which are the lengths of :func:`sample_excursion`
+    at ranks ``[lo, hi)`` bit for bit.  The log survival on those ranks is
+    computed once for the table.
     All (level, side, replicate) tasks share the one pool of
     :func:`persistency.replicate_estimates`, which
     ``EXCURSION_IIA_THREADS`` caps.
@@ -295,21 +300,27 @@ def persistency_table(model: CovarianceModel, levels, samples: int, reps: int,
     else:
         levels, seeds = list(levels), spawn_seeds(seed, len(levels))
     iias = [build_iia(model, u, t_max=t_max, step=step) for u in levels]
-    # every law is solved here, before the pool, so its tasks only look them up
+    # every law is solved here, before the pool, so its tasks only look them
+    # up; a pool of their own would save about 3% of a benchmark-sized job
+    # on 2 cores and add 2 to 4 MB to its peak memory
     for iia in iias:
         for side in SIDES:
             excursion_law(iia, side)
     groups = [((iia, side), side_seed, (f"u = {iia.level:g}, {side} side",))
               for iia, level_seed in zip(iias, seeds)
               for side, side_seed in zip(SIDES, spawn_seeds(level_seed, 2))]
+    ranks = _tail_ranks(samples)
 
     def draw(context, rep_seed):
         cdf, tail_rate = excursion_law(*context)
         u = np.random.default_rng(rep_seed).random(samples)
-        u.sort()
-        return (inverse_cdf_sample(cdf, tail_rate, u),)
+        # the fit reads only ranks [lo, hi) of the sorted lengths
+        u.partition(ranks.lo)
+        u[ranks.lo:].sort()
+        return (inverse_cdf_sample(cdf, tail_rate, u[ranks.lo:ranks.hi]),)
 
-    sides = replicate_estimates(draw, groups, reps)
+    sides = replicate_estimates(draw, groups, reps,
+                                lambda window: _fit_window(window, ranks))
     return [(iia, above, below)
             for iia, (above,), (below,) in zip(iias, sides[::2], sides[1::2])]
 

@@ -321,9 +321,11 @@ def fit_exponential_tail(grid: Grid, floor: float = 1e-12) -> TailModel:
 
     Uses the grid points in ``(t_hi/10, t_hi]`` where ``t_hi`` is the
     largest abscissa whose value still exceeds ``floor`` (values below
-    that are treated as numerically unresolved).  The fit is a linear
-    regression of ``log value`` on ``t``.  The tail amplitude is taken
-    relative to the END of the grid, i.e. the returned model satisfies
+    that are treated as numerically unresolved); fewer than two of them
+    is a :class:`NumericalError`.  The fit is a linear regression of
+    ``log value`` on ``t``, in the centred closed form with ``np.sum`` of
+    products and no BLAS call.  The tail amplitude is taken relative to
+    the END of the grid, i.e. the returned model satisfies
     ``amplitude * exp(-rate * t)`` matched to the fitted line, so the
     model remains usable for extrapolation beyond the grid.
     """
@@ -335,13 +337,17 @@ def fit_exponential_tail(grid: Grid, floor: float = 1e-12) -> TailModel:
     t_hi = t[usable][-1]
     window = usable & (t > t_hi / 10.0) & (t <= t_hi)
     if window.sum() < 2:
-        window = usable
+        raise NumericalError(
+            f"tail fit window ({t_hi / 10.0:g}, {t_hi:g}] holds {int(window.sum())} "
+            f"resolvable value(s); need at least two")
     tt = t[window]
     lv = np.log(v[window])
-    slope, intercept = np.polyfit(tt, lv, 1)
+    t_mean, l_mean = tt.mean(), lv.mean()
+    tc = tt - t_mean
+    slope = np.sum(tc * (lv - l_mean)) / np.sum(tc * tc)
     if not slope < 0.0:
         raise NumericalError("tail is not exponentially decaying")
-    return TailModel(rate=-float(slope), amplitude=float(math.exp(intercept)))
+    return TailModel(rate=-float(slope), amplitude=float(math.exp(l_mean - slope * t_mean)))
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,14 @@ noise and would otherwise bias the slope).  The slope is the centred
 closed form of simple regression, written with ``np.sum`` of products
 and no BLAS call: the fits run in the replicate pool's threads, where
 BLAS would start threads of its own and oversubscribe the CPUs.
-Samples that arrive sorted, as the replicates of
-:func:`iia.persistency_table` do, are not sorted again.
+Samples that arrive sorted are not sorted again.
+
+The fit reads only the ranks ``[n - 1 - n//2, n - min_tail_count)`` of
+a sorted sample of ``n``, and the log survival there depends on ``n``
+alone.  The replicates of :func:`iia.persistency_table` therefore draw
+only that window and fit it with a log survival computed once for the
+table; :func:`fit_persistency` sorts a whole sample and fits the same
+window the same way.
 
 Confidence intervals come from independent replicates via the t
 distribution.  Its quantile, :func:`t_quantile`, solves the closed-form
@@ -25,7 +31,7 @@ import concurrent.futures
 import math
 import os
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -34,6 +40,9 @@ from .numerics import spawn_seeds
 
 __all__ = ["SurvivalFit", "BatchEstimate", "fit_persistency", "labelled_fit",
            "aggregate_fits", "replicate_estimates", "t_quantile"]
+
+# the fewest samples left beyond a point of the fit window
+MIN_TAIL_COUNT = 50
 
 
 @dataclass(frozen=True)
@@ -56,7 +65,73 @@ class BatchEstimate:
     replicates: tuple[SurvivalFit, ...]
 
 
-def fit_persistency(samples, min_tail_count: int = 50) -> SurvivalFit:
+def _check_sizes(n: int, min_tail_count: int) -> None:
+    if min_tail_count < 1:
+        raise DomainError(f"min_tail_count must be at least 1, got {min_tail_count!r}")
+    if n < 100:
+        raise DomainError("need at least 100 samples")
+
+
+class _TailRanks(NamedTuple):
+    """The ranks ``[lo, hi)`` of a sorted sample of ``n`` that the fit reads.
+
+    ln S at rank i is ln((n - 1 - i)/n) whatever the sample, so one of
+    these serves every sample of size ``n``: ``l_centred`` is ln S on
+    the window less its mean ``l_mean``, and ``syy`` its sum of squares.
+    They are NaN and empty for sizes :func:`_fit_window` refuses.
+    """
+
+    n: int
+    min_tail_count: int
+    lo: int
+    hi: int
+    l_mean: float
+    l_centred: np.ndarray
+    syy: float
+
+
+def _tail_ranks(n: int, min_tail_count: int = MIN_TAIL_COUNT) -> _TailRanks:
+    # n - 1 - i samples lie beyond rank i, and that count falls with i: the
+    # window S <= 1/2, count >= min_tail_count is the index range [lo, hi)
+    lo = n - 1 - n // 2
+    hi = max(n - min_tail_count, lo)
+    if min_tail_count < 1 or hi - lo < 10:
+        return _TailRanks(n, min_tail_count, lo, hi, math.nan, np.empty(0), math.nan)
+    ls = np.log((n - 1 - np.arange(lo, hi)) / n)
+    l_mean = ls.mean()
+    l_centred = ls - l_mean
+    return _TailRanks(n, min_tail_count, lo, hi, l_mean, l_centred,
+                      np.sum(l_centred * l_centred))
+
+
+def _fit_window(window: np.ndarray, ranks: _TailRanks) -> SurvivalFit:
+    """The fit of ``window``, the ranks ``[ranks.lo, ranks.hi)`` of a sorted
+    sample of ``ranks.n``: :func:`fit_persistency` of that sample, with its
+    checks of the sizes and the window."""
+    _check_sizes(ranks.n, ranks.min_tail_count)
+    n_pts = ranks.hi - ranks.lo
+    if n_pts < 10:
+        raise FitError(
+            f"tail window holds {n_pts} points; need at least 10")
+    if window[0] == window[-1]:
+        raise FitError(f"tail window holds one distinct value, {float(window[0])!r}; no slope")
+    # np.sum of products, not @ or lstsq: BLAS threads oversubscribe the pool
+    t_mean = window.mean()
+    tc = window - t_mean
+    sxx, sxy = np.sum(tc * tc), np.sum(tc * ranks.l_centred)
+    slope = sxy / sxx
+    if not slope < 0.0:
+        raise FitError("tail slope is not negative; no exponential decay")
+    return SurvivalFit(
+        theta=float(-slope),
+        intercept=float(ranks.l_mean - slope * t_mean),
+        fit_window=(float(window[0]), float(window[-1])),
+        n_points=n_pts,
+        r_squared=float(sxy * sxy / (sxx * ranks.syy)),
+    )
+
+
+def fit_persistency(samples, min_tail_count: int = MIN_TAIL_COUNT) -> SurvivalFit:
     """OLS tail slope of the log empirical survival.
 
     Uses the sorted sample points with S(t) <= 1/2 and at least
@@ -70,43 +145,17 @@ def fit_persistency(samples, min_tail_count: int = 50) -> SurvivalFit:
 
     where ``Sxx = sum(tc^2)``, ``Sxy = sum(tc lc)``, ``Syy = sum(lc^2)``.
     """
-    if min_tail_count < 1:
-        raise DomainError(f"min_tail_count must be at least 1, got {min_tail_count!r}")
     x = np.asarray(samples, dtype=float)
     n = len(x)
-    if n < 100:
-        raise DomainError("need at least 100 samples")
+    _check_sizes(n, min_tail_count)
     # a NaN fails the comparison, so it takes the sort
     if not np.all(x[1:] >= x[:-1]):
         x = np.sort(x)
     # NaNs sort last, so the two ends decide
     if not (x[0] > 0.0 and np.isfinite(x[-1])):
         raise DomainError("samples must be positive and finite")
-    # n - 1 - i samples lie beyond x[i], and that count falls with i: the
-    # window S <= 1/2, count >= min_tail_count is the index range [lo, hi)
-    lo, hi = n - 1 - n // 2, n - min_tail_count
-    n_pts = max(hi - lo, 0)
-    if n_pts < 10:
-        raise FitError(
-            f"tail window holds {n_pts} points; need at least 10")
-    tt = x[lo:hi]
-    if tt[0] == tt[-1]:
-        raise FitError(f"tail window holds one distinct value, {float(tt[0])!r}; no slope")
-    ls = np.log((n - 1 - np.arange(lo, hi)) / n)
-    # np.sum of products, not @ or lstsq: BLAS threads oversubscribe the pool
-    t_mean, l_mean = tt.mean(), ls.mean()
-    tc, lc = tt - t_mean, ls - l_mean
-    sxx, sxy, syy = np.sum(tc * tc), np.sum(tc * lc), np.sum(lc * lc)
-    slope = sxy / sxx
-    if not slope < 0.0:
-        raise FitError("tail slope is not negative; no exponential decay")
-    return SurvivalFit(
-        theta=float(-slope),
-        intercept=float(l_mean - slope * t_mean),
-        fit_window=(float(tt[0]), float(tt[-1])),
-        n_points=n_pts,
-        r_squared=float(sxy * sxy / (sxx * syy)),
-    )
+    ranks = _tail_ranks(n, min_tail_count)
+    return _fit_window(x[ranks.lo:ranks.hi], ranks)
 
 
 def _t_central(df: int, t: float) -> float:
@@ -170,12 +219,16 @@ def aggregate_fits(fits: Sequence[SurvivalFit]) -> BatchEstimate:
     )
 
 
-def labelled_fit(samples, label: str, min_tail_count: int = 50) -> SurvivalFit:
-    """:func:`fit_persistency`, with ``label`` prefixed to the message of its errors."""
+def _labelled(label: str, fit: Callable, *args):
     try:
-        return fit_persistency(samples, min_tail_count)
+        return fit(*args)
     except (DomainError, FitError) as exc:
         raise type(exc)(f"{label}: {exc}") from exc
+
+
+def labelled_fit(samples, label: str, min_tail_count: int = MIN_TAIL_COUNT) -> SurvivalFit:
+    """:func:`fit_persistency`, with ``label`` prefixed to the message of its errors."""
+    return _labelled(label, fit_persistency, samples, min_tail_count)
 
 
 def _max_workers(n_items: int) -> int:
@@ -200,26 +253,30 @@ def _parallel_map(fn, items):
         return list(pool.map(fn, items))
 
 
-def replicate_estimates(draw: Callable, groups: Sequence, reps: int) -> list:
+def replicate_estimates(draw: Callable, groups: Sequence, reps: int,
+                        fit: Callable | None = None) -> list:
     """Draw, fit and average ``reps`` replicates of each group in one pool.
 
     ``groups`` holds ``(context, seed, names)``.  Each group seed spawns
     ``reps`` replicate seeds; replicate ``i`` is ``draw(context, seed_i)``,
-    one sample set per name, fitted by :func:`labelled_fit` as
-    ``"<name>, replicate <i>"``.  Every (group, replicate) is one task of
-    a thread pool of ``min(tasks, 4, cpu_count)`` threads;
+    one sample set per name, fitted by ``fit`` (:func:`fit_persistency`
+    if None) with ``"<name>, replicate <i>: "`` prefixed to the message
+    of its errors.  Every (group, replicate) is one task of a thread
+    pool of ``min(tasks, 4, cpu_count)`` threads;
     ``EXCURSION_IIA_THREADS``, a positive integer, replaces the 4 and the
     CPU count.  Seeds are spawned first, so results do not depend on the
     pool.  Returns, per group, one :class:`BatchEstimate` per name.
     """
     if reps < 2:
         raise DomainError("need at least two replicates")
+    # read at the call, so that a wrapper put on fit_persistency is called
+    fit = fit_persistency if fit is None else fit
     tasks = [(context, names, i, rep_seed) for context, seed, names in groups
              for i, rep_seed in enumerate(spawn_seeds(seed, reps))]
 
     def task(args):
         context, names, i, rep_seed = args
-        return tuple(labelled_fit(samples, f"{name}, replicate {i}")
+        return tuple(_labelled(f"{name}, replicate {i}", fit, samples)
                      for name, samples in zip(names, draw(context, rep_seed)))
 
     fits = _parallel_map(task, tasks)

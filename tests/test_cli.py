@@ -434,6 +434,23 @@ def test_trajectory_fit_errors_name_level_side_and_replicate(capsys):
         "error: u = 0, above side, replicate 0: need at least 100 samples\n")
 
 
+_REPLICATE_0 = "u = 0, above side, replicate 0: "
+
+
+@pytest.mark.parametrize("samples, code, err", [
+    (1, 1, f"error: {_REPLICATE_0}need at least 100 samples\n"),
+    (99, 1, f"error: {_REPLICATE_0}need at least 100 samples\n"),
+    (100, 2, f"numerical error: {_REPLICATE_0}tail window holds 1 points; need at least 10\n"),
+    (117, 2, f"numerical error: {_REPLICATE_0}tail window holds 9 points; need at least 10\n"),
+    (118, 0, ""),
+])
+def test_table1_sample_count_errors_name_level_side_and_replicate(capsys, samples, code, err):
+    # the sample count is checked before the tail window it sets
+    assert run(["table1", "--levels", "0,1", "--samples", str(samples), "--reps", "2",
+                "--grid-max", "120", "--grid-step", "0.02"]) == code
+    assert capsys.readouterr().err == err
+
+
 @pytest.mark.parametrize("command", [["gp-sim", "--level", "0"], ["table2", "--levels", "0"]])
 def test_trajectories_must_split_evenly_into_replicates(tmp_path, capsys, command):
     out = tmp_path / "res.json"

@@ -18,7 +18,8 @@ from excursions.errors import (DomainError, GridTooShort, MonotonicityViolation,
                                NumericalError)
 from excursions.iia import (build_iia, excursion_law, persistency_table, psi_hat,
                             sample_excursion)
-from excursions.numerics import gaver_stehfest_invert, inverse_cdf_sample, norm_cdf
+from excursions.numerics import (fit_exponential_tail, gaver_stehfest_invert,
+                                 inverse_cdf_sample, norm_cdf)
 from excursions.persistency import aggregate_fits, fit_persistency
 
 M2 = diffusion_covariance(2)
@@ -286,10 +287,11 @@ def test_persistency_table_equals_a_sequential_reference(monkeypatch, threads):
 def test_persistency_table_shares_one_law_per_level_and_side(monkeypatch):
     monkeypatch.setenv("EXCURSION_IIA_THREADS", "3")
     sample = excursions.iia.inverse_cdf_sample
-    grids = []
+    grids, sizes = [], set()
 
     def recording(cdf, tail_rate, uniform):
         grids.append(cdf)
+        sizes.add(len(uniform))
         return sample(cdf, tail_rate, uniform)
 
     monkeypatch.setattr(excursions.iia, "inverse_cdf_sample", recording)
@@ -298,6 +300,8 @@ def test_persistency_table_shares_one_law_per_level_and_side(monkeypatch):
             for side in ("above", "below")}
     assert len(grids) == 2 * 2 * 3
     assert {id(g) for g in grids} == laws and len(laws) == 4
+    # each replicate maps only its fit window, the ranks [999, 1950)
+    assert sizes == {1950 - 999}
 
 
 def test_concurrent_first_requests_solve_each_law_once(monkeypatch):
@@ -330,24 +334,29 @@ def test_persistency_table_checks_replicates_before_building():
 
 
 def test_persistency_table_draws_are_sorted_sample_excursion_draws(monkeypatch):
-    # replicate i of a side draws from the i-th seed its side seed spawns
-    fitted = {}
+    # replicate i of a side draws from the i-th seed its side seed spawns and
+    # fits only the ranks [lo, hi) of those lengths, sorted
+    fit_window = excursions.iia._fit_window
+    fitted = []
 
-    def recording(samples, label, min_tail_count=50):
-        fitted[label] = samples
-        return fit_persistency(samples, min_tail_count)
+    def recording(window, ranks):
+        fitted.append((window, ranks.n))
+        return fit_window(window, ranks)
 
-    monkeypatch.setattr(excursions.persistency, "labelled_fit", recording)
+    monkeypatch.setenv("EXCURSION_IIA_THREADS", "1")     # the fits come in task order
+    monkeypatch.setattr(excursions.iia, "_fit_window", recording)
     samples, reps = 20_000, 3
+    lo, hi = samples - 1 - samples // 2, samples - 50
     rows = persistency_table(M2, [0.0, 1.25], samples, reps, 43, t_max=120.0, step=0.02)
+    fitted = iter(fitted)
     for (iia, _, _), level_seed in zip(rows, np.random.SeedSequence(43).spawn(2)):
         for side, side_seed in zip(("above", "below"), level_seed.spawn(2)):
-            for i, rep_seed in enumerate(side_seed.spawn(reps)):
-                draws = fitted.pop(f"u = {iia.level:g}, {side} side, replicate {i}")
-                assert np.all(draws[1:] >= draws[:-1])
-                want = np.sort(sample_excursion(iia, side, samples, rep_seed))
-                assert np.array_equal(draws.view(np.int64), want.view(np.int64))
-    assert not fitted
+            for rep_seed in side_seed.spawn(reps):
+                window, n = next(fitted)
+                want = np.sort(sample_excursion(iia, side, samples, rep_seed))[lo:hi]
+                assert n == samples
+                assert np.array_equal(window.view(np.int64), want.view(np.int64))
+    assert next(fitted, None) is None
 
 
 def test_sample_excursion_keeps_generation_order(iia_u1):
@@ -358,17 +367,19 @@ def test_sample_excursion_keeps_generation_order(iia_u1):
 
 
 def test_persistency_table_makes_no_blas_call(monkeypatch):
-    # BLAS starts threads of its own inside the pool's tasks and
-    # oversubscribes the CPUs; the fit is written without it
+    # BLAS starts threads of its own inside the pools' tasks and
+    # oversubscribes the CPUs; the fits are written without it
     def blas(*args, **kwargs):
         raise AssertionError("BLAS call in persistency_table")
 
     monkeypatch.setattr(np.linalg, "lstsq", blas)
+    monkeypatch.setattr(np, "polyfit", blas)
     monkeypatch.setattr(np, "dot", blas)
     monkeypatch.setenv("EXCURSION_IIA_THREADS", "2")
     persistency_table(M2, [0.0, 1.0], 2000, 3, 5, t_max=120.0, step=0.02)
-    tokens = tokenize.generate_tokens(io.StringIO(inspect.getsource(fit_persistency)).readline)
-    assert "@" not in {tok.string for tok in tokens if tok.type == tokenize.OP}
+    for fit in (fit_persistency, excursions.persistency._fit_window, fit_exponential_tail):
+        tokens = tokenize.generate_tokens(io.StringIO(inspect.getsource(fit)).readline)
+        assert "@" not in {tok.string for tok in tokens if tok.type == tokenize.OP}
 
 
 def test_persistency_table_checks_the_sample_count_before_building():

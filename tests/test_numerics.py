@@ -12,7 +12,7 @@ from scipy.stats import kstest
 
 import excursions.slepian
 from excursions.covmodel import diffusion_covariance
-from excursions.errors import DomainError, MonotonicityViolation
+from excursions.errors import DomainError, MonotonicityViolation, NumericalError
 from excursions.iia import build_iia
 from excursions.numerics import (Grid, TailModel, b_integral, fit_exponential_tail,
                                  gaver_stehfest_invert, inverse_cdf_sample, lump_cells,
@@ -185,6 +185,13 @@ def test_fit_exponential_tail():
     tail = fit_exponential_tail(g)
     assert tail.rate == pytest.approx(0.7, rel=1e-6)
     assert tail.amplitude == pytest.approx(3.0, rel=1e-4)
+
+
+def test_fit_exponential_tail_needs_two_values_in_its_window():
+    # the survival dies after one step, so (t_hi/10, t_hi] holds only t = 1
+    g = Grid(points=np.arange(5.0), values=np.array([1.0, 0.5, 0.0, 0.0, 0.0]))
+    with pytest.raises(NumericalError, match=r"window \(0\.1, 1\] holds 1 resolvable"):
+        fit_exponential_tail(g)
 
 
 # ------------------------------------------------------------ Gaver-Stehfest

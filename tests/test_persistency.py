@@ -6,8 +6,9 @@ import pytest
 from scipy.special import stdtrit
 
 from excursions.errors import DomainError, FitError
-from excursions.persistency import (SurvivalFit, aggregate_fits, fit_persistency,
-                                    labelled_fit, replicate_estimates, t_quantile)
+from excursions.persistency import (SurvivalFit, _fit_window, _tail_ranks, aggregate_fits,
+                                    fit_persistency, labelled_fit, replicate_estimates,
+                                    t_quantile)
 
 
 def test_fit_exponential_oracle():
@@ -200,3 +201,31 @@ def test_fit_error_when_the_tail_window_holds_one_value():
         warnings.simplefilter("error")
         with pytest.raises(FitError, match="one distinct value"):
             fit_persistency(x)
+
+
+def _fit_or_error(fit, *args):
+    try:
+        return fit(*args)
+    except (DomainError, FitError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("min_tail_count", [1, 50, 60])
+@pytest.mark.parametrize("n", [99, 118, 2000, 20_001, 200_000])
+def test_window_fit_equals_the_whole_sample_fit_bitwise(n, min_tail_count):
+    # the window alone and the log survival of its size fit as the whole
+    # sample does; n = 99 and (118, 60) fail, and must fail alike
+    x = np.random.default_rng(n).exponential(2.0, n)
+    ranks = _tail_ranks(n, min_tail_count)
+    whole = _fit_or_error(fit_persistency, x, min_tail_count)
+    part = _fit_or_error(_fit_window, np.sort(x)[ranks.lo:ranks.hi], ranks)
+    if n == 99 or (n, min_tail_count) == (118, 60):
+        assert part == whole and whole[0] in (DomainError, FitError)
+        return
+
+    def bits(fit):
+        floats = (fit.theta, fit.intercept, fit.r_squared, *fit.fit_window)
+        return np.array(floats).view(np.int64).tolist(), fit.n_points
+
+    assert isinstance(part, SurvivalFit)
+    assert bits(part) == bits(whole)
