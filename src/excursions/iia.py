@@ -33,7 +33,12 @@ q = a p_X + b (p_Y * q) for the above side, which one real FFT solves,
 
     Q = a P_X / (1 - b P_Y),
 
-and the below side swaps X and Y and a and b.  Each excursion is then
+and the below side swaps X and Y and a and b.  The law's survival
+decays as C e^{-theta t}, with theta the lesser of the Lundberg root of
+b E[e^{theta Y}] = 1 and the tail rate of X (Cramer-Lundberg asymptotics
+of geometric sums); :func:`persistency_exponent` finds it on the same
+lumped divisors before any transform, and the FFT is sized from it to
+hold all but 1e-10 of the mass in one solve.  Each excursion is then
 one inverse-CDF draw from that law; a replicate of the persistency
 table maps only the uniforms whose ranks its tail fit reads, the
 upper half of the sorted draws less the top few.  Checking the law's
@@ -56,10 +61,10 @@ from .numerics import (NEGATIVE_MASS_TOL, Grid, TailModel, fit_exponential_tail,
                        inverse_cdf_sample, lump_cells, next_fast_len, norm_cdf,
                        numerical_laplace, spawn_seeds, uniform_grid)
 from .persistency import BatchEstimate, _fit_window, _tail_ranks, replicate_estimates
-from .slepian import expected_clipped_down, expected_clipped_up
+from .slepian import _clipped_terms, _clipped_up_from
 
-__all__ = ["IIAModel", "build_iia", "excursion_law", "sample_excursion",
-           "persistency_table", "psi_hat"]
+__all__ = ["IIAModel", "build_iia", "excursion_law", "persistency_exponent",
+           "sample_excursion", "persistency_table", "psi_hat"]
 
 SIDES = ("above", "below")
 
@@ -127,23 +132,41 @@ def build_iia(model: CovarianceModel, u: float, t_max: float = 200.0,
     Phi(u) rounds to 0 or 1, so that one side has no mass, is a
     :class:`DomainError`.
     """
-    if not math.isfinite(u):
-        raise DomainError(f"level must be finite, got {float(u)!r}")
-    alpha = float(norm_cdf(u))
-    beta = 1.0 - alpha
-    if alpha in (0.0, 1.0):
-        raise DomainError(f"level {float(u)!r}: Phi(u) rounds to {alpha:g}, so the "
-                          f"excursions {'above' if alpha else 'below'} it have no mass")
-    if not (step > 0.0 and t_max > 10.0 * step):
-        raise DomainError("need step > 0 and t_max well above the step")
-    t = uniform_grid(t_max, step)
+    return _build_levels(model, [u], t_max, step)[0]
 
+
+def _build_levels(model: CovarianceModel, levels, t_max: float,
+                  step: float) -> list[IIAModel]:
+    # build_iia at each level, with the level-free Slepian terms computed once
+    t = terms = None
+    out = []
+    for u in levels:
+        if not math.isfinite(u):
+            raise DomainError(f"level must be finite, got {float(u)!r}")
+        alpha = float(norm_cdf(u))
+        if alpha in (0.0, 1.0):
+            raise DomainError(f"level {float(u)!r}: Phi(u) rounds to {alpha:g}, so the "
+                              f"excursions {'above' if alpha else 'below'} it have no mass")
+        if terms is None:
+            if not (step > 0.0 and t_max > 10.0 * step):
+                raise DomainError("need step > 0 and t_max well above the step")
+            t = uniform_grid(t_max, step)
+            terms = _clipped_terms(model, t[1:])
+        out.append(_build_level(model.name, float(u), alpha, t, terms))
+    return out
+
+
+def _build_level(source: str, u: float, alpha: float, t: np.ndarray,
+                 terms) -> IIAModel:
+    beta = 1.0 - alpha
+    # E_u^- = -E_{-u}^+, both on the shared terms of t[1:]
     e_up = np.empty(len(t))
     e_up[0] = 1.0
-    e_up[1:] = expected_clipped_up(model, u, t[1:])
+    e_up[1:] = _clipped_up_from(terms, u)
     e_dn = np.empty(len(t))
     e_dn[0] = -1.0
-    e_dn[1:] = expected_clipped_down(model, u, t[1:])
+    e_dn[1:] = _clipped_up_from(terms, -u)
+    np.negative(e_dn[1:], out=e_dn[1:])
 
     e_inf = 1.0 - 2.0 * alpha
     if abs(e_up[-1] - e_inf) >= 1e-6 or abs(e_dn[-1] - e_inf) >= 1e-6:
@@ -168,13 +191,13 @@ def build_iia(model: CovarianceModel, u: float, t_max: float = 200.0,
     tail_y = fit_exponential_tail(Grid(points=t, values=surv_y))
 
     return IIAModel(
-        level=float(u),
+        level=u,
         alpha=alpha,
         beta=beta,
         f_x_cdf=Grid(points=t, values=f_x),
         f_y_cdf=Grid(points=t, values=f_y),
         tail_rates=(tail_x.rate, tail_y.rate),
-        source=model.name,
+        source=source,
     )
 
 
@@ -185,20 +208,130 @@ def _knot_masses(cdf: Grid, tail_rate: float, knots: int) -> np.ndarray:
     return lump_cells(np.concatenate((np.diff(f), -np.diff(tail))), knots)
 
 
-def _solve_law(iia: IIAModel, side: str) -> tuple[Grid, float]:
+def _divisors(iia: IIAModel, side: str):
+    # (a, b, first divisor, extra divisor), each divisor a (CDF, tail rate) pair
     x, y = (iia.f_x_cdf, iia.tail_rates[0]), (iia.f_y_cdf, iia.tail_rates[1])
-    a, b, first, extra = ((iia.alpha, iia.beta, x, y) if side == "above"
-                          else (iia.beta, iia.alpha, y, x))
-    step, knots = iia.f_x_cdf.points[1], len(iia.f_x_cdf)
+    return (iia.alpha, iia.beta, x, y) if side == "above" else (iia.beta, iia.alpha, y, x)
+
+
+# mass past a divisor's grid below this is round-off in 1 - F, which the
+# weight e^{theta t} of a transform would blow up
+_RESOLVED = 1e-12
+
+
+class _Lumped:
+    """A divisor lumped on its knots, as the law solve lumps it, for its transforms.
+
+    Knot k holds half of each cell next to it, so with cell masses c_j
+    at t_j, E[e^{theta D}] = (1 + e^{theta h}) / 2 * sum_j c_j e^{theta t_j}.
+    Past the grid the cells follow the exponential tail, unless less than
+    ``_RESOLVED`` of the mass lies there.
+    """
+
+    def __init__(self, cdf: Grid, tail_rate: float):
+        f = cdf.values
+        self.t, self.step, self.rate = cdf.points[:-1], cdf.points[1], tail_rate
+        self.cells = np.diff(f)
+        end = 1.0 - f[-1]
+        self.end = end if end > _RESOLVED else 0.0
+
+    def transform(self, theta: float) -> tuple[float, float]:
+        """E[e^{theta D}] and E[D e^{theta D}], for theta below the tail rate."""
+        t, h = self.t, self.step
+        w = self.cells * np.exp(theta * t)
+        q = math.exp(-self.rate * h)
+        r = q * math.exp(theta * h)
+        # the cells past the grid, from the one at t_end = t[-1] + h on
+        t_end = t[-1] + h
+        past = (self.end * (1.0 - q) * math.exp(theta * t_end) / (1.0 - r)
+                if self.end else 0.0)
+        cells = float(np.sum(w)) + past
+        cells_slope = float(np.sum(t * w)) + past * (t_end + h * r / (1.0 - r))
+        half = 0.5 * (1.0 + math.exp(theta * h))
+        return (half * cells,
+                half * cells_slope + 0.5 * h * math.exp(theta * h) * cells)
+
+
+def _decay(iia: IIAModel, side: str) -> tuple[float, str, float]:
+    """The law's survival decays as C e^{-theta t}: ``(theta, branch, C)``.
+
+    theta is the least of X's tail rate and the Lundberg root of
+    b E[e^{theta Y}] = 1, for the first divisor X and the extra one Y.
+    b E[e^{theta Y}] - 1 is increasing and convex in theta, negative at
+    0 and positive just below Y's tail rate.  If it is still negative at
+    X's tail rate, theta is that rate; otherwise Newton's method,
+    safeguarded by bisection, finds the root below both rates.
+    """
+    a, b, first, extra = _divisors(iia, side)
+    x, y = _Lumped(*first), _Lumped(*extra)
+    if x.rate < y.rate:
+        mgf = y.transform(x.rate)[0]
+        if b * mgf < 1.0:
+            # X's survival, at most A e^{-rate t} where it is resolved, shifted
+            # by the geometric sum of Y's
+            surv = 1.0 - first[0].values
+            resolved = surv > _RESOLVED
+            amplitude = float(np.max(surv[resolved]
+                                     * np.exp(x.rate * first[0].points[resolved])))
+            return x.rate, "first", amplitude * a / (1.0 - b * mgf)
+    lo, hi, theta = 0.0, min(x.rate, y.rate), 0.0
+    while True:
+        mgf, slope = y.transform(theta)
+        g = b * mgf - 1.0
+        newton = theta - g / (b * slope)
+        if abs(newton - theta) <= 1e-13 * theta or hi - lo <= 1e-13 * hi:
+            break
+        if g < 0.0:
+            lo = theta
+        else:
+            hi = theta
+        theta = newton if lo < newton < hi else 0.5 * (lo + hi)
+    # residue of a E[e^{s X}] / (1 - b E[e^{s Y}]) at its pole s = theta
+    return theta, "root", a * x.transform(theta)[0] / (theta * b * slope)
+
+
+def persistency_exponent(iia: IIAModel, side: str) -> tuple[float, str]:
+    """The decay rate theta of one side's excursion law and its branch.
+
+    Above, theta is the least of the Lundberg root of
+    beta E[e^{theta Y}] = 1 and the tail rate of X, the first term of the
+    geometric sum; below, X and Y swap, and so do alpha and beta.  The
+    branch is ``"root"`` or ``"first"``, whichever gives theta.  The
+    divisors are lumped on the grid knots as :func:`excursion_law` lumps
+    them, and the law is sized from this same theta.
+    """
+    if side not in SIDES:
+        raise DomainError(f"side must be 'above' or 'below', got {side!r}")
+    theta, branch, _ = _decay(iia, side)
+    return float(theta), branch
+
+
+def _solve_law(iia: IIAModel, side: str) -> tuple[Grid, float]:
+    a, b, first, extra = _divisors(iia, side)
+    step = iia.f_x_cdf.points[1]
+    theta, _, amplitude = _decay(iia, side)
+    # the knot past which C e^{-theta t} is below half of _LAW_END
+    knots = max(2, math.ceil(math.log(2.0 * amplitude / _LAW_END) / (theta * step)) + 1)
+    if knots > _LAW_MAX_KNOTS:
+        raise NumericalError(
+            f"u = {iia.level:g}, {side} side: the excursion law needs {knots} knots "
+            f"of {step:g} to leave at most {_LAW_END:g} past its end, more than "
+            f"{_LAW_MAX_KNOTS}")
     while True:
         size = next_fast_len(2 * knots, real=True)
         first_hat = np.fft.rfft(_knot_masses(*first, knots), size)
         extra_hat = np.fft.rfft(_knot_masses(*extra, knots), size)
-        q = np.fft.irfft(a * first_hat / (1.0 - b * extra_hat), size)[:knots]
+        # a first / (1 - b extra), in place
+        extra_hat *= -b
+        extra_hat += 1.0
+        first_hat *= a
+        first_hat /= extra_hat
+        q = np.fft.irfft(first_hat, size)[:knots]
         # the knot masses, then the mass past the last knot
         mass = np.append(q, 1.0 - q.sum())
         if mass[-1] <= _LAW_END:
             break
+        # the sizing undershot: double until the mass past the end is small
         if 2 * knots > _LAW_MAX_KNOTS:
             raise NumericalError(
                 f"u = {iia.level:g}, {side} side: the excursion law holds "
@@ -229,15 +362,17 @@ def excursion_law(iia: IIAModel, side: str) -> tuple[Grid, float]:
         q = irfft(a rfft(p_X, L) / (1 - b rfft(p_Y, L))),
 
     with a = alpha, b = beta above and X, Y and a, b swapped below, on
-    ``L = next_fast_len(2 n)``.  ``n`` starts at the grid's knot count
-    and doubles until at most 1e-10 of the mass lies past the last knot
-    (:class:`NumericalError` past 2**21 knots, or if round-off leaves
-    over 1e-12 of negative mass).  Each knot's mass is spread evenly
-    over the half steps either side of it, so the CDF is piecewise
-    linear, zero at t = 0, and ends within 1e-10 of one; the tail rate
-    extrapolates it, fitted to the last decade of the survival.  The law
-    is computed on the first request for each side and cached on
-    ``iia``.
+    ``L = next_fast_len(2 n)``.  ``n`` is sized before the transform from
+    :func:`persistency_exponent`: the survival decays as C e^{-theta t},
+    and the law ends where that falls to half of 1e-10.  If more than
+    1e-10 of the mass still lies past the last knot, ``n`` doubles until
+    it does not.  More than 2**21 knots, sized or doubled, is a
+    :class:`NumericalError`, as is round-off leaving over 1e-12 of
+    negative mass.  Each knot's mass is spread evenly over the half
+    steps either side of it, so the CDF is piecewise linear, zero at
+    t = 0, and ends within 1e-10 of one; the tail rate extrapolates it,
+    fitted to the last decade of the survival.  The law is computed on
+    the first request for each side and cached on ``iia``.
     """
     if side not in SIDES:
         raise DomainError(f"side must be 'above' or 'below', got {side!r}")
@@ -279,8 +414,12 @@ def persistency_table(model: CovarianceModel, levels, samples: int, reps: int,
 
     Level k's seed is the k-th spawned from ``seed`` (``seed`` itself for
     a single level); it spawns a seed per side and each of those a seed
-    per replicate of ``samples`` draws.  Every (level, side) law is
-    solved before the pool starts and shared by that side's replicates.
+    per replicate of ``samples`` draws.  The levels share one grid, and
+    the level-free terms of the clipped means on it are computed once
+    for all levels and both signs; each model equals :func:`build_iia`'s
+    bit for bit.  Every (level, side) law is solved once, at the size
+    its persistency exponent gives, before the pool starts, and shared
+    by that side's replicates.
     A replicate draws the uniforms of :func:`sample_excursion` at its
     seed but maps only those whose ranks the tail fit reads, ``[lo, hi)``:
     it partitions them at ``lo``, sorts the rest and maps the first
@@ -299,7 +438,7 @@ def persistency_table(model: CovarianceModel, levels, samples: int, reps: int,
         levels, seeds = [levels], [seed]
     else:
         levels, seeds = list(levels), spawn_seeds(seed, len(levels))
-    iias = [build_iia(model, u, t_max=t_max, step=step) for u in levels]
+    iias = _build_levels(model, levels, t_max, step)
     # every law is solved here, before the pool, so its tasks only look them
     # up; a pool of their own would save about 3% of a benchmark-sized job
     # on 2 cores and add 2 to 4 MB to its peak memory

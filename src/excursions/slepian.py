@@ -31,8 +31,13 @@ Numerically the formula is a 0/0 battleground as t -> 0: both
 t^2, leaving an O(t^4) denominator.  Evaluation therefore goes through
 the model's stable ``1 - r(t)`` and returns the analytic limit below a
 small threshold or whenever the residual variance is numerically
-exhausted.  Phi is :func:`numerics.ndtr`, numpy's own, so this module
-loads no scipy.
+exhausted.  Only the two Phi arguments and the exponential factor
+depend on the level: r, 1 - r, r', sD and the prefactor of the second
+term are computed once per grid of times.  A table of levels reuses
+them for every level and both signs (E_u^- = -E_{-u}^+) in the same
+operation order, so each curve is bit for bit the one
+:func:`expected_clipped_up` returns.  Phi is :func:`numerics.ndtr`,
+numpy's own, so this module loads no scipy.
 """
 
 from __future__ import annotations
@@ -58,8 +63,13 @@ T_EPS = 1e-8
 CLAMP = -1e-12
 
 
-def _clipped_up_values(model: CovarianceModel, u: float, t: np.ndarray) -> np.ndarray:
-    """Vectorized E_u^+ on strictly positive times (no domain checks)."""
+def _clipped_terms(model: CovarianceModel, t: np.ndarray) -> tuple:
+    """The arrays of E_u^+ that no level enters, on strictly positive ``t``.
+
+    In order: 1 - r, 1 + r kept off zero, r', sD (1 where degenerate), the
+    prefactor -(2 / sqrt(-r''(0))) r' / sqrt(1 - r^2), sqrt((1 - r) / (1 + r)),
+    the mask where E_u^+ is its t -> 0 limit 1, and sqrt(-r''(0)).
+    """
     g2 = -model.r_pp0
     sqrt_g2 = math.sqrt(g2)
     r = np.asarray(model.r(t), dtype=float)
@@ -79,11 +89,16 @@ def _clipped_up_values(model: CovarianceModel, u: float, t: np.ndarray) -> np.nd
     var_safe = np.where(degenerate, 1.0, var)
     mp_safe = np.where(degenerate, 1.0, mp)
     p_safe = np.maximum(p, 1e-300)
-    sD = np.sqrt(var_safe)
-
-    term1 = 1.0 - 2.0 * ndtr(u * m / sD)
     pref = -(2.0 / sqrt_g2) * rp / np.sqrt(mp_safe)
-    arg2 = (-u / sqrt_g2) * np.sqrt(m / p_safe) * rp / sD
+    return (m, p_safe, rp, np.sqrt(var_safe), pref, np.sqrt(m / p_safe), degenerate,
+            sqrt_g2)
+
+
+def _clipped_up_from(terms: tuple, u: float) -> np.ndarray:
+    """E_u^+ at level ``u`` from the level-free terms of :func:`_clipped_terms`."""
+    m, p_safe, rp, sD, pref, ratio, degenerate, sqrt_g2 = terms
+    term1 = 1.0 - 2.0 * ndtr(u * m / sD)
+    arg2 = (-u / sqrt_g2) * ratio * rp / sD
     term2 = pref * np.exp(-0.5 * u * u * m / p_safe) * ndtr(arg2)
 
     out = np.where(degenerate, 1.0, term1 + term2)
@@ -100,7 +115,7 @@ def expected_clipped_up(model: CovarianceModel, u: float, t):
     ta = np.asarray(t, dtype=float)
     if np.any(ta <= 0.0):
         raise DomainError("time must be strictly positive")
-    out = _clipped_up_values(model, float(u), np.atleast_1d(ta))
+    out = _clipped_up_from(_clipped_terms(model, np.atleast_1d(ta)), float(u))
     return float(out[0]) if ta.ndim == 0 else out
 
 

@@ -13,14 +13,16 @@ from scipy.stats import ks_2samp
 
 import excursions.iia
 import excursions.persistency
+import excursions.slepian
 from excursions.covmodel import diffusion_covariance
 from excursions.errors import (DomainError, GridTooShort, MonotonicityViolation,
                                NumericalError)
-from excursions.iia import (build_iia, excursion_law, persistency_table, psi_hat,
-                            sample_excursion)
-from excursions.numerics import (fit_exponential_tail, gaver_stehfest_invert,
-                                 inverse_cdf_sample, norm_cdf)
+from excursions.iia import (build_iia, excursion_law, persistency_exponent,
+                            persistency_table, psi_hat, sample_excursion)
+from excursions.numerics import (Grid, fit_exponential_tail, gaver_stehfest_invert,
+                                 inverse_cdf_sample, norm_cdf, uniform_grid)
 from excursions.persistency import aggregate_fits, fit_persistency
+from excursions.slepian import expected_clipped_down, expected_clipped_up
 
 M2 = diffusion_covariance(2)
 
@@ -86,6 +88,38 @@ def test_side_duality():
     assert a.alpha == pytest.approx(b.beta, abs=1e-12)
     assert np.max(np.abs(a.f_x_cdf.values - b.f_y_cdf.values)) <= 1e-12
     assert np.max(np.abs(a.f_y_cdf.values - b.f_x_cdf.values)) <= 1e-12
+
+
+BENCH_LEVELS = (0.0, 0.5, 1.0, 1.25)
+
+
+def _reference_divisors(u):
+    """F_X, F_Y and their tail rates from the public clipped means, as built."""
+    t = uniform_grid(200.0, 0.01)
+    alpha = float(norm_cdf(u))
+    e_inf = 1.0 - 2.0 * alpha
+    e_up = np.concatenate(([1.0], expected_clipped_up(M2, u, t[1:])))
+    e_dn = np.concatenate(([-1.0], expected_clipped_down(M2, u, t[1:])))
+    out, rates = [], []
+    for surv in (np.maximum((e_up - e_inf) / (2.0 * alpha), 0.0),
+                 np.maximum((e_inf - e_dn) / (2.0 * (1.0 - alpha)), 0.0)):
+        f = np.minimum(np.maximum.accumulate(1.0 - surv), 1.0)
+        f[0] = 0.0
+        out.append(f)
+        rates.append(fit_exponential_tail(Grid(points=t, values=surv)).rate)
+    return out[0], out[1], tuple(rates)
+
+
+def test_built_divisors_equal_the_public_clipped_means_bitwise():
+    # build_iia and persistency_table share the level-free Slepian terms
+    # across levels and signs; neither may move a bit
+    rows = persistency_table(M2, list(BENCH_LEVELS), 1000, 2, 3)
+    for u, (table_iia, _, _) in zip(BENCH_LEVELS, rows):
+        f_x, f_y, rates = _reference_divisors(u)
+        for iia in (build_iia(M2, u), table_iia):
+            assert np.array_equal(iia.f_x_cdf.values.view(np.int64), f_x.view(np.int64))
+            assert np.array_equal(iia.f_y_cdf.values.view(np.int64), f_y.view(np.int64))
+            assert iia.tail_rates == rates
 
 
 @pytest.mark.parametrize("u", [math.inf, -math.inf, math.nan])
@@ -162,6 +196,34 @@ def test_law_slope_matches_lundberg_root(u, side):
     assert -slope == pytest.approx(_lundberg_root(iia, side), abs=1e-4)
 
 
+@pytest.mark.parametrize("side", ["above", "below"])
+@pytest.mark.parametrize("u", [0.0, 0.5, 1.0])
+def test_persistency_exponent_is_the_lundberg_root(u, side):
+    iia = build_iia(M2, u)
+    theta, branch = persistency_exponent(iia, side)
+    assert branch == "root"
+    assert theta == pytest.approx(_lundberg_root(iia, side), abs=1e-6)
+
+
+def test_persistency_exponent_at_the_highest_paper_level():
+    # above, the root 0.5546 lies past X's tail rate, which then sets theta
+    iia = build_iia(M2, 1.25)
+    assert persistency_exponent(iia, "above") == (iia.tail_rates[0], "first")
+    theta, branch = persistency_exponent(iia, "below")
+    assert branch == "root" and theta == pytest.approx(0.04117, abs=5e-6)
+    with pytest.raises(DomainError):
+        persistency_exponent(iia, "sideways")
+
+
+def test_persistency_exponent_ignores_round_off_past_the_grid():
+    # F_Y at u = 0.75 ends one ulp short of one; weighted by e^{theta t} at
+    # t = 200 that ulp alone would halve the root
+    above = persistency_exponent(build_iia(M2, 0.75), "above")
+    below = persistency_exponent(build_iia(M2, -0.75), "below")
+    assert above[0] == pytest.approx(below[0], abs=1e-6)
+    assert above[0] == pytest.approx(0.35145, abs=1e-5)
+
+
 def test_law_is_a_cdf_from_zero_to_one(iia_u1):
     for side in ("above", "below"):
         cdf, tail_rate = excursion_law(iia_u1, side)
@@ -173,12 +235,75 @@ def test_law_is_a_cdf_from_zero_to_one(iia_u1):
 
 
 def test_law_needing_knots_past_the_cap_is_a_numerical_error(monkeypatch):
-    # u = 1.25 below needs 8e4 knots of 0.01 to leave at most 1e-10 past the end
+    # u = 1.25 below is sized to about 5.8e4 knots of 0.01, which is refused
+    # before any transform
+    def no_fft(*args, **kwargs):
+        raise AssertionError("FFT before the knot cap was checked")
+
     monkeypatch.setattr(excursions.iia, "_LAW_MAX_KNOTS", 50_000)
     iia = build_iia(M2, 1.25)
-    with pytest.raises(NumericalError, match="u = 1.25, below side"):
-        excursion_law(iia, "below")
+    with monkeypatch.context() as patch:
+        patch.setattr(np.fft, "rfft", no_fft)
+        with pytest.raises(NumericalError, match=r"u = 1.25, below side: .* needs \d+ knots"):
+            excursion_law(iia, "below")
     assert excursion_law(iia, "above")[0].points[-1] < 201.0
+
+
+def test_each_benchmark_law_takes_one_solve(monkeypatch):
+    irfft, solves = np.fft.irfft, []
+
+    def counting(*args, **kwargs):
+        solves.append(args[1])
+        return irfft(*args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "irfft", counting)
+    rows = persistency_table(M2, list(BENCH_LEVELS), 1000, 2, 9)
+    assert len(solves) == 8
+    for iia, _, _ in rows:
+        for side in ("above", "below"):
+            cdf, _ = excursion_law(iia, side)
+            assert 1.0 - cdf.values[-1] <= 1e-10
+
+
+def _mass_past(iia, side, knots):
+    # the renewal equation solved afresh on `knots` knots: the mass past them
+    first, extra, a = _divisors(iia, side)
+    p_first, p_extra = (excursions.iia._knot_masses(*divisor, knots)
+                        for divisor in (first, extra))
+    size = 2 * knots
+    q = np.fft.irfft(a * np.fft.rfft(p_first, size)
+                     / (1.0 - (1.0 - a) * np.fft.rfft(p_extra, size)), size)[:knots]
+    return 1.0 - q.sum()
+
+
+@pytest.mark.parametrize("u, side", [(u, side) for u in BENCH_LEVELS
+                                     for side in ("above", "below")
+                                     if (u, side) != (1.25, "above")])
+def test_root_branch_laws_are_sized_without_waste(u, side):
+    # the law ends where at most 1e-10 is left past it, and a tenth fewer
+    # knots would leave more
+    iia = build_iia(M2, u)
+    assert persistency_exponent(iia, side)[1] == "root"
+    knots = len(excursion_law(iia, side)[0]) - 1
+    assert _mass_past(iia, side, knots) <= excursions.iia._LAW_END
+    assert _mass_past(iia, side, int(0.9 * knots)) > excursions.iia._LAW_END
+
+
+def test_an_undersized_law_doubles_until_it_holds_its_mass(monkeypatch):
+    # the sizing is an asymptote; if it falls short the solve doubles
+    decay = excursions.iia._decay
+    monkeypatch.setattr(excursions.iia, "_decay",
+                        lambda iia, side: decay(iia, side)[:2] + (1e-3,))
+    irfft, solves = np.fft.irfft, []
+
+    def counting(*args, **kwargs):
+        solves.append(args[1])
+        return irfft(*args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "irfft", counting)
+    cdf, _ = excursion_law(build_iia(M2, 0.5), "below")
+    assert len(solves) == 2
+    assert 1.0 - cdf.values[-1] <= 1e-10
 
 
 def test_sample_mean_zero_level(iia_u0):
@@ -248,7 +373,7 @@ def test_sampling_deterministic_under_seed(iia_u1):
 @pytest.mark.parametrize("u, side", [(1.0, "above"), (1.25, "below")])
 def test_sorted_walk_draws_the_unsorted_lengths_bitwise(u, side):
     # the reference is the draw in generation order; the 1.25 below law
-    # holds 80005 knots
+    # holds the most knots of the paper's levels, about 5.8e4
     iia = build_iia(M2, u)
     cdf, tail_rate = excursion_law(iia, side)
     want = inverse_cdf_sample(cdf, tail_rate, np.random.default_rng(31).random(200_000))
@@ -368,18 +493,24 @@ def test_sample_excursion_keeps_generation_order(iia_u1):
 
 def test_persistency_table_makes_no_blas_call(monkeypatch):
     # BLAS starts threads of its own inside the pools' tasks and
-    # oversubscribes the CPUs; the fits are written without it
+    # oversubscribes the CPUs; the fits, the Lundberg root and the shared
+    # Slepian terms are written without it
     def blas(*args, **kwargs):
         raise AssertionError("BLAS call in persistency_table")
 
     monkeypatch.setattr(np.linalg, "lstsq", blas)
     monkeypatch.setattr(np, "polyfit", blas)
     monkeypatch.setattr(np, "dot", blas)
+    monkeypatch.setattr(np, "matmul", blas)
     monkeypatch.setenv("EXCURSION_IIA_THREADS", "2")
     persistency_table(M2, [0.0, 1.0], 2000, 3, 5, t_max=120.0, step=0.02)
-    for fit in (fit_persistency, excursions.persistency._fit_window, fit_exponential_tail):
-        tokens = tokenize.generate_tokens(io.StringIO(inspect.getsource(fit)).readline)
+    for fn in (fit_persistency, excursions.persistency._fit_window, fit_exponential_tail,
+               excursions.iia._decay, excursions.iia._Lumped,
+               excursions.slepian._clipped_terms, excursions.slepian._clipped_up_from):
+        tokens = list(tokenize.generate_tokens(io.StringIO(inspect.getsource(fn)).readline))
         assert "@" not in {tok.string for tok in tokens if tok.type == tokenize.OP}
+        assert not {"dot", "matmul"} & {tok.string for tok in tokens
+                                        if tok.type == tokenize.NAME}
 
 
 def test_persistency_table_checks_the_sample_count_before_building():
