@@ -36,9 +36,9 @@ level from the same trajectories, so its row for a level equals
 ``gp-sim`` at that level with the same seed and sizes.
 
 Importing this module loads no scipy, and neither does any subcommand
-but two: ``clipped-cov``, whose Owen's T is ``scipy.special.owens_t``,
-and ``switch-sim`` with an ``erlang:`` law, whose CDF is
-``scipy.special.gammainc``.  Each imports it on first use.
+but ``clipped-cov``, whose Owen's T is ``scipy.special.owens_t`` and is
+imported on first use.  ``switch-sim`` only draws from its laws, so even
+an ``erlang:`` law, whose CDF is ``scipy.special.gammainc``, loads none.
 """
 
 from __future__ import annotations

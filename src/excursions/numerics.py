@@ -395,14 +395,12 @@ def gaver_stehfest_invert(psi, t: float, order: int = 14) -> float:
 # inverse-CDF sampling
 # ---------------------------------------------------------------------------
 
-def inverse_cdf_sample(cdf: Grid, tail_rate: float | None, uniform):
+def inverse_cdf_sample(cdf: Grid, tail_rate: float, uniform):
     """Monotone piecewise-linear inversion of a tabulated CDF.
 
     ``uniform`` may be a scalar or an array of values in (0, 1).  For
     values above the final tabulated CDF level the exponential tail
-    with the given ``tail_rate`` extrapolates the quantile; without a
-    tail rate the final CDF value must already be within 1e-9 of one,
-    and such draws clamp to the last grid point.
+    with the given positive ``tail_rate`` extrapolates the quantile.
 
     Below the final CDF level the result is
     ``np.interp(u, cdf.values, cdf.points)``, whose search starts from
@@ -410,10 +408,7 @@ def inverse_cdf_sample(cdf: Grid, tail_rate: float | None, uniform):
     each.  The grid is checked to be a CDF once, on its first use here.
     """
     f_end = cdf._cdf_end
-    if tail_rate is None and f_end < 1.0 - 1e-9:
-        raise DomainError(
-            "cdf does not reach one and no tail rate was supplied")
-    if tail_rate is not None and not tail_rate > 0.0:
+    if not tail_rate > 0.0:
         raise DomainError("tail rate must be positive")
 
     u = np.asarray(uniform, dtype=float)
@@ -425,10 +420,7 @@ def inverse_cdf_sample(cdf: Grid, tail_rate: float | None, uniform):
     out = np.interp(u, cdf._vals, cdf._pts)
     over = u > f_end
     if over.any():
-        if tail_rate is None:
-            out[over] = cdf.points[-1]
-        else:
-            out[over] = cdf.points[-1] + np.log((1.0 - f_end) / (1.0 - u[over])) / tail_rate
+        out[over] = cdf.points[-1] + np.log((1.0 - f_end) / (1.0 - u[over])) / tail_rate
     if scalar:
         return float(out[0])
     return out

@@ -29,8 +29,8 @@ closed forms for all of these and is the oracle for the Monte Carlo
 estimators.
 
 :func:`simulate_switch_paths` simulates a whole batch of paths with one
-generator: the initial states in one draw, the stationary delays in one
-inverse-CDF call per initial state, and the holding times as
+generator: the initial states in one draw, the stationary delays from
+each initial state's closed-form delay sampler, and the holding times as
 ``(paths, K)`` blocks whose cumulative sums are the switch epochs.  A
 further block is drawn only for the paths still short of the horizon.
 The batch keeps the epochs as one matrix padded with ``inf``, so the
@@ -39,23 +39,23 @@ state and switch count of every path on a time grid are one comparison.
 tallies the switches by rank and grid time instead.
 
 :func:`switch_count_distribution` shares the kernel of
-:func:`iia.excursion_law`: every law is lumped on the grid knots by the
-trapezoid rule (:func:`numerics.lump_cells`), and the epoch of each
-switch is the last one convolved with a holding law by one real FFT.
+:func:`iia.excursion_law`: the cell masses of every law, the differences
+of its exact CDF on the grid knots (of the closed-form delay CDF for the
+first switch), are lumped on the knots (:func:`numerics.lump_cells`),
+and the epoch of each switch is the last one convolved with a holding
+law by one real FFT.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
 
 from .errors import DomainError, NumericalError
-from .numerics import (NEGATIVE_MASS_TOL, Grid, inverse_cdf_sample, lump_cells,
-                       lumped_cdf, next_fast_len)
+from .numerics import NEGATIVE_MASS_TOL, lump_cells, lumped_cdf, next_fast_len
 
 __all__ = [
     "IntervalDistribution",
@@ -86,13 +86,19 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class IntervalDistribution:
-    """One switching-time law: sampler, CDF, mean, Psi."""
+    """One switching-time law and its stationary delay: CDFs, samplers, mean, Psi.
+
+    The delay is the integrated-tail law, of density ``(1 - F) / mean``,
+    that a stationary path waits before its first switch.
+    """
 
     name: str
     mean: float
     psi: Callable
     cdf: Callable
     sampler: Callable
+    delay_cdf: Callable
+    delay_sampler: Callable
 
     def __post_init__(self):
         if not (self.mean > 0.0 and math.isfinite(self.mean)):
@@ -104,12 +110,17 @@ def exponential_interval(rate: float) -> IntervalDistribution:
     if not rate > 0.0:
         raise DomainError(f"rate must be positive, got {rate}")
     lam = float(rate)
+    cdf = lambda t: -np.expm1(-lam * np.maximum(t, 0.0))
+    sampler = lambda rng, size=None: rng.exponential(1.0 / lam, size=size)
+    # memoryless: the delay is the law itself
     return IntervalDistribution(
         name=f"exp:{lam:g}",
         mean=1.0 / lam,
         psi=lambda s: lam / (lam + s),
-        cdf=lambda t: -np.expm1(-lam * np.maximum(t, 0.0)),
-        sampler=lambda rng, size=None: rng.exponential(1.0 / lam, size=size),
+        cdf=cdf,
+        sampler=sampler,
+        delay_cdf=cdf,
+        delay_sampler=sampler,
     )
 
 
@@ -126,12 +137,22 @@ def erlang_interval(shape: int, rate: float) -> IntervalDistribution:
 
         return gammainc(k, lam * np.maximum(t, 0.0))
 
+    def delay_cdf(t):
+        # the delay is Erlang(J, lam) with J uniform on 1..k
+        from scipy.special import gammainc
+
+        x = lam * np.maximum(t, 0.0)
+        return sum(gammainc(j, x) for j in range(1, k + 1)) / k
+
     return IntervalDistribution(
         name=f"erlang:{k}:{lam:g}",
         mean=k / lam,
         psi=lambda s: (lam / (lam + s)) ** k,
         cdf=cdf,
         sampler=lambda rng, size=None: rng.gamma(k, 1.0 / lam, size=size),
+        delay_cdf=delay_cdf,
+        delay_sampler=lambda rng, size=None: rng.gamma(rng.integers(1, k + 1, size),
+                                                       1.0 / lam),
     )
 
 
@@ -147,6 +168,8 @@ def deterministic_interval(value: float) -> IntervalDistribution:
         cdf=lambda t: (np.asarray(t, dtype=float) >= c).astype(float),
         sampler=lambda rng, size=None: (c if size is None
                                         else np.full(size, c)),
+        delay_cdf=lambda t: np.clip(t, 0.0, c) / c,
+        delay_sampler=lambda rng, size=None: rng.uniform(0.0, c, size),
     )
 
 
@@ -209,33 +232,6 @@ def _holding_block(plus, minus, plus_first: np.ndarray, pairs: int, rng) -> np.n
     return block
 
 
-@lru_cache(maxsize=32)
-def _delay_inverse(dist: IntervalDistribution) -> Grid:
-    """Tabulated CDF of the integrated-tail (stationary delay) law.
-
-    The delay density is ``(1 - F(t)) / mean``; its CDF is accumulated
-    by cumulative trapezoid on a grid resolving the mean with 200
-    points, extended until the underlying CDF is within 1e-9 of one.
-    What the trapezoid rule leaves short of one at the end is
-    discretisation error, not tail mass, so the CDF is divided by its
-    final value and needs no tail model.  That keeps laws of bounded
-    support, whose delay survival has no exponential tail to fit, usable.
-    """
-    t_hi = 20.0 * dist.mean
-    for _ in range(40):
-        if float(dist.cdf(t_hi)) >= 1.0 - 1e-9:
-            break
-        t_hi *= 2.0
-    step = dist.mean / 200.0
-    n = int(math.ceil(t_hi / step))
-    t = np.linspace(0.0, t_hi, n + 1)
-    survival = 1.0 - np.asarray(dist.cdf(t), dtype=float)
-    steps = np.diff(t) * (survival[1:] + survival[:-1]) / 2.0
-    delay_cdf = np.concatenate(([0.0], np.cumsum(steps))) / dist.mean
-    delay_cdf = np.minimum(np.maximum.accumulate(delay_cdf), 1.0)
-    return Grid(points=t, values=delay_cdf / delay_cdf[-1])
-
-
 # entries of the first holding-time block, 1 GiB of float64; a horizon
 # that needs more is rejected before anything is drawn
 _FIRST_BLOCK_BUDGET = 2**27
@@ -250,14 +246,14 @@ def simulate_switch_paths(plus: IntervalDistribution, minus: IntervalDistributio
     ``p0``.  A stationary path starts in state +1 with probability
     ``mu+ / (mu+ + mu-)``, and its first switch comes after a delay
     drawn from the integrated-tail density ``(1 - F_delta(t)) / mu_delta``
-    of its initial state by inverse-CDF sampling.  Holding times then
-    alternate between the state-matched laws until the horizon.
+    of its initial state by that law's ``delay_sampler``.  Holding times
+    then alternate between the state-matched laws until the horizon.
 
     Every path draws from the one generator ``np.random.default_rng(seed)``,
     in this order: the initial states; for stationary paths the delays,
-    one inverse-CDF call for the paths that start in +1 and one for the
-    rest; then blocks of holding times.  The first block gives each path
-    ``2 (int(1.1 horizon / (mu+ + mu-)) + 2)`` holding times, about 1.1
+    one ``delay_sampler`` call for the paths that start in +1 and one for
+    the rest; then blocks of holding times.  The first block gives each
+    path ``2 (int(1.1 horizon / (mu+ + mu-)) + 2)`` holding times, about 1.1
     times the mean number of switches plus four, and each further block
     goes only to the paths still short of the horizon.  A horizon whose
     first block would exceed 2**27 entries raises :class:`DomainError`.
@@ -283,8 +279,7 @@ def simulate_switch_paths(plus: IntervalDistribution, minus: IntervalDistributio
     if stationary:
         delays = np.empty(n_paths)
         for rows, dist in ((plus_first, plus), (~plus_first, minus)):
-            delays[rows] = inverse_cdf_sample(_delay_inverse(dist), None,
-                                              rng.random(np.count_nonzero(rows)))
+            delays[rows] = dist.delay_sampler(rng, np.count_nonzero(rows))
         start = delays[:, None]
         plus_first = ~plus_first    # the delay ends in a switch
     block = _holding_block(plus, minus, plus_first, pairs, rng)
@@ -409,8 +404,11 @@ def switch_count_distribution(plus: IntervalDistribution,
     ones up to ``k_max`` are 0; with ``k_max = None``, 10 000 counts that
     leave more raise :class:`NumericalError`, as does an epoch with over
     1e-12 of negative mass.  Entries are within O(step^2) for laws with
-    densities; a CDF that jumps (``det:``) moves them by O(step / mean),
-    and P(N(t) = 0) can fall to -step / (3 mean).  A horizon that is not
+    densities; a CDF that jumps (``det:``) moves them by O(step / mean).
+    The delay's cells are the differences of its exact ``delay_cdf``, so
+    P(N(t) = 0) is 1 - ``delay_cdf(t)`` up to rounding, except within one
+    step of a jump of the delay density (at c for ``det:c``), where it
+    is off by at most step / (4 mean).  A horizon that is not
     finite and positive or needs over 2**21 knots, and a ``k_max`` outside
     the integers 0..10 000, are :class:`DomainError`.
     """
@@ -427,17 +425,12 @@ def switch_count_distribution(plus: IntervalDistribution,
                           f"of {step:g}, more than {_MAX_KNOTS}")
     current, other = (plus, minus) if delta == 1 else (minus, plus)
     n = max(4, math.ceil(t / step))
-    # the knots 0..n + 1 at the even entries, the midpoints of their cells between
-    x = np.arange(2 * n + 3) * (t / (2 * n))
-    f_current = np.asarray(current.cdf(x), dtype=float)
-    # the delay's cells by Simpson's rule on its density (1 - F) / mean
-    s = 1.0 - f_current
-    delay_cells = (s[:-2:2] + 4.0 * s[1::2] + s[2::2]) * (t / (6.0 * n * current.mean))
+    x = np.arange(n + 2) * (t / n)      # the knots 0..n + 1
     size = next_fast_len(2 * (n + 1), real=True)
     # the holding time that ends an epoch of even rank follows the other state's law
-    hats = [np.fft.rfft(lump_cells(np.diff(f), n + 1), size)
-            for f in (other.cdf(x[::2]), f_current[::2])]
-    masses = lump_cells(delay_cells, n + 1)
+    hats = [np.fft.rfft(lump_cells(np.diff(f(x)), n + 1), size)
+            for f in (other.cdf, current.cdf)]
+    masses = lump_cells(np.diff(current.delay_cdf(x)), n + 1)
     probs = [1.0 - (reached := lumped_cdf(masses, n))]     # reached: P(N(t) >= k)
     while reached > 1e-12 and len(probs) <= (_MAX_TERMS if k_max is None else k_max):
         masses = np.fft.irfft(np.fft.rfft(masses, size) * hats[(len(probs) - 1) % 2],

@@ -272,7 +272,7 @@ print(sorted(m for m in sys.modules if m.split(".")[:2] in
 
 
 def test_cli_subcommands_load_no_scipy(tmp_path):
-    # a fresh interpreter; only clipped-cov and erlang: laws may load scipy
+    # a fresh interpreter; only clipped-cov may load scipy
     script = f"""
 import sys
 from excursions.cli import run
@@ -282,7 +282,9 @@ runs = [["iia", "--level", "0.5", "--samples-csv", "s", "--out", "i.json"] + {FA
         ["gp-sim", "--level", "0", "--out", "g.json"] + {FAST_TRAJ!r},
         ["table2", "--levels", "0", "--out", "t2.json"] + {FAST_TRAJ!r},
         ["switch-sim", "--plus", "exp:1.0", "--minus", "exp:2.0", "--stationary",
-         "--paths", "200", "--out", "sw.csv"]]
+         "--paths", "200", "--out", "sw.csv"],
+        ["switch-sim", "--plus", "erlang:2:1", "--stationary",
+         "--paths", "200", "--out", "swe.csv"]]
 for args in runs:
     assert run(args + ["--seed", "3"]) == 0, args[0]
 print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))

@@ -263,7 +263,7 @@ def test_inverse_cdf_monotonicity_violation():
     vals = np.array([0.0, 0.2, 0.1, 0.6, 1.0])
     g = Grid(points=np.arange(5.0), values=vals)
     with pytest.raises(MonotonicityViolation) as err:
-        inverse_cdf_sample(g, None, 0.5)
+        inverse_cdf_sample(g, 1.0, 0.5)
     assert err.value.index == 2
 
 
@@ -273,11 +273,11 @@ def test_inverse_cdf_bad_cdf_raises_on_every_call():
     dip = Grid(points=np.arange(5.0), values=np.array([0.0, 0.2, 0.1, 0.6, 1.0]))
     for u in (0.5, np.full(100, 0.5), 0.5):
         with pytest.raises(MonotonicityViolation):
-            inverse_cdf_sample(dip, None, u)
+            inverse_cdf_sample(dip, 1.0, u)
     shifted = Grid(points=np.arange(3.0), values=np.array([0.1, 0.5, 1.0]))
     for u in (np.full(100, 0.5), 0.5):
         with pytest.raises(DomainError, match="start at zero"):
-            inverse_cdf_sample(shifted, None, u)
+            inverse_cdf_sample(shifted, 1.0, u)
 
 
 def test_inverse_cdf_rejects_nan_draws():
@@ -335,7 +335,7 @@ def test_inverse_cdf_exact_hit_on_steep_segment():
     pts = np.array([0.0, 1.0, 1e305, 2e305])
     g = Grid(points=pts, values=vals)
     u = np.full(8, 0.5)
-    assert np.array_equal(inverse_cdf_sample(g, None, u), np.interp(u, vals, pts))
+    assert np.array_equal(inverse_cdf_sample(g, 1.0, u), np.interp(u, vals, pts))
 
 
 def test_guide_table_is_quiet_on_flat_and_steep_steps():
@@ -348,7 +348,7 @@ def test_guide_table_is_quiet_on_flat_and_steep_steps():
     before = np.geterr()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = inverse_cdf_sample(g, None, u)
+        got = inverse_cdf_sample(g, 1.0, u)
     assert np.geterr() == before
     assert np.array_equal(got, np.interp(u, vals, pts))
 
@@ -378,16 +378,15 @@ def test_inverse_cdf_tail_branch_unchanged():
     want[over] = t[-1] + np.log((1.0 - f_end) / (1.0 - u[over])) / 0.7
     assert np.array_equal(_bits(got), _bits(want))
     assert np.all(got[~over] == t[-1])
-    complete = Grid(points=t, values=np.append(1.0 - np.exp(-t[:-1]), 1.0 - 1e-10))
-    clamped = inverse_cdf_sample(complete, None, np.full(400, 1.0 - 1e-11))
-    assert np.all(clamped == t[-1])
 
 
-def test_inverse_cdf_requires_tail_or_complete_cdf():
+def test_inverse_cdf_requires_a_positive_tail_rate():
+    # even a CDF that reaches one needs a tail rate
     t = np.linspace(0.0, 2.0, 201)
-    g = Grid(points=t, values=1.0 - np.exp(-t))
-    with pytest.raises(DomainError):
-        inverse_cdf_sample(g, None, 0.5)
+    g = Grid(points=t, values=np.append(1.0 - np.exp(-t[:-1]), 1.0))
+    for rate in (0.0, -1.0, math.nan):
+        with pytest.raises(DomainError, match="tail rate must be positive"):
+            inverse_cdf_sample(g, rate, 0.5)
 
 
 # ----------------------------------------------------------------- Grid type

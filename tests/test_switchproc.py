@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 from scipy.stats import kstest
 
 import excursions.switchproc
@@ -45,6 +46,24 @@ def test_deterministic_interval():
     det = deterministic_interval(1.0)
     assert det.psi(2.0) == pytest.approx(math.exp(-2.0))
     assert det.cdf(0.5) == 0.0 and det.cdf(1.5) == 1.0
+
+
+@pytest.mark.parametrize("spec, second_moment", [("exp:1", 2.0),
+                                                  ("erlang:3:1.5", 12.0 / 1.5 ** 2),
+                                                  ("det:1", 1.0)],
+                         ids=["exp", "erlang", "det"])
+def test_delay_law_is_the_integrated_tail(spec, second_moment):
+    # the stationary delay has density (1 - F) / E[H] and mean E[H^2] / (2 E[H])
+    dist = interval_from_spec(spec)
+    for t in (0.1, 0.5, 1.0, 1.7, 4.0, 12.0):
+        # split at 1, where det:1 jumps
+        tail = sum(quad(lambda s: 1.0 - float(dist.cdf(s)), a, b, epsabs=1e-13)[0]
+                   for a, b in ((0.0, min(t, 1.0)), (min(t, 1.0), t)))
+        assert float(dist.delay_cdf(t)) == pytest.approx(tail / dist.mean, abs=1e-10)
+    draws = dist.delay_sampler(np.random.default_rng(2110), 400_000)
+    se = draws.std(ddof=1) / math.sqrt(len(draws))
+    assert abs(draws.mean() - second_moment / (2.0 * dist.mean)) < 3.5 * se
+    assert kstest(draws, dist.delay_cdf).statistic < 0.005
 
 
 def test_interval_from_spec():
@@ -249,6 +268,18 @@ def test_switch_count_deterministic_intervals(t, exact):
         assert np.max(np.abs(pmf - expected)) <= step / det.mean
 
 
+@pytest.mark.parametrize("c", [1.0, 1.00255, 1.0002])
+@pytest.mark.parametrize("t", [0.7, 1.5])
+def test_switch_count_det_law_has_no_negative_entries(c, t):
+    # the delay's cells are its exact CDF's differences, so more than a
+    # step away from c no entry is negative and P(N(t) = 0) is exact
+    det = deterministic_interval(c)
+    for delta in (-1, 1):
+        pmf = switch_count_distribution(det, det, delta, t, k_max=4)
+        assert np.all(pmf >= 0.0)
+        assert pmf[0] == pytest.approx(1.0 - det.delay_cdf(t), abs=1e-14)
+
+
 def test_switch_count_k_max_pads_past_the_negligible_counts():
     full = switch_count_distribution(EXP1, EXP2, -1, 1.5)
     assert np.array_equal(switch_count_distribution(EXP1, EXP2, -1, 1.5, k_max=3),
@@ -269,7 +300,8 @@ def test_switch_count_decreasing_cdf_is_negative_mass():
     # a survival function given as the CDF: every cell mass is negative
     backwards = IntervalDistribution(name="backwards", mean=1.0, psi=EXP1.psi,
                                      cdf=lambda t: np.exp(-np.asarray(t)),
-                                     sampler=EXP1.sampler)
+                                     sampler=EXP1.sampler, delay_cdf=EXP1.delay_cdf,
+                                     delay_sampler=EXP1.delay_sampler)
     with pytest.raises(NumericalError, match="switch 2 has .* negative mass"):
         switch_count_distribution(EXP1, backwards, +1, 3.0)
 
@@ -289,11 +321,12 @@ def test_switch_count_domain():
 
 
 def _unevaluated(name):
-    # a law whose CDF must not be reached: the input check comes first
+    # a law whose CDFs must not be reached: the input check comes first
     def cdf(t):
         raise AssertionError(f"{name} CDF evaluated")
     return IntervalDistribution(name=name, mean=1.0, psi=EXP1.psi, cdf=cdf,
-                                sampler=EXP1.sampler)
+                                sampler=EXP1.sampler, delay_cdf=cdf,
+                                delay_sampler=EXP1.delay_sampler)
 
 
 @pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan, 0.0, -1.0])
