@@ -13,7 +13,7 @@ loop.  Simulated paths, whether trajectories or crossing-conditioned
 samples, are plain arrays with one row per path.
 """
 
-__version__ = "0.12.0"
+__version__ = "0.13.0"
 
 from .covmodel import CovarianceModel, diffusion_covariance, validate
 from .clipped import arcsin_covariance, clipped_covariance
@@ -24,9 +24,8 @@ from .gpsim import (extract_excursions, persistency_from_trajectories,
                     rice_crossing_rate, simulate_gp_batch, simulate_gp_spectral)
 from .iia import (IIAModel, build_iia, excursion_law, persistency_exponent,
                   persistency_table, psi_hat, sample_excursion)
-from .numerics import (Grid, TailModel, b_integral, fit_exponential_tail,
-                       gaver_stehfest_invert, inverse_cdf_sample, norm_cdf,
-                       numerical_laplace)
+from .numerics import (Grid, TailModel, b_integral, gaver_stehfest_invert,
+                       inverse_cdf_sample, norm_cdf, numerical_laplace)
 from .persistency import BatchEstimate, SurvivalFit, aggregate_fits, fit_persistency
 from .slepian import (conditional_expected_clipped, expected_clipped_down,
                       expected_clipped_up, sample_slepian_path)

@@ -33,12 +33,16 @@ q = a p_X + b (p_Y * q) for the above side, which one real FFT solves,
 
     Q = a P_X / (1 - b P_Y),
 
-and the below side swaps X and Y and a and b.  The law's survival
-decays as C e^{-theta t}, with theta the lesser of the Lundberg root of
-b E[e^{theta Y}] = 1 and the tail rate of X (Cramer-Lundberg asymptotics
-of geometric sums); :func:`persistency_exponent` finds it on the same
-lumped divisors before any transform, and the FFT is sized from it to
-hold all but 1e-10 of the mass in one solve.  Each excursion is then
+and the below side swaps X and Y and a and b.  The clipped means
+approach their limit linearly in r and r', so both divisor survivals
+decay at the covariance's own rate lambda = -r'/r (d/4 for the diffusion
+model); each divisor is read on the grid while its survival is at least
+1e-10 and as S(t_k) e^{-lambda (t - t_k)} past that knot t_k.  The law's
+survival then decays as C e^{-theta t}, with theta the Lundberg root of
+b E[e^{theta Y}] = 1, which lies below lambda (Cramer-Lundberg
+asymptotics of geometric sums); :func:`persistency_exponent` finds it on
+the same lumped divisors before any transform, and the FFT is sized from
+it to hold all but 1e-10 of the mass in one solve.  Each excursion is then
 one inverse-CDF draw from that law; a replicate of the persistency
 table maps only the uniforms whose ranks its tail fit reads, the
 upper half of the sorted draws less the top few.  Checking the law's
@@ -57,9 +61,9 @@ import numpy as np
 
 from .covmodel import CovarianceModel
 from .errors import DomainError, GridTooShort, MonotonicityViolation, NumericalError
-from .numerics import (NEGATIVE_MASS_TOL, Grid, TailModel, fit_exponential_tail,
-                       inverse_cdf_sample, lump_cells, next_fast_len, norm_cdf,
-                       numerical_laplace, spawn_seeds, uniform_grid)
+from .numerics import (NEGATIVE_MASS_TOL, Grid, TailModel, inverse_cdf_sample,
+                       lump_cells, next_fast_len, norm_cdf, numerical_laplace,
+                       spawn_seeds, uniform_grid)
 from .persistency import BatchEstimate, _fit_window, _tail_ranks, replicate_estimates
 from .slepian import _clipped_terms, _clipped_up_from
 
@@ -76,17 +80,25 @@ MONOTONE_TOL = 1e-12
 _LAW_END = 1e-10
 _LAW_MAX_KNOTS = 1 << 21
 
+# a divisor's survival below this is read from its exponential tail, and the
+# covariance's decay rate is read at the last knot where r is at least this
+_CUT = 1e-10
+
 
 @dataclass(frozen=True, eq=False)
 class IIAModel:
-    """Level, geometric parameters and tabulated divisor CDFs."""
+    """Level, geometric parameters, tabulated divisor CDFs and their decay rate.
+
+    ``decay_rate`` is the covariance's own rate -r'/r, at which both
+    divisor survivals decay past the grid.
+    """
 
     level: float
     alpha: float
     beta: float
     f_x_cdf: Grid
     f_y_cdf: Grid
-    tail_rates: tuple[float, float]
+    decay_rate: float
     source: str
     # side -> excursion_law(self, side), filled on first request under the lock
     _laws: dict = field(default_factory=dict, init=False, repr=False)
@@ -96,6 +108,9 @@ class IIAModel:
     def __post_init__(self):
         if abs(self.alpha + self.beta - 1.0) > 1e-12:
             raise DomainError("alpha + beta must be one")
+        if not (self.decay_rate > 0.0 and math.isfinite(self.decay_rate)):
+            raise DomainError(f"the covariance's decay rate -r'/r must be positive and "
+                              f"finite, got {self.decay_rate!r}")
         for name, g in (("F_X", self.f_x_cdf), ("F_Y", self.f_y_cdf)):
             if g.values[0] != 0.0:
                 raise DomainError(f"{name} must start at zero")
@@ -137,8 +152,9 @@ def build_iia(model: CovarianceModel, u: float, t_max: float = 200.0,
 
 def _build_levels(model: CovarianceModel, levels, t_max: float,
                   step: float) -> list[IIAModel]:
-    # build_iia at each level, with the level-free Slepian terms computed once
-    t = terms = None
+    # build_iia at each level, with the level-free Slepian terms and the
+    # covariance's decay rate computed once
+    t = terms = decay_rate = None
     out = []
     for u in levels:
         if not math.isfinite(u):
@@ -152,12 +168,15 @@ def _build_levels(model: CovarianceModel, levels, t_max: float,
                 raise DomainError("need step > 0 and t_max well above the step")
             t = uniform_grid(t_max, step)
             terms = _clipped_terms(model, t[1:])
-        out.append(_build_level(model.name, float(u), alpha, t, terms))
+            r = np.asarray(model.r(t), dtype=float)
+            k = int(np.flatnonzero(r >= _CUT)[-1])
+            decay_rate = -float(model.r_prime(t[k])) / float(r[k])
+        out.append(_build_level(model.name, float(u), alpha, t, terms, decay_rate))
     return out
 
 
 def _build_level(source: str, u: float, alpha: float, t: np.ndarray,
-                 terms) -> IIAModel:
+                 terms, decay_rate: float) -> IIAModel:
     beta = 1.0 - alpha
     # E_u^- = -E_{-u}^+, both on the shared terms of t[1:]
     e_up = np.empty(len(t))
@@ -187,64 +206,55 @@ def _build_level(source: str, u: float, alpha: float, t: np.ndarray,
     f_x[0] = 0.0
     f_y[0] = 0.0
 
-    tail_x = fit_exponential_tail(Grid(points=t, values=surv_x))
-    tail_y = fit_exponential_tail(Grid(points=t, values=surv_y))
-
     return IIAModel(
         level=u,
         alpha=alpha,
         beta=beta,
         f_x_cdf=Grid(points=t, values=f_x),
         f_y_cdf=Grid(points=t, values=f_y),
-        tail_rates=(tail_x.rate, tail_y.rate),
+        decay_rate=decay_rate,
         source=source,
     )
 
 
-def _knot_masses(cdf: Grid, tail_rate: float, knots: int) -> np.ndarray:
-    # a divisor law on the first `knots` knots; cells past the grid follow its tail
-    f, step = cdf.values, cdf.points[1]
-    tail = (1.0 - f[-1]) * np.exp(-tail_rate * step * np.arange(knots - len(f) + 2))
-    return lump_cells(np.concatenate((np.diff(f), -np.diff(tail))), knots)
-
-
 def _divisors(iia: IIAModel, side: str):
-    # (a, b, first divisor, extra divisor), each divisor a (CDF, tail rate) pair
-    x, y = (iia.f_x_cdf, iia.tail_rates[0]), (iia.f_y_cdf, iia.tail_rates[1])
+    # (a, b, first divisor, extra divisor)
+    x, y = (_Divisor(iia.f_x_cdf, iia.decay_rate), _Divisor(iia.f_y_cdf, iia.decay_rate))
     return (iia.alpha, iia.beta, x, y) if side == "above" else (iia.beta, iia.alpha, y, x)
 
 
-# mass past a divisor's grid below this is round-off in 1 - F, which the
-# weight e^{theta t} of a transform would blow up
-_RESOLVED = 1e-12
+class _Divisor:
+    """A divisor law on the grid's cells, and past them on its exponential tail.
 
-
-class _Lumped:
-    """A divisor lumped on its knots, as the law solve lumps it, for its transforms.
-
-    Knot k holds half of each cell next to it, so with cell masses c_j
-    at t_j, E[e^{theta D}] = (1 + e^{theta h}) / 2 * sum_j c_j e^{theta t_j}.
-    Past the grid the cells follow the exponential tail, unless less than
-    ``_RESOLVED`` of the mass lies there.
+    The cells are the grid's up to the last knot t_k with S = 1 - F at
+    least ``_CUT``, and those of S(t_k) e^{-rate (t - t_k)} past it, where
+    the grid's S turns to round-off that the weight e^{theta t} of a
+    transform would blow up.  Lumped as the law solve lumps it, knot j
+    holds half of each cell next to it, so with cell masses c_j at t_j,
+    E[e^{theta D}] = (1 + e^{theta h}) / 2 * sum_j c_j e^{theta t_j}.
     """
 
-    def __init__(self, cdf: Grid, tail_rate: float):
-        f = cdf.values
-        self.t, self.step, self.rate = cdf.points[:-1], cdf.points[1], tail_rate
-        self.cells = np.diff(f)
-        end = 1.0 - f[-1]
-        self.end = end if end > _RESOLVED else 0.0
+    def __init__(self, cdf: Grid, rate: float):
+        surv = 1.0 - cdf.values
+        k = int(np.count_nonzero(surv >= _CUT)) - 1
+        self.t, self.step, self.rate = cdf.points[:k], cdf.points[1], rate
+        self.cells = np.diff(cdf.values[:k + 1])
+        self.t_end, self.end = cdf.points[k], float(surv[k])
+
+    def masses(self, knots: int) -> np.ndarray:
+        """The masses of the first ``knots`` knots."""
+        past = max(knots - len(self.cells), 1)
+        tail = self.end * np.exp(-self.rate * self.step * np.arange(past + 1))
+        return lump_cells(np.concatenate((self.cells, -np.diff(tail))), knots)
 
     def transform(self, theta: float) -> tuple[float, float]:
         """E[e^{theta D}] and E[D e^{theta D}], for theta below the tail rate."""
-        t, h = self.t, self.step
+        t, h, t_end = self.t, self.step, self.t_end
         w = self.cells * np.exp(theta * t)
         q = math.exp(-self.rate * h)
         r = q * math.exp(theta * h)
-        # the cells past the grid, from the one at t_end = t[-1] + h on
-        t_end = t[-1] + h
-        past = (self.end * (1.0 - q) * math.exp(theta * t_end) / (1.0 - r)
-                if self.end else 0.0)
+        # the tail's cells, from the one at t_end = t_k on
+        past = self.end * (1.0 - q) * math.exp(theta * t_end) / (1.0 - r)
         cells = float(np.sum(w)) + past
         cells_slope = float(np.sum(t * w)) + past * (t_end + h * r / (1.0 - r))
         half = 0.5 * (1.0 + math.exp(theta * h))
@@ -252,29 +262,16 @@ class _Lumped:
                 half * cells_slope + 0.5 * h * math.exp(theta * h) * cells)
 
 
-def _decay(iia: IIAModel, side: str) -> tuple[float, str, float]:
-    """The law's survival decays as C e^{-theta t}: ``(theta, branch, C)``.
+def _decay(a: float, b: float, x: _Divisor, y: _Divisor) -> tuple[float, float]:
+    """The law's survival decays as C e^{-theta t}: ``(theta, C)``.
 
-    theta is the least of X's tail rate and the Lundberg root of
-    b E[e^{theta Y}] = 1, for the first divisor X and the extra one Y.
-    b E[e^{theta Y}] - 1 is increasing and convex in theta, negative at
-    0 and positive just below Y's tail rate.  If it is still negative at
-    X's tail rate, theta is that rate; otherwise Newton's method,
-    safeguarded by bisection, finds the root below both rates.
+    theta is the Lundberg root of b E[e^{theta Y}] = 1, for the first
+    divisor X and the extra one Y.  b E[e^{theta Y}] - 1 is increasing
+    and convex in theta, negative at 0 and unbounded as theta nears Y's
+    tail rate, so Newton's method, safeguarded by bisection, finds the
+    root below that rate.
     """
-    a, b, first, extra = _divisors(iia, side)
-    x, y = _Lumped(*first), _Lumped(*extra)
-    if x.rate < y.rate:
-        mgf = y.transform(x.rate)[0]
-        if b * mgf < 1.0:
-            # X's survival, at most A e^{-rate t} where it is resolved, shifted
-            # by the geometric sum of Y's
-            surv = 1.0 - first[0].values
-            resolved = surv > _RESOLVED
-            amplitude = float(np.max(surv[resolved]
-                                     * np.exp(x.rate * first[0].points[resolved])))
-            return x.rate, "first", amplitude * a / (1.0 - b * mgf)
-    lo, hi, theta = 0.0, min(x.rate, y.rate), 0.0
+    lo, hi, theta = 0.0, y.rate, 0.0
     while True:
         mgf, slope = y.transform(theta)
         g = b * mgf - 1.0
@@ -287,29 +284,27 @@ def _decay(iia: IIAModel, side: str) -> tuple[float, str, float]:
             hi = theta
         theta = newton if lo < newton < hi else 0.5 * (lo + hi)
     # residue of a E[e^{s X}] / (1 - b E[e^{s Y}]) at its pole s = theta
-    return theta, "root", a * x.transform(theta)[0] / (theta * b * slope)
+    return theta, a * x.transform(theta)[0] / (theta * b * slope)
 
 
-def persistency_exponent(iia: IIAModel, side: str) -> tuple[float, str]:
-    """The decay rate theta of one side's excursion law and its branch.
+def persistency_exponent(iia: IIAModel, side: str) -> float:
+    """The decay rate theta of one side's excursion law.
 
-    Above, theta is the least of the Lundberg root of
-    beta E[e^{theta Y}] = 1 and the tail rate of X, the first term of the
-    geometric sum; below, X and Y swap, and so do alpha and beta.  The
-    branch is ``"root"`` or ``"first"``, whichever gives theta.  The
-    divisors are lumped on the grid knots as :func:`excursion_law` lumps
-    them, and the law is sized from this same theta.
+    Above, theta is the Lundberg root of beta E[e^{theta Y}] = 1, which
+    lies below the decay rate both divisors share; below, X and Y swap,
+    and so do alpha and beta.  The divisors are lumped on the grid knots
+    as :func:`excursion_law` lumps them, and the law is sized from this
+    same theta.
     """
     if side not in SIDES:
         raise DomainError(f"side must be 'above' or 'below', got {side!r}")
-    theta, branch, _ = _decay(iia, side)
-    return float(theta), branch
+    return float(_decay(*_divisors(iia, side))[0])
 
 
 def _solve_law(iia: IIAModel, side: str) -> tuple[Grid, float]:
     a, b, first, extra = _divisors(iia, side)
     step = iia.f_x_cdf.points[1]
-    theta, _, amplitude = _decay(iia, side)
+    theta, amplitude = _decay(a, b, first, extra)
     # the knot past which C e^{-theta t} is below half of _LAW_END
     knots = max(2, math.ceil(math.log(2.0 * amplitude / _LAW_END) / (theta * step)) + 1)
     if knots > _LAW_MAX_KNOTS:
@@ -319,8 +314,8 @@ def _solve_law(iia: IIAModel, side: str) -> tuple[Grid, float]:
             f"{_LAW_MAX_KNOTS}")
     while True:
         size = next_fast_len(2 * knots, real=True)
-        first_hat = np.fft.rfft(_knot_masses(*first, knots), size)
-        extra_hat = np.fft.rfft(_knot_masses(*extra, knots), size)
+        first_hat = np.fft.rfft(first.masses(knots), size)
+        extra_hat = np.fft.rfft(extra.masses(knots), size)
         # a first / (1 - b extra), in place
         extra_hat *= -b
         extra_hat += 1.0
@@ -347,16 +342,15 @@ def _solve_law(iia: IIAModel, side: str) -> tuple[Grid, float]:
     surv = np.cumsum(np.maximum(mass, 0.0)[::-1])[::-1]
     # knot k's mass is spread over [(k - 1/2) h, (k + 1/2) h], cut at 0
     points = np.append(0.0, (np.arange(knots) + 0.5) * step)
-    cdf = Grid(points=points, values=np.append(0.0, 1.0 - surv[1:]))
-    tail = fit_exponential_tail(Grid(points=points[1:], values=surv[1:]))
-    return cdf, tail.rate
+    return Grid(points=points, values=np.append(0.0, 1.0 - surv[1:])), theta
 
 
 def excursion_law(iia: IIAModel, side: str) -> tuple[Grid, float]:
     """The approximated excursion law of one side: its CDF and tail rate.
 
-    The divisor laws are lumped on the grid knots by the trapezoid rule
-    and extended past the grid by their exponential tails; the knot
+    The divisor laws are lumped on the grid knots by the trapezoid rule,
+    each read from the grid down to a survival of 1e-10 and from its
+    exponential tail at the covariance's decay rate past that; the knot
     masses of the geometric sum then solve
 
         q = irfft(a rfft(p_X, L) / (1 - b rfft(p_Y, L))),
@@ -370,9 +364,9 @@ def excursion_law(iia: IIAModel, side: str) -> tuple[Grid, float]:
     :class:`NumericalError`, as is round-off leaving over 1e-12 of
     negative mass.  Each knot's mass is spread evenly over the half
     steps either side of it, so the CDF is piecewise linear, zero at
-    t = 0, and ends within 1e-10 of one; the tail rate extrapolates it,
-    fitted to the last decade of the survival.  The law is computed on
-    the first request for each side and cached on ``iia``.
+    t = 0, and ends within 1e-10 of one; the tail rate that extrapolates
+    it is theta, the rate at which its survival decays.  The law is
+    computed on the first request for each side and cached on ``iia``.
     """
     if side not in SIDES:
         raise DomainError(f"side must be 'above' or 'below', got {side!r}")
@@ -486,8 +480,8 @@ def psi_hat(iia: IIAModel, side: str, s: float) -> float:
         raise DomainError("Laplace argument must be positive")
     if side not in SIDES:
         raise DomainError(f"side must be 'above' or 'below', got {side!r}")
-    ls_x = _survival_laplace(iia.f_x_cdf, iia.tail_rates[0], s)
-    ls_y = _survival_laplace(iia.f_y_cdf, iia.tail_rates[1], s)
+    ls_x = _survival_laplace(iia.f_x_cdf, iia.decay_rate, s)
+    ls_y = _survival_laplace(iia.f_y_cdf, iia.decay_rate, s)
     if side == "above":
         return iia.alpha * (1.0 - s * ls_x) / (iia.alpha + iia.beta * s * ls_y)
     return iia.beta * (1.0 - s * ls_y) / (iia.beta + iia.alpha * s * ls_x)

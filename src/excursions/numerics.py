@@ -33,7 +33,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import DomainError, MonotonicityViolation, NumericalError
+from .errors import DomainError, MonotonicityViolation
 
 __all__ = [
     "Grid",
@@ -45,7 +45,6 @@ __all__ = [
     "lumped_cdf",
     "b_integral",
     "numerical_laplace",
-    "fit_exponential_tail",
     "gaver_stehfest_invert",
     "inverse_cdf_sample",
     "spawn_seeds",
@@ -314,40 +313,6 @@ def numerical_laplace(f: Grid, s: float, tail: TailModel | None = None) -> float
         t_end = t[-1]
         val += tail.amplitude * math.exp(-(s + tail.rate) * t_end) / (s + tail.rate)
     return val
-
-
-def fit_exponential_tail(grid: Grid, floor: float = 1e-12) -> TailModel:
-    """Fit ``A * exp(-theta * t)`` to the last decade of a positive tail.
-
-    Uses the grid points in ``(t_hi/10, t_hi]`` where ``t_hi`` is the
-    largest abscissa whose value still exceeds ``floor`` (values below
-    that are treated as numerically unresolved); fewer than two of them
-    is a :class:`NumericalError`.  The fit is a linear regression of
-    ``log value`` on ``t``, in the centred closed form with ``np.sum`` of
-    products and no BLAS call.  The tail amplitude is taken relative to
-    the END of the grid, i.e. the returned model satisfies
-    ``amplitude * exp(-rate * t)`` matched to the fitted line, so the
-    model remains usable for extrapolation beyond the grid.
-    """
-    t = grid.points
-    v = grid.values
-    usable = v > floor
-    if usable.sum() < 2:
-        raise NumericalError("tail fit needs at least two resolvable values")
-    t_hi = t[usable][-1]
-    window = usable & (t > t_hi / 10.0) & (t <= t_hi)
-    if window.sum() < 2:
-        raise NumericalError(
-            f"tail fit window ({t_hi / 10.0:g}, {t_hi:g}] holds {int(window.sum())} "
-            f"resolvable value(s); need at least two")
-    tt = t[window]
-    lv = np.log(v[window])
-    t_mean, l_mean = tt.mean(), lv.mean()
-    tc = tt - t_mean
-    slope = np.sum(tc * (lv - l_mean)) / np.sum(tc * tc)
-    if not slope < 0.0:
-        raise NumericalError("tail is not exponentially decaying")
-    return TailModel(rate=-float(slope), amplitude=float(math.exp(l_mean - slope * t_mean)))
 
 
 # ---------------------------------------------------------------------------

@@ -431,7 +431,8 @@ def switch_count_distribution(plus: IntervalDistribution,
     hats = [np.fft.rfft(lump_cells(np.diff(f(x)), n + 1), size)
             for f in (other.cdf, current.cdf)]
     masses = lump_cells(np.diff(current.delay_cdf(x)), n + 1)
-    probs = [1.0 - (reached := lumped_cdf(masses, n))]     # reached: P(N(t) >= k)
+    # reached: P(N(t) >= k); the delay's lumped CDF can round one ulp past 1
+    probs = [1.0 - (reached := min(lumped_cdf(masses, n), 1.0))]
     while reached > 1e-12 and len(probs) <= (_MAX_TERMS if k_max is None else k_max):
         masses = np.fft.irfft(np.fft.rfft(masses, size) * hats[(len(probs) - 1) % 2],
                               size)[:n + 1]

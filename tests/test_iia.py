@@ -14,13 +14,13 @@ from scipy.stats import ks_2samp
 import excursions.iia
 import excursions.persistency
 import excursions.slepian
-from excursions.covmodel import diffusion_covariance
+from excursions.covmodel import CovarianceModel, diffusion_covariance
 from excursions.errors import (DomainError, GridTooShort, MonotonicityViolation,
                                NumericalError)
 from excursions.iia import (build_iia, excursion_law, persistency_exponent,
                             persistency_table, psi_hat, sample_excursion)
-from excursions.numerics import (Grid, fit_exponential_tail, gaver_stehfest_invert,
-                                 inverse_cdf_sample, norm_cdf, uniform_grid)
+from excursions.numerics import (gaver_stehfest_invert, inverse_cdf_sample, norm_cdf,
+                                 uniform_grid)
 from excursions.persistency import aggregate_fits, fit_persistency
 from excursions.slepian import expected_clipped_down, expected_clipped_up
 
@@ -75,10 +75,20 @@ def test_grid_too_short():
         build_iia(M2, 0.0, t_max=5.0, step=0.01)
 
 
-def test_tail_rates_reflect_covariance_decay(iia_u1):
-    # divisor survival decays like r(t) ~ e^{-t/2} for the d = 2 model
-    assert iia_u1.tail_rates[0] == pytest.approx(0.5, abs=0.02)
-    assert iia_u1.tail_rates[1] == pytest.approx(0.5, abs=0.02)
+def test_covariance_that_does_not_decay_is_a_domain_error():
+    # r' = 0 makes -r'/r zero, which no divisor tail can decay at
+    flat = CovarianceModel(name="flat r'", r=M2.r, r_prime=lambda t: 0.0 * np.asarray(t),
+                           r_pp0=M2.r_pp0, one_minus_r=M2.one_minus_r)
+    with pytest.raises(DomainError, match=r"decay rate -r'/r must be positive and finite"):
+        build_iia(flat, 0.0)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 6])
+def test_decay_rate_is_d_over_four(d):
+    # r(t) = sech(t/2)^{d/2} decays as e^{-d t/4}; -r'/r = (d/4) tanh(t/2) is
+    # read where r is still 1e-10, which at d = 6 is t of about 16.7
+    assert build_iia(diffusion_covariance(d), 0.0).decay_rate == pytest.approx(d / 4.0,
+                                                                                rel=2e-7)
 
 
 def test_side_duality():
@@ -94,20 +104,19 @@ BENCH_LEVELS = (0.0, 0.5, 1.0, 1.25)
 
 
 def _reference_divisors(u):
-    """F_X, F_Y and their tail rates from the public clipped means, as built."""
+    """F_X and F_Y from the public clipped means, as built."""
     t = uniform_grid(200.0, 0.01)
     alpha = float(norm_cdf(u))
     e_inf = 1.0 - 2.0 * alpha
     e_up = np.concatenate(([1.0], expected_clipped_up(M2, u, t[1:])))
     e_dn = np.concatenate(([-1.0], expected_clipped_down(M2, u, t[1:])))
-    out, rates = [], []
+    out = []
     for surv in (np.maximum((e_up - e_inf) / (2.0 * alpha), 0.0),
                  np.maximum((e_inf - e_dn) / (2.0 * (1.0 - alpha)), 0.0)):
         f = np.minimum(np.maximum.accumulate(1.0 - surv), 1.0)
         f[0] = 0.0
         out.append(f)
-        rates.append(fit_exponential_tail(Grid(points=t, values=surv)).rate)
-    return out[0], out[1], tuple(rates)
+    return out
 
 
 def test_built_divisors_equal_the_public_clipped_means_bitwise():
@@ -115,11 +124,10 @@ def test_built_divisors_equal_the_public_clipped_means_bitwise():
     # across levels and signs; neither may move a bit
     rows = persistency_table(M2, list(BENCH_LEVELS), 1000, 2, 3)
     for u, (table_iia, _, _) in zip(BENCH_LEVELS, rows):
-        f_x, f_y, rates = _reference_divisors(u)
+        f_x, f_y = _reference_divisors(u)
         for iia in (build_iia(M2, u), table_iia):
             assert np.array_equal(iia.f_x_cdf.values.view(np.int64), f_x.view(np.int64))
             assert np.array_equal(iia.f_y_cdf.values.view(np.int64), f_y.view(np.int64))
-            assert iia.tail_rates == rates
 
 
 @pytest.mark.parametrize("u", [math.inf, -math.inf, math.nan])
@@ -129,8 +137,8 @@ def test_non_finite_level_is_a_domain_error(u):
 
 
 def _divisors(iia, side):
-    """((first CDF, tail rate), (extra CDF, tail rate), success probability)."""
-    x, y = (iia.f_x_cdf, iia.tail_rates[0]), (iia.f_y_cdf, iia.tail_rates[1])
+    """(first CDF, extra CDF, success probability)."""
+    x, y = iia.f_x_cdf, iia.f_y_cdf
     return (x, y, iia.alpha) if side == "above" else (y, x, iia.beta)
 
 
@@ -139,16 +147,16 @@ def _geometric_sum(iia, side, n, seed):
     first, extra, p = _divisors(iia, side)
     rng = np.random.default_rng(seed)
 
-    def draw(cdf, rate, k):
+    def draw(cdf, k):
         u, f_end = rng.random(k), cdf.values[-1]
         t = np.interp(u, cdf.values, cdf.points)
         over = u > f_end
-        t[over] = cdf.points[-1] + np.log((1.0 - f_end) / (1.0 - u[over])) / rate
+        t[over] = cdf.points[-1] + np.log((1.0 - f_end) / (1.0 - u[over])) / iia.decay_rate
         return t
 
     n_extra = rng.geometric(p, n) - 1
-    out = draw(*first, n)
-    np.add.at(out, np.repeat(np.arange(n), n_extra), draw(*extra, n_extra.sum()))
+    out = draw(first, n)
+    np.add.at(out, np.repeat(np.arange(n), n_extra), draw(extra, n_extra.sum()))
     return out
 
 
@@ -174,9 +182,13 @@ def test_law_survival_matches_laplace_inversion(u, side):
 
 
 def _lundberg_root(iia, side):
-    # b E[exp(theta Y)] = 1 above (X and a below), from the divisor curve
-    _, (cdf, rate), p = _divisors(iia, side)
-    t, surv = cdf.points, 1.0 - cdf.values
+    # b E[exp(theta Y)] = 1 above (X and a below): Simpson's rule on the
+    # divisor curve down to its last knot with a survival of 1e-10, and past
+    # it S_k e^{-rate (t - t_k)}, at the d = 2 covariance's rate of 1/2
+    _, cdf, p = _divisors(iia, side)
+    rate, surv = 0.5, 1.0 - cdf.values
+    k = np.flatnonzero(surv >= 1e-10)[-1]
+    t, surv = cdf.points[:k + 1], surv[:k + 1]
 
     def mgf(theta):
         tail = surv[-1] * math.exp(theta * t[-1]) / (rate - theta)
@@ -188,29 +200,30 @@ def _lundberg_root(iia, side):
 @pytest.mark.parametrize("side", ["above", "below"])
 @pytest.mark.parametrize("u", [0.0, 0.5, 1.0])
 def test_law_slope_matches_lundberg_root(u, side):
+    # deep in the tail, where a second decay near the divisors' rate of 1/2
+    # has died out and the survival falls at the asymptotic theta
     iia = build_iia(M2, u)
     cdf, _ = excursion_law(iia, side)
     surv = 1.0 - cdf.values
-    window = (surv >= 5e-5) & (surv <= 0.5)
+    window = (surv >= 1e-8) & (surv <= 1e-5)
     slope = np.polyfit(cdf.points[window], np.log(surv[window]), 1)[0]
-    assert -slope == pytest.approx(_lundberg_root(iia, side), abs=1e-4)
+    assert -slope == pytest.approx(_lundberg_root(iia, side), abs=1e-6)
 
 
 @pytest.mark.parametrize("side", ["above", "below"])
-@pytest.mark.parametrize("u", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("u", [0.0, 0.5, 0.75, 1.0, 1.25])
 def test_persistency_exponent_is_the_lundberg_root(u, side):
     iia = build_iia(M2, u)
-    theta, branch = persistency_exponent(iia, side)
-    assert branch == "root"
-    assert theta == pytest.approx(_lundberg_root(iia, side), abs=1e-6)
+    assert persistency_exponent(iia, side) == pytest.approx(_lundberg_root(iia, side),
+                                                            abs=1e-6)
 
 
 def test_persistency_exponent_at_the_highest_paper_level():
-    # above, the root 0.5546 lies past X's tail rate, which then sets theta
+    # both divisors decay at 1/2, so even above, where beta is smallest, the
+    # root lies below that rate
     iia = build_iia(M2, 1.25)
-    assert persistency_exponent(iia, "above") == (iia.tail_rates[0], "first")
-    theta, branch = persistency_exponent(iia, "below")
-    assert branch == "root" and theta == pytest.approx(0.04117, abs=5e-6)
+    assert persistency_exponent(iia, "above") == pytest.approx(0.498921, abs=1e-6)
+    assert persistency_exponent(iia, "below") == pytest.approx(0.04117, abs=5e-6)
     with pytest.raises(DomainError):
         persistency_exponent(iia, "sideways")
 
@@ -220,8 +233,8 @@ def test_persistency_exponent_ignores_round_off_past_the_grid():
     # t = 200 that ulp alone would halve the root
     above = persistency_exponent(build_iia(M2, 0.75), "above")
     below = persistency_exponent(build_iia(M2, -0.75), "below")
-    assert above[0] == pytest.approx(below[0], abs=1e-6)
-    assert above[0] == pytest.approx(0.35145, abs=1e-5)
+    assert above == pytest.approx(below, abs=1e-6)
+    assert above == pytest.approx(0.35145, abs=1e-5)
 
 
 def test_law_is_a_cdf_from_zero_to_one(iia_u1):
@@ -230,7 +243,7 @@ def test_law_is_a_cdf_from_zero_to_one(iia_u1):
         assert cdf.points[0] == 0.0 and cdf.values[0] == 0.0
         assert np.all(np.diff(cdf.values) >= 0.0)
         assert abs(1.0 - cdf.values[-1]) <= 1e-10
-        assert tail_rate > 0.0
+        assert tail_rate == persistency_exponent(iia_u1, side)
         assert excursion_law(iia_u1, side) is excursion_law(iia_u1, side)
 
 
@@ -265,11 +278,40 @@ def test_each_benchmark_law_takes_one_solve(monkeypatch):
             assert 1.0 - cdf.values[-1] <= 1e-10
 
 
+def test_every_law_is_one_solve_decaying_below_the_divisor_rate(monkeypatch):
+    # over dimensions and levels, every law whose curves run the right way
+    # decays at a root below the rate its divisors share, and holds all but
+    # 1e-10 of its mass in the one solve that root sizes
+    irfft, solves = np.fft.irfft, []
+
+    def counting(*args, **kwargs):
+        solves.append(args[1])
+        return irfft(*args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "irfft", counting)
+    laws = 0
+    for d in (1, 2, 3, 6):
+        for u in np.arange(-5, 6) * 0.25:
+            try:
+                iia = build_iia(diffusion_covariance(d), float(u))
+            except MonotonicityViolation:
+                continue
+            for side in ("above", "below"):
+                del solves[:]
+                cdf, theta = excursion_law(iia, side)
+                assert len(solves) == 1
+                assert theta < iia.decay_rate
+                assert 1.0 - cdf.values[-1] <= 1e-10
+                laws += 1
+    # d = 1 runs the wrong way at |u| >= 1
+    assert laws == 80
+
+
 def _mass_past(iia, side, knots):
     # the renewal equation solved afresh on `knots` knots: the mass past them
     first, extra, a = _divisors(iia, side)
-    p_first, p_extra = (excursions.iia._knot_masses(*divisor, knots)
-                        for divisor in (first, extra))
+    p_first, p_extra = (excursions.iia._Divisor(cdf, iia.decay_rate).masses(knots)
+                        for cdf in (first, extra))
     size = 2 * knots
     q = np.fft.irfft(a * np.fft.rfft(p_first, size)
                      / (1.0 - (1.0 - a) * np.fft.rfft(p_extra, size)), size)[:knots]
@@ -277,13 +319,11 @@ def _mass_past(iia, side, knots):
 
 
 @pytest.mark.parametrize("u, side", [(u, side) for u in BENCH_LEVELS
-                                     for side in ("above", "below")
-                                     if (u, side) != (1.25, "above")])
+                                     for side in ("above", "below")])
 def test_root_branch_laws_are_sized_without_waste(u, side):
     # the law ends where at most 1e-10 is left past it, and a tenth fewer
     # knots would leave more
     iia = build_iia(M2, u)
-    assert persistency_exponent(iia, side)[1] == "root"
     knots = len(excursion_law(iia, side)[0]) - 1
     assert _mass_past(iia, side, knots) <= excursions.iia._LAW_END
     assert _mass_past(iia, side, int(0.9 * knots)) > excursions.iia._LAW_END
@@ -292,8 +332,7 @@ def test_root_branch_laws_are_sized_without_waste(u, side):
 def test_an_undersized_law_doubles_until_it_holds_its_mass(monkeypatch):
     # the sizing is an asymptote; if it falls short the solve doubles
     decay = excursions.iia._decay
-    monkeypatch.setattr(excursions.iia, "_decay",
-                        lambda iia, side: decay(iia, side)[:2] + (1e-3,))
+    monkeypatch.setattr(excursions.iia, "_decay", lambda *args: (decay(*args)[0], 1e-3))
     irfft, solves = np.fft.irfft, []
 
     def counting(*args, **kwargs):
@@ -504,8 +543,8 @@ def test_persistency_table_makes_no_blas_call(monkeypatch):
     monkeypatch.setattr(np, "matmul", blas)
     monkeypatch.setenv("EXCURSION_IIA_THREADS", "2")
     persistency_table(M2, [0.0, 1.0], 2000, 3, 5, t_max=120.0, step=0.02)
-    for fn in (fit_persistency, excursions.persistency._fit_window, fit_exponential_tail,
-               excursions.iia._decay, excursions.iia._Lumped,
+    for fn in (fit_persistency, excursions.persistency._fit_window,
+               excursions.iia._decay, excursions.iia._Divisor,
                excursions.slepian._clipped_terms, excursions.slepian._clipped_up_from):
         tokens = list(tokenize.generate_tokens(io.StringIO(inspect.getsource(fn)).readline))
         assert "@" not in {tok.string for tok in tokens if tok.type == tokenize.OP}

@@ -280,6 +280,16 @@ def test_switch_count_det_law_has_no_negative_entries(c, t):
         assert pmf[0] == pytest.approx(1.0 - det.delay_cdf(t), abs=1e-14)
 
 
+@pytest.mark.parametrize("c", [0.5, 1.0, 2.0, 1.00255])
+def test_switch_count_det_law_is_non_negative_next_to_the_jump(c):
+    # within a step of c the delay's lumped CDF at t can round one ulp past 1
+    det = deterministic_interval(c)
+    step = det.mean / 200.0
+    for t in np.linspace(c - 3.0 * step, c + 3.0 * step, 601):
+        for delta in (-1, 1):
+            assert np.all(switch_count_distribution(det, det, delta, float(t)) >= 0.0)
+
+
 def test_switch_count_k_max_pads_past_the_negligible_counts():
     full = switch_count_distribution(EXP1, EXP2, -1, 1.5)
     assert np.array_equal(switch_count_distribution(EXP1, EXP2, -1, 1.5, k_max=3),
