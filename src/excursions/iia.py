@@ -100,10 +100,11 @@ class IIAModel:
     f_y_cdf: Grid
     decay_rate: float
     source: str
-    # side -> excursion_law(self, side), filled on first request under the lock
+    # side -> excursion_law(self, side), filled on first request under that
+    # side's lock, so the two sides solve at the same time
     _laws: dict = field(default_factory=dict, init=False, repr=False)
-    _laws_lock: threading.Lock = field(default_factory=threading.Lock, init=False,
-                                       repr=False)
+    _locks: dict = field(default_factory=lambda: {side: threading.Lock() for side in SIDES},
+                         init=False, repr=False)
 
     def __post_init__(self):
         if abs(self.alpha + self.beta - 1.0) > 1e-12:
@@ -367,10 +368,13 @@ def excursion_law(iia: IIAModel, side: str) -> tuple[Grid, float]:
     t = 0, and ends within 1e-10 of one; the tail rate that extrapolates
     it is theta, the rate at which its survival decays.  The law is
     computed on the first request for each side and cached on ``iia``.
+    Each side has a lock of its own, so the two sides can be solved at
+    the same time from different threads, such as the tasks of
+    :func:`persistency_table`'s pool, while each is solved once.
     """
     if side not in SIDES:
         raise DomainError(f"side must be 'above' or 'below', got {side!r}")
-    with iia._laws_lock:
+    with iia._locks[side]:
         if side not in iia._laws:
             iia._laws[side] = _solve_law(iia, side)
         return iia._laws[side]
@@ -412,8 +416,10 @@ def persistency_table(model: CovarianceModel, levels, samples: int, reps: int,
     the level-free terms of the clipped means on it are computed once
     for all levels and both signs; each model equals :func:`build_iia`'s
     bit for bit.  Every (level, side) law is solved once, at the size
-    its persistency exponent gives, before the pool starts, and shared
-    by that side's replicates.
+    its persistency exponent gives, by the first of that side's
+    replicates to start, and shared by the rest; the pool starts
+    replicate 0 of every side first, so the solves overlap one
+    another and the draws of sides already solved.
     A replicate draws the uniforms of :func:`sample_excursion` at its
     seed but maps only those whose ranks the tail fit reads, ``[lo, hi)``:
     it partitions them at ``lo``, sorts the rest and maps the first
@@ -433,12 +439,6 @@ def persistency_table(model: CovarianceModel, levels, samples: int, reps: int,
     else:
         levels, seeds = list(levels), spawn_seeds(seed, len(levels))
     iias = _build_levels(model, levels, t_max, step)
-    # every law is solved here, before the pool, so its tasks only look them
-    # up; a pool of their own would save about 3% of a benchmark-sized job
-    # on 2 cores and add 2 to 4 MB to its peak memory
-    for iia in iias:
-        for side in SIDES:
-            excursion_law(iia, side)
     groups = [((iia, side), side_seed, (f"u = {iia.level:g}, {side} side",))
               for iia, level_seed in zip(iias, seeds)
               for side, side_seed in zip(SIDES, spawn_seeds(level_seed, 2))]

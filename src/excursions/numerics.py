@@ -28,7 +28,6 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -323,7 +322,10 @@ def numerical_laplace(f: Grid, s: float, tail: TailModel | None = None) -> float
 def _stehfest_weights(order: int) -> tuple[float, ...]:
     # Salzer weights computed in exact rational arithmetic; they grow to
     # ~1e8 at order 14 and alternate in sign, so exactness here keeps the
-    # only rounding in the final fsum.
+    # only rounding in the final fsum.  fractions is imported here, where
+    # it is used, so that importing the package does not load it.
+    from fractions import Fraction
+
     half = order // 2
     fact = [Fraction(1)]
     for i in range(1, 2 * half + 1):

@@ -118,7 +118,10 @@ def _fit_window(window: np.ndarray, ranks: _TailRanks) -> SurvivalFit:
     # np.sum of products, not @ or lstsq: BLAS threads oversubscribe the pool
     t_mean = window.mean()
     tc = window - t_mean
-    sxx, sxy = np.sum(tc * tc), np.sum(tc * ranks.l_centred)
+    # both products in one buffer: one window-sized temporary fewer per fit
+    prod = tc * tc
+    sxx = np.sum(prod)
+    sxy = np.sum(np.multiply(tc, ranks.l_centred, out=prod))
     slope = sxy / sxx
     if not slope < 0.0:
         raise FitError("tail slope is not negative; no exponential decay")
@@ -246,11 +249,19 @@ def _max_workers(n_items: int) -> int:
 
 
 def _parallel_map(fn, items):
+    # [fn(x) for x in items] on a pool; once a task raises, the tasks not yet
+    # started are cancelled, and the first failure in item order is raised
     workers = _max_workers(len(items))
     if workers <= 1 or len(items) <= 1:
         return [fn(x) for x in items]
-    with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+    pool = concurrent.futures.ThreadPoolExecutor(max_workers=workers)
+    try:
+        futures = [pool.submit(fn, x) for x in items]
+        concurrent.futures.wait(futures, return_when=concurrent.futures.FIRST_EXCEPTION)
+    finally:
+        pool.shutdown(cancel_futures=True)
+    # tasks start in item order, so every one before a started task has run
+    return [f.result() for f in futures]
 
 
 def replicate_estimates(draw: Callable, groups: Sequence, reps: int,
@@ -264,15 +275,21 @@ def replicate_estimates(draw: Callable, groups: Sequence, reps: int,
     of its errors.  Every (group, replicate) is one task of a thread
     pool of ``min(tasks, 4, cpu_count)`` threads;
     ``EXCURSION_IIA_THREADS``, a positive integer, replaces the 4 and the
-    CPU count.  Seeds are spawned first, so results do not depend on the
-    pool.  Returns, per group, one :class:`BatchEstimate` per name.
+    CPU count.  The tasks start replicate-major: replicate 0 of every
+    group, then replicate 1 of every group, and so on, so work a group
+    does on its first replicate overlaps the other groups' draws.  Once a
+    task raises, the tasks not yet started are cancelled and the error of
+    the first failing task in that order is raised.  Seeds are spawned
+    first, so results do not depend on the pool.  Returns, per group,
+    one :class:`BatchEstimate` per name.
     """
     if reps < 2:
         raise DomainError("need at least two replicates")
     # read at the call, so that a wrapper put on fit_persistency is called
     fit = fit_persistency if fit is None else fit
-    tasks = [(context, names, i, rep_seed) for context, seed, names in groups
-             for i, rep_seed in enumerate(spawn_seeds(seed, reps))]
+    seeded = [(context, names, spawn_seeds(seed, reps)) for context, seed, names in groups]
+    tasks = [(context, names, i, rep_seeds[i]) for i in range(reps)
+             for context, names, rep_seeds in seeded]
 
     def task(args):
         context, names, i, rep_seed = args
@@ -280,5 +297,6 @@ def replicate_estimates(draw: Callable, groups: Sequence, reps: int,
                      for name, samples in zip(names, draw(context, rep_seed)))
 
     fits = _parallel_map(task, tasks)
-    return [tuple(aggregate_fits(side) for side in zip(*fits[j:j + reps]))
-            for j in range(0, len(fits), reps)]
+    # group j's replicates are every len(seeded)-th task from task j
+    return [tuple(aggregate_fits(side) for side in zip(*fits[j::len(seeded)]))
+            for j in range(len(seeded))]

@@ -295,6 +295,15 @@ print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
     assert proc.stdout.splitlines()[-1] == "[]"
 
 
+def test_importing_the_cli_loads_no_fractions(tmp_path):
+    # a fresh interpreter; only the Gaver-Stehfest weights need fractions
+    script = "import sys, excursions.cli; print('fractions' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
+
+
 @pytest.mark.parametrize("args, message", [
     (["iia", "--level", "1e308"] + FAST_IIA,
      "level 1e+308: Phi(u) rounds to 1, so the excursions above it have no mass"),

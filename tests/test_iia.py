@@ -3,6 +3,7 @@ import inspect
 import io
 import math
 import sys
+import threading
 import tokenize
 
 import numpy as np
@@ -512,15 +513,38 @@ def test_persistency_table_draws_are_sorted_sample_excursion_draws(monkeypatch):
     samples, reps = 20_000, 3
     lo, hi = samples - 1 - samples // 2, samples - 50
     rows = persistency_table(M2, [0.0, 1.25], samples, reps, 43, t_max=120.0, step=0.02)
+    sides = [(iia, side, side_seed.spawn(reps))
+             for (iia, _, _), level_seed in zip(rows, np.random.SeedSequence(43).spawn(2))
+             for side, side_seed in zip(("above", "below"), level_seed.spawn(2))]
     fitted = iter(fitted)
-    for (iia, _, _), level_seed in zip(rows, np.random.SeedSequence(43).spawn(2)):
-        for side, side_seed in zip(("above", "below"), level_seed.spawn(2)):
-            for rep_seed in side_seed.spawn(reps):
-                window, n = next(fitted)
-                want = np.sort(sample_excursion(iia, side, samples, rep_seed))[lo:hi]
-                assert n == samples
-                assert np.array_equal(window.view(np.int64), want.view(np.int64))
+    # the tasks run replicate-major: replicate 0 of every side, then replicate 1
+    for i in range(reps):
+        for iia, side, rep_seeds in sides:
+            window, n = next(fitted)
+            want = np.sort(sample_excursion(iia, side, samples, rep_seeds[i]))[lo:hi]
+            assert n == samples
+            assert np.array_equal(window.view(np.int64), want.view(np.int64))
     assert next(fitted, None) is None
+
+
+def test_persistency_table_solves_a_levels_two_laws_at_once(monkeypatch):
+    # each solve waits, with a timeout, until the other side's has started: the
+    # pool's first two tasks are the level's two sides, and each side has its
+    # own lock, so neither waits on the other's
+    solve = excursions.iia._solve_law
+    both_started = threading.Barrier(2)
+    solved = []
+
+    def meeting(iia, side):
+        both_started.wait(timeout=60)
+        solved.append(side)
+        return solve(iia, side)
+
+    monkeypatch.setenv("EXCURSION_IIA_THREADS", "2")
+    monkeypatch.setattr(excursions.iia, "_solve_law", meeting)
+    [(iia, above, below)] = persistency_table(M2, [0.5], 2000, 3, 5, t_max=120.0, step=0.02)
+    assert sorted(solved) == ["above", "below"]
+    assert len(above.replicates) == len(below.replicates) == 3
 
 
 def test_sample_excursion_keeps_generation_order(iia_u1):

@@ -1,4 +1,5 @@
 import math
+import time
 import warnings
 
 import numpy as np
@@ -6,9 +7,9 @@ import pytest
 from scipy.special import stdtrit
 
 from excursions.errors import DomainError, FitError
-from excursions.persistency import (SurvivalFit, _fit_window, _tail_ranks, aggregate_fits,
-                                    fit_persistency, labelled_fit, replicate_estimates,
-                                    t_quantile)
+from excursions.persistency import (SurvivalFit, _fit_window, _parallel_map, _tail_ranks,
+                                    aggregate_fits, fit_persistency, labelled_fit,
+                                    replicate_estimates, t_quantile)
 
 
 def test_fit_exponential_oracle():
@@ -100,6 +101,49 @@ def test_replicate_estimates_label_each_fit_error():
     with pytest.raises(FitError) as err:
         replicate_estimates(draw, [(None, 5, ("u = 0, above side",))], reps=5)
     assert str(err.value).startswith("u = 0, above side, replicate 3: ")
+
+
+def test_replicate_estimates_start_replicate_zero_of_every_group_first(monkeypatch):
+    # the tasks run replicate-major, and each group's estimate is still that
+    # of its own replicates, whatever the pool
+    started = []
+
+    def draw(rate, seed):
+        started.append((rate, seed.spawn_key[-1]))
+        return (np.random.default_rng(seed).exponential(1.0 / rate, 2000),)
+
+    groups = [(rate, seed, (f"rate {rate}",)) for rate, seed in ((0.5, 1), (1.0, 2), (2.0, 3))]
+    monkeypatch.setenv("EXCURSION_IIA_THREADS", "1")     # tasks start one at a time
+    serial = replicate_estimates(draw, groups, reps=4)
+    assert started == [(rate, i) for i in range(4) for rate in (0.5, 1.0, 2.0)]
+    monkeypatch.setenv("EXCURSION_IIA_THREADS", "3")
+    pooled = replicate_estimates(draw, groups, reps=4)
+    for (rate, seed, _), *estimates in zip(groups, serial, pooled):
+        want = aggregate_fits([fit_persistency(draw(rate, s)[0])
+                               for s in np.random.SeedSequence(seed).spawn(4)])
+        for [got] in estimates:
+            assert got.replicates == want.replicates
+            assert (got.mean_theta, got.half_width) == (want.mean_theta, want.half_width)
+
+
+@pytest.mark.parametrize("first_delay", [0.0, 0.3])
+def test_a_failing_pool_starts_no_more_tasks(monkeypatch, first_delay):
+    # items 0 and 1 fail, item 0 at once or well after item 1: no further item
+    # starts, and item 0's failure, the first in item order, is raised
+    monkeypatch.setenv("EXCURSION_IIA_THREADS", "2")
+    calls = []
+
+    def task(i):
+        calls.append(i)
+        if i < 2:
+            time.sleep(first_delay * (i == 0))
+            raise FitError(f"item {i}")
+        time.sleep(0.01)
+        return i
+
+    with pytest.raises(FitError, match="item 0"):
+        _parallel_map(task, list(range(50)))
+    assert len(calls) < 10
 
 
 def test_aggregate_fits_needs_two_reps():
