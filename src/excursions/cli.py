@@ -3,8 +3,10 @@
 Subcommands: ``iia``, ``gp-sim``, ``switch-sim``, ``clipped-cov``,
 ``slepian-sample``, ``persistency``, ``table1``, ``table2``.  Results
 go to JSON, curves and samples to CSV, and every file output gets a
-sidecar ``<out>.manifest.json`` recording the effective configuration,
-its hash, the seed and wall-clock time.  Result JSON contains only
+sidecar ``<out>.manifest.json`` with exactly the keys
+``artifact_version`` (the package version), ``config`` (the effective
+configuration), ``config_hash``, ``seed`` and ``wall_clock_seconds``.
+Result JSON contains only
 deterministic fields: identical configurations (seed included)
 reproduce it byte for byte.
 
@@ -172,7 +174,7 @@ def _write_json(payload: dict, out: str | None) -> None:
         fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
-def _write_manifest(cfg: dict, provenance: dict, started: float) -> None:
+def _write_manifest(cfg: dict, started: float) -> None:
     if not cfg["out"]:
         return
     _write_json({
@@ -181,7 +183,6 @@ def _write_manifest(cfg: dict, provenance: dict, started: float) -> None:
         "config_hash": _config_hash(cfg),
         "seed": cfg["seed"],
         "wall_clock_seconds": round(time.monotonic() - started, 3),
-        "provenance": provenance,
     }, cfg["out"] + ".manifest.json")
 
 
@@ -201,7 +202,7 @@ def _model_from(cfg: dict):
 
 
 # ---------------------------------------------------------------------------
-# subcommand implementations; each returns the provenance of its manifest
+# subcommand implementations
 # ---------------------------------------------------------------------------
 
 def _parse_levels(text) -> list[float]:
@@ -217,7 +218,7 @@ def _parse_levels(text) -> list[float]:
     return levels
 
 
-def _cmd_iia(cfg: dict) -> dict:
+def _cmd_iia(cfg: dict) -> None:
     [(iia, above, below)] = persistency_table(
         _model_from(cfg), cfg["level"], cfg["samples"], cfg["reps"], cfg["seed"],
         cfg["grid_max"], cfg["grid_step"])
@@ -243,14 +244,9 @@ def _cmd_iia(cfg: dict) -> dict:
             draws = sample_excursion(iia, side, min(cfg["samples"], 100_000), s)
             _write_csv(f"{cfg['samples_csv']}.{side}.csv", "length",
                        ((x,) for x in draws))
-    return {
-        "alpha": "iia.build_iia",
-        "theta_plus/theta_minus": "iia.persistency_table + persistency.fit_persistency",
-        "ci_plus/ci_minus": "persistency.aggregate_fits",
-    }
 
 
-def _cmd_gp_sim(cfg: dict) -> dict:
+def _cmd_gp_sim(cfg: dict) -> None:
     model = _model_from(cfg)
     [(above, below)] = persistency_from_trajectories(
         model, cfg["level"], cfg["n_traj"], cfg["len"], cfg["dt"], cfg["seed"],
@@ -269,13 +265,9 @@ def _cmd_gp_sim(cfg: dict) -> dict:
         "config_hash": _config_hash(cfg),
     }
     _write_json(result, cfg["out"])
-    return {
-        "theta_plus/theta_minus": "gpsim.persistency_from_trajectories",
-        "rice_rate": "gpsim.rice_crossing_rate",
-    }
 
 
-def _cmd_switch_sim(cfg: dict) -> dict:
+def _cmd_switch_sim(cfg: dict) -> None:
     plus = interval_from_spec(cfg["plus"])
     minus = interval_from_spec(cfg["minus"])
     if cfg["grid_points"] < 1:
@@ -299,10 +291,9 @@ def _cmd_switch_sim(cfg: dict) -> dict:
                    est.covariance, est.se_covariance,
                    est.counts_plus, est.se_counts_plus,
                    est.counts_minus, est.se_counts_minus))
-    return {"curves": "switchproc.simulate_switch_paths + switchproc.estimate_characteristics"}
 
 
-def _cmd_clipped_cov(cfg: dict) -> dict:
+def _cmd_clipped_cov(cfg: dict) -> None:
     model = _model_from(cfg)
     t = uniform_grid(cfg["t_max"], cfg["step"])
     columns = [t, clipped_covariance(model, cfg["level"], t)]
@@ -311,10 +302,9 @@ def _cmd_clipped_cov(cfg: dict) -> dict:
         columns.append(arcsin_covariance(model, t))
         header += ",arcsin_reference"
     _write_csv(cfg["out"], header, zip(*columns))
-    return {"value": "clipped.clipped_covariance"}
 
 
-def _cmd_slepian_sample(cfg: dict) -> dict:
+def _cmd_slepian_sample(cfg: dict) -> None:
     model = _model_from(cfg)
     grid = uniform_grid(cfg["grid_max"], cfg["grid_step"])
     det, slope, residual = sample_slepian_path(model, cfg["level"], grid, cfg["paths"],
@@ -324,7 +314,6 @@ def _cmd_slepian_sample(cfg: dict) -> dict:
                (row for rep in range(cfg["paths"])
                 for row in zip(grid, det, slope[rep], residual[rep], total[rep],
                                itertools.repeat(rep))))
-    return {"paths": "slepian.sample_slepian_path"}
 
 
 def _load_samples(path: str) -> np.ndarray:
@@ -347,7 +336,7 @@ def _load_samples(path: str) -> np.ndarray:
     return np.asarray(raw)
 
 
-def _cmd_persistency(cfg: dict) -> dict:
+def _cmd_persistency(cfg: dict) -> None:
     samples = _load_samples(cfg["samples_path"])
     reps = cfg["reps"]
     if reps < 1:
@@ -363,21 +352,18 @@ def _cmd_persistency(cfg: dict) -> dict:
     result.update({"n_samples": int(len(samples)), "seed": cfg["seed"],
                    "config_hash": _config_hash(cfg)})
     _write_json(result, cfg["out"])
-    return {"theta": "persistency.fit_persistency"}
 
 
-def _cmd_table(cfg: dict) -> dict:
+def _cmd_table(cfg: dict) -> None:
     """``table1`` (approximation side) or ``table2`` (trajectory side)."""
     levels = _parse_levels(cfg["levels"])
     if cfg["command"] == "table1":
         estimates = persistency_table(_model_from(cfg), levels, cfg["samples"], cfg["reps"],
                                       cfg["seed"], cfg["grid_max"], cfg["grid_step"])
-        source = "iia.persistency_table"
     else:
         estimates = persistency_from_trajectories(
             _model_from(cfg), levels, cfg["n_traj"], cfg["len"], cfg["dt"], cfg["seed"],
             cfg["reps"])
-        source = "gpsim.persistency_from_trajectories"
     rows = [{
         "level": level,
         "theta_plus": above.mean_theta, "ci_plus": above.half_width,
@@ -390,7 +376,6 @@ def _cmd_table(cfg: dict) -> dict:
     if cfg["out"]:
         _write_json({"rows": rows, "seed": cfg["seed"], "config_hash": _config_hash(cfg)},
                     cfg["out"])
-    return {"rows": source}
 
 
 # ---------------------------------------------------------------------------
@@ -474,8 +459,8 @@ def run(argv) -> int:
     started = time.monotonic()
     try:
         cfg = _merged_config(ns)
-        provenance = _COMMANDS[ns.command][0](cfg)
-        _write_manifest(cfg, provenance, started)
+        _COMMANDS[ns.command][0](cfg)
+        _write_manifest(cfg, started)
         sys.stdout.flush()      # a closed pipe raises here, not at shutdown
         return 0
     except BrokenPipeError:

@@ -42,10 +42,11 @@ survival then decays as C e^{-theta t}, with theta the Lundberg root of
 b E[e^{theta Y}] = 1, which lies below lambda (Cramer-Lundberg
 asymptotics of geometric sums); :func:`persistency_exponent` finds it on
 the same lumped divisors before any transform, and the FFT is sized from
-it to hold all but 1e-10 of the mass in one solve.  Each excursion is then
-one inverse-CDF draw from that law; a replicate of the persistency
-table maps only the uniforms whose ranks its tail fit reads, the
-upper half of the sorted draws less the top few.  Checking the law's
+it to hold all but 1e-10 of the mass in one solve; a solve that leaves
+more past its end is a NumericalError.  Each excursion is then one
+inverse-CDF draw from that law; a replicate of the persistency table
+maps only the uniforms whose ranks its tail fit reads, the upper half
+of the sorted draws less the top few.  Checking the law's
 empirical transform against Psi_+ and Psi_-, which come from the
 clipped means alone, is the package's core cross-validation; the tests
 keep the geometric sum itself as a reference sampler.
@@ -61,9 +62,9 @@ import numpy as np
 
 from .covmodel import CovarianceModel
 from .errors import DomainError, GridTooShort, MonotonicityViolation, NumericalError
-from .numerics import (NEGATIVE_MASS_TOL, Grid, TailModel, inverse_cdf_sample,
-                       lump_cells, next_fast_len, norm_cdf, numerical_laplace,
-                       spawn_seeds, uniform_grid)
+from .numerics import (NEGATIVE_MASS_TOL, Grid, inverse_cdf_sample, lump_cells,
+                       next_fast_len, norm_cdf, numerical_laplace, spawn_seeds,
+                       uniform_grid)
 from .persistency import BatchEstimate, _fit_window, _tail_ranks, replicate_estimates
 from .slepian import _clipped_terms, _clipped_up_from
 
@@ -75,8 +76,8 @@ SIDES = ("above", "below")
 # per-step downticks smaller than this are roundoff, not violations
 MONOTONE_TOL = 1e-12
 
-# an excursion law is solved on more knots until the mass past the last
-# one is at most _LAW_END, and fails past _LAW_MAX_KNOTS knots
+# an excursion law is solved once, on the knots that its tail sizes to hold
+# all but _LAW_END of the mass, and fails past _LAW_MAX_KNOTS knots
 _LAW_END = 1e-10
 _LAW_MAX_KNOTS = 1 << 21
 
@@ -87,28 +88,30 @@ _CUT = 1e-10
 
 @dataclass(frozen=True, eq=False)
 class IIAModel:
-    """Level, geometric parameters, tabulated divisor CDFs and their decay rate.
+    """Level, geometric parameter, tabulated divisor CDFs and their decay rate.
 
-    ``decay_rate`` is the covariance's own rate -r'/r, at which both
-    divisor survivals decay past the grid.
+    ``alpha`` is Phi(u) and ``beta`` is ``1 - alpha``.  ``decay_rate`` is
+    the covariance's own rate -r'/r, at which both divisor survivals decay
+    past the grid.
     """
 
     level: float
     alpha: float
-    beta: float
     f_x_cdf: Grid
     f_y_cdf: Grid
     decay_rate: float
-    source: str
-    # side -> excursion_law(self, side), filled on first request under that
-    # side's lock, so the two sides solve at the same time
+    # side -> excursion_law(self, side) or the error its solve raised, filled
+    # on first request under that side's lock, so the two sides solve at the
+    # same time
     _laws: dict = field(default_factory=dict, init=False, repr=False)
     _locks: dict = field(default_factory=lambda: {side: threading.Lock() for side in SIDES},
                          init=False, repr=False)
 
+    @property
+    def beta(self) -> float:
+        return 1.0 - self.alpha
+
     def __post_init__(self):
-        if abs(self.alpha + self.beta - 1.0) > 1e-12:
-            raise DomainError("alpha + beta must be one")
         if not (self.decay_rate > 0.0 and math.isfinite(self.decay_rate)):
             raise DomainError(f"the covariance's decay rate -r'/r must be positive and "
                               f"finite, got {self.decay_rate!r}")
@@ -172,12 +175,12 @@ def _build_levels(model: CovarianceModel, levels, t_max: float,
             r = np.asarray(model.r(t), dtype=float)
             k = int(np.flatnonzero(r >= _CUT)[-1])
             decay_rate = -float(model.r_prime(t[k])) / float(r[k])
-        out.append(_build_level(model.name, float(u), alpha, t, terms, decay_rate))
+        out.append(_build_level(float(u), alpha, t, terms, decay_rate))
     return out
 
 
-def _build_level(source: str, u: float, alpha: float, t: np.ndarray,
-                 terms, decay_rate: float) -> IIAModel:
+def _build_level(u: float, alpha: float, t: np.ndarray, terms,
+                 decay_rate: float) -> IIAModel:
     beta = 1.0 - alpha
     # E_u^- = -E_{-u}^+, both on the shared terms of t[1:]
     e_up = np.empty(len(t))
@@ -210,11 +213,9 @@ def _build_level(source: str, u: float, alpha: float, t: np.ndarray,
     return IIAModel(
         level=u,
         alpha=alpha,
-        beta=beta,
         f_x_cdf=Grid(points=t, values=f_x),
         f_y_cdf=Grid(points=t, values=f_y),
         decay_rate=decay_rate,
-        source=source,
     )
 
 
@@ -313,27 +314,22 @@ def _solve_law(iia: IIAModel, side: str) -> tuple[Grid, float]:
             f"u = {iia.level:g}, {side} side: the excursion law needs {knots} knots "
             f"of {step:g} to leave at most {_LAW_END:g} past its end, more than "
             f"{_LAW_MAX_KNOTS}")
-    while True:
-        size = next_fast_len(2 * knots, real=True)
-        first_hat = np.fft.rfft(first.masses(knots), size)
-        extra_hat = np.fft.rfft(extra.masses(knots), size)
-        # a first / (1 - b extra), in place
-        extra_hat *= -b
-        extra_hat += 1.0
-        first_hat *= a
-        first_hat /= extra_hat
-        q = np.fft.irfft(first_hat, size)[:knots]
-        # the knot masses, then the mass past the last knot
-        mass = np.append(q, 1.0 - q.sum())
-        if mass[-1] <= _LAW_END:
-            break
-        # the sizing undershot: double until the mass past the end is small
-        if 2 * knots > _LAW_MAX_KNOTS:
-            raise NumericalError(
-                f"u = {iia.level:g}, {side} side: the excursion law holds "
-                f"{mass[-1]:.2e} past t = {(knots - 1) * step:g}; "
-                f"more than {_LAW_MAX_KNOTS} knots would be needed")
-        knots *= 2
+    size = next_fast_len(2 * knots, real=True)
+    first_hat = np.fft.rfft(first.masses(knots), size)
+    extra_hat = np.fft.rfft(extra.masses(knots), size)
+    # a first / (1 - b extra), in place
+    extra_hat *= -b
+    extra_hat += 1.0
+    first_hat *= a
+    first_hat /= extra_hat
+    q = np.fft.irfft(first_hat, size)[:knots]
+    # the knot masses, then the mass past the last knot
+    mass = np.append(q, 1.0 - q.sum())
+    if mass[-1] > _LAW_END:
+        raise NumericalError(
+            f"u = {iia.level:g}, {side} side: the excursion law on {knots} knots "
+            f"holds {mass[-1]:.2e} of its mass past its end t = {(knots - 1) * step:g}, "
+            f"more than {_LAW_END:g}")
     negative = -float(mass[mass < 0.0].sum())
     if negative > NEGATIVE_MASS_TOL:
         raise NumericalError(
@@ -359,25 +355,33 @@ def excursion_law(iia: IIAModel, side: str) -> tuple[Grid, float]:
     with a = alpha, b = beta above and X, Y and a, b swapped below, on
     ``L = next_fast_len(2 n)``.  ``n`` is sized before the transform from
     :func:`persistency_exponent`: the survival decays as C e^{-theta t},
-    and the law ends where that falls to half of 1e-10.  If more than
-    1e-10 of the mass still lies past the last knot, ``n`` doubles until
-    it does not.  More than 2**21 knots, sized or doubled, is a
-    :class:`NumericalError`, as is round-off leaving over 1e-12 of
-    negative mass.  Each knot's mass is spread evenly over the half
+    and the law ends where that falls to half of 1e-10.  The law is solved
+    once, at that size.  More than 2**21 knots is a
+    :class:`NumericalError`, as are more than 1e-10 of the mass past the
+    last knot and round-off leaving over 1e-12 of negative mass.  Each
+    knot's mass is spread evenly over the half
     steps either side of it, so the CDF is piecewise linear, zero at
     t = 0, and ends within 1e-10 of one; the tail rate that extrapolates
     it is theta, the rate at which its survival decays.  The law is
     computed on the first request for each side and cached on ``iia``.
     Each side has a lock of its own, so the two sides can be solved at
     the same time from different threads, such as the tasks of
-    :func:`persistency_table`'s pool, while each is solved once.
+    :func:`persistency_table`'s pool, while each is solved once.  A solve
+    that fails is not tried again: its error is kept and raised to every
+    later request for that side.
     """
     if side not in SIDES:
         raise DomainError(f"side must be 'above' or 'below', got {side!r}")
     with iia._locks[side]:
         if side not in iia._laws:
-            iia._laws[side] = _solve_law(iia, side)
-        return iia._laws[side]
+            try:
+                iia._laws[side] = _solve_law(iia, side)
+            except Exception as exc:
+                iia._laws[side] = exc
+        law = iia._laws[side]
+    if isinstance(law, Exception):
+        raise law
+    return law
 
 
 def sample_excursion(iia: IIAModel, side: str, n: int, seed) -> np.ndarray:
@@ -460,9 +464,7 @@ def persistency_table(model: CovarianceModel, levels, samples: int, reps: int,
 
 def _survival_laplace(cdf: Grid, tail_rate: float, s: float) -> float:
     surv = np.maximum(1.0 - cdf.values, 0.0)
-    tail = TailModel(rate=tail_rate,
-                     amplitude=float(surv[-1]) * math.exp(tail_rate * cdf.points[-1]))
-    return numerical_laplace(Grid(points=cdf.points, values=surv), s, tail)
+    return numerical_laplace(Grid(points=cdf.points, values=surv), s, tail_rate)
 
 
 def psi_hat(iia: IIAModel, side: str, s: float) -> float:

@@ -36,7 +36,6 @@ from .errors import DomainError, MonotonicityViolation
 
 __all__ = [
     "Grid",
-    "TailModel",
     "ndtr",
     "norm_cdf",
     "next_fast_len",
@@ -131,18 +130,6 @@ class Grid:
         if abs(vals[0]) > 1e-12:
             raise DomainError("cdf must start at zero")
         return float(vals[-1])
-
-
-@dataclass(frozen=True)
-class TailModel:
-    """Exponential tail ``amplitude * exp(-rate * t)`` beyond a grid."""
-
-    rate: float
-    amplitude: float
-
-    def __post_init__(self):
-        if not (self.rate > 0.0 and math.isfinite(self.rate)):
-            raise DomainError("tail rate must be positive and finite")
 
 
 # FFT round-off leaves negative masses; more than this in total is an error
@@ -290,27 +277,28 @@ def b_integral(u_tilde: float, rho):
 # Laplace transforms of tabulated functions
 # ---------------------------------------------------------------------------
 
-def numerical_laplace(f: Grid, s: float, tail: TailModel | None = None) -> float:
+def numerical_laplace(f: Grid, s: float, tail_rate: float | None = None) -> float:
     """Laplace transform of a tabulated function at ``s > 0``.
 
     Simpson quadrature of ``f(t) * exp(-s*t)`` on the grid (trapezoid
-    for two points), plus the closed-form contribution of the
-    exponential tail beyond the last grid point when a tail model is
-    supplied.
+    for two points).  With a ``tail_rate``, positive and finite, ``f``
+    continues past its last point t_end as ``f(t_end) e^{-rate (t - t_end)}``,
+    whose contribution is added in closed form.
     """
     from scipy.integrate import simpson, trapezoid
 
     if not s > 0.0:
         raise DomainError(f"Laplace argument must be positive, got {s}")
+    if tail_rate is not None and not (tail_rate > 0.0 and math.isfinite(tail_rate)):
+        raise DomainError(f"tail rate must be positive and finite, got {tail_rate!r}")
     t = f.points
     y = f.values * np.exp(-s * t)
     if len(t) >= 3:
         val = float(simpson(y, x=t))
     else:
         val = float(trapezoid(y, x=t))
-    if tail is not None:
-        t_end = t[-1]
-        val += tail.amplitude * math.exp(-(s + tail.rate) * t_end) / (s + tail.rate)
+    if tail_rate is not None:
+        val += float(y[-1]) / (s + tail_rate)
     return val
 
 

@@ -531,7 +531,10 @@ def test_effective_config_is_pinned(tmp_path, capsys, command):
         argv.append(str(lengths) if arg == "LENGTHS" else arg)
     out = tmp_path / "res.out"
     assert run(argv + ["--out", str(out)]) == 0
-    config = json.loads((tmp_path / "res.out.manifest.json").read_text())["config"]
+    manifest = json.loads((tmp_path / "res.out.manifest.json").read_text())
+    assert sorted(manifest) == ["artifact_version", "config", "config_hash", "seed",
+                                "wall_clock_seconds"]
+    config = manifest["config"]
     assert config.pop("out") == str(out)
     if "samples_path" in expected:
         expected = dict(expected, samples_path=str(lengths))

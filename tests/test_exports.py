@@ -1,8 +1,11 @@
-"""Every exported name resolves, so a deleted function leaves no stale export."""
+"""Every exported name resolves, so a deleted function leaves no stale export,
+and each name has one import path, through its submodule."""
 
-import ast
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -19,14 +22,26 @@ def test_all_names_resolve(name):
     assert [n for n in exported if not hasattr(module, n)] == []
 
 
-def test_package_imports_exist_and_are_exported():
-    tree = ast.parse(Path(excursions.__file__).read_text())
-    imported = [(node.module, alias.name) for node in tree.body
-                if isinstance(node, ast.ImportFrom) and node.level == 1
-                for alias in node.names]
-    assert imported
-    for module_name, name in imported:
-        module = importlib.import_module(f"excursions.{module_name}")
-        assert hasattr(module, name), f"{module_name}.{name}"
-        assert name in getattr(module, "__all__", (name,)), f"{module_name}.{name}"
-        assert getattr(excursions, name) is getattr(module, name)
+def _modules_loaded_by(statement: str) -> set[str]:
+    # sys.modules after `statement` in a fresh interpreter
+    src = str(Path(excursions.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    out = subprocess.run(
+        [sys.executable, "-c", f"import sys\n{statement}\nprint(*sys.modules)"],
+        capture_output=True, text=True, check=True, env=dict(os.environ, PYTHONPATH=path))
+    return set(out.stdout.split())
+
+
+def test_the_package_root_loads_no_module():
+    loaded = _modules_loaded_by("import excursions")
+    assert "excursions" in loaded
+    assert sorted(m for m in loaded if m.startswith("excursions.")) == []
+    assert "numpy" not in loaded
+
+
+def test_a_submodule_loads_only_what_it_imports():
+    loaded = _modules_loaded_by("import excursions.switchproc")
+    assert "excursions.switchproc" in loaded
+    unused = {f"excursions.{m}" for m in ("gpsim", "iia", "slepian", "persistency",
+                                          "clipped")} | {"concurrent.futures"}
+    assert sorted(unused & loaded) == []

@@ -330,8 +330,8 @@ def test_root_branch_laws_are_sized_without_waste(u, side):
     assert _mass_past(iia, side, int(0.9 * knots)) > excursions.iia._LAW_END
 
 
-def test_an_undersized_law_doubles_until_it_holds_its_mass(monkeypatch):
-    # the sizing is an asymptote; if it falls short the solve doubles
+def test_an_undersized_law_is_a_numerical_error(monkeypatch):
+    # the sizing is an asymptote; if it falls short, the one solve fails
     decay = excursions.iia._decay
     monkeypatch.setattr(excursions.iia, "_decay", lambda *args: (decay(*args)[0], 1e-3))
     irfft, solves = np.fft.irfft, []
@@ -341,9 +341,10 @@ def test_an_undersized_law_doubles_until_it_holds_its_mass(monkeypatch):
         return irfft(*args, **kwargs)
 
     monkeypatch.setattr(np.fft, "irfft", counting)
-    cdf, _ = excursion_law(build_iia(M2, 0.5), "below")
-    assert len(solves) == 2
-    assert 1.0 - cdf.values[-1] <= 1e-10
+    with pytest.raises(NumericalError, match=r"u = 0\.5, below side: .* knots holds "
+                                             r".* of its mass past its end"):
+        excursion_law(build_iia(M2, 0.5), "below")
+    assert len(solves) == 1
 
 
 def test_sample_mean_zero_level(iia_u0):
@@ -491,6 +492,30 @@ def test_concurrent_first_requests_solve_each_law_once(monkeypatch):
     assert sorted(solved) == ["above", "below"]
     for side, law in zip(sides, laws):
         assert law is excursion_law(iia, side)
+
+
+def test_a_failed_solve_is_kept_and_raised_to_every_later_task(monkeypatch):
+    # the first two solves, one per side, wait for each other; every task
+    # queued on a side's lock then gets that side's error, not a solve
+    both_started = threading.Barrier(2)
+    attempts = []
+
+    def failing(iia, side):
+        attempts.append(side)
+        if len(attempts) <= 2:
+            both_started.wait(timeout=60)
+        raise NumericalError(f"{side} side: no law")
+
+    monkeypatch.setenv("EXCURSION_IIA_THREADS", "4")
+    monkeypatch.setattr(excursions.iia, "_solve_law", failing)
+    with pytest.raises(NumericalError, match="above side: no law"):
+        persistency_table(M2, [0.5], 2000, 6, 5, t_max=120.0, step=0.02)
+    assert sorted(attempts) == ["above", "below"]
+    iia = build_iia(M2, 0.5, t_max=120.0, step=0.02)
+    for _ in range(2):
+        with pytest.raises(NumericalError, match="below side: no law"):
+            excursion_law(iia, "below")
+    assert sorted(attempts) == ["above", "below", "below"]
 
 
 def test_persistency_table_checks_replicates_before_building():

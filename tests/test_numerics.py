@@ -14,7 +14,7 @@ import excursions.slepian
 from excursions.covmodel import diffusion_covariance
 from excursions.errors import DomainError, MonotonicityViolation
 from excursions.iia import build_iia
-from excursions.numerics import (Grid, TailModel, b_integral, gaver_stehfest_invert,
+from excursions.numerics import (Grid, b_integral, gaver_stehfest_invert,
                                  inverse_cdf_sample, lump_cells, lumped_cdf, ndtr,
                                  next_fast_len, norm_cdf, numerical_laplace)
 
@@ -154,28 +154,29 @@ def test_b_integral_domain():
 def test_laplace_of_exponential():
     t = np.linspace(0.0, 40.0, 8001)
     g = Grid(points=t, values=np.exp(-t))
-    tail = TailModel(rate=1.0, amplitude=1.0)
     # oracle: int exp(-2t) dt = 1/2
-    assert numerical_laplace(g, 1.0, tail) == pytest.approx(0.5, rel=1e-8)
+    assert numerical_laplace(g, 1.0, tail_rate=1.0) == pytest.approx(0.5, rel=1e-8)
     g2 = Grid(points=t, values=np.exp(-2.0 * t))
-    tail2 = TailModel(rate=2.0, amplitude=1.0)
-    assert numerical_laplace(g2, 1.0, tail2) == pytest.approx(1.0 / 3.0, rel=1e-8)
+    assert numerical_laplace(g2, 1.0, tail_rate=2.0) == pytest.approx(1.0 / 3.0, rel=1e-8)
 
 
 def test_laplace_of_zero_and_domain():
     t = np.linspace(0.0, 5.0, 101)
     g = Grid(points=t, values=np.zeros_like(t))
     assert numerical_laplace(g, 1.0) == 0.0
+    assert numerical_laplace(g, 1.0, tail_rate=1.0) == 0.0
     with pytest.raises(DomainError):
         numerical_laplace(g, 0.0)
+    for rate in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(DomainError, match="tail rate"):
+            numerical_laplace(g, 1.0, tail_rate=rate)
 
 
 def test_laplace_tail_correction_matters():
     # short grid: the exponential tail carries most of the mass
     t = np.linspace(0.0, 2.0, 401)
     g = Grid(points=t, values=np.exp(-0.5 * t))
-    tail = TailModel(rate=0.5, amplitude=1.0)
-    assert numerical_laplace(g, 1.0, tail) == pytest.approx(1.0 / 1.5, rel=1e-7)
+    assert numerical_laplace(g, 1.0, tail_rate=0.5) == pytest.approx(1.0 / 1.5, rel=1e-7)
 
 
 # ------------------------------------------------------------ Gaver-Stehfest
