@@ -35,7 +35,15 @@ with 0 and nothing on stderr: the rest of the output is discarded.
 :func:`iia.persistency_table` or :func:`gpsim.persistency_from_trajectories`,
 which own the seed tree and the thread pool.  ``table2`` reads every
 level from the same trajectories, so its row for a level equals
-``gp-sim`` at that level with the same seed and sizes.
+``gp-sim`` at that level with the same seed and sizes.  For ``iia`` and
+``table1``, ``--grid-max`` caps the divisor grid, which the covariance
+sizes, so ``iia --cdf-csv`` writes the grid up to its sized end.
+
+:func:`run` freezes the garbage collector's view of everything alive
+when it starts (:func:`gc.freeze`), so that a process which exits after
+one run does not walk numpy's and the package's import-time objects in
+its exit-time collections.  The run's own objects are collected as usual,
+and every file it writes is closed before it returns.
 
 Importing this module loads no scipy, and neither does any subcommand
 but ``clipped-cov``, whose Owen's T is ``scipy.special.owens_t`` and is
@@ -47,6 +55,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
 import hashlib
 import itertools
 import json
@@ -451,7 +460,20 @@ def _build_parser() -> _Parser:
 
 
 def run(argv) -> int:
-    """Parse and dispatch; returns the process exit code."""
+    """Parse and dispatch; returns the process exit code.
+
+    ``run`` first calls :func:`gc.freeze`, which moves every object alive
+    at entry, those the imports and the caller made, into the collector's
+    permanent generation.  A process that exits after the run then skips
+    them in its exit-time collections: after ``import numpy`` alone, a
+    process took 26 ms to exit, and 7 ms with its objects frozen (medians
+    of 12 on 2 vCPU).  Objects the run makes are collected as usual.  The
+    one effect in-process is that cyclic garbage among the objects alive
+    at entry is never collected.  Frozen objects may also not be
+    finalised at exit, so every file the run writes is closed before it
+    returns.
+    """
+    gc.freeze()
     try:
         ns = _build_parser().parse_args(argv)
     except SystemExit as exc:

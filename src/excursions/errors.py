@@ -52,7 +52,7 @@ class ValidationError(ExcursionError):
 
 
 class GridTooShort(ExcursionError):
-    """A tabulation grid does not reach the asymptotic regime."""
+    """A grid's cap falls before the end its tabulation is sized to need."""
 
 
 class FitError(ExcursionError):

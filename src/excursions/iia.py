@@ -37,19 +37,23 @@ and the below side swaps X and Y and a and b.  The clipped means
 approach their limit linearly in r and r', so both divisor survivals
 decay at the covariance's own rate lambda = -r'/r (d/4 for the diffusion
 model); each divisor is read on the grid while its survival is at least
-1e-10 and as S(t_k) e^{-lambda (t - t_k)} past that knot t_k.  The law's
-survival then decays as C e^{-theta t}, with theta the Lundberg root of
-b E[e^{theta Y}] = 1, which lies below lambda (Cramer-Lundberg
-asymptotics of geometric sums); :func:`persistency_exponent` finds it on
-the same lumped divisors before any transform, and the FFT is sized from
-it to hold all but 1e-10 of the mass in one solve; a solve that leaves
-more past its end is a NumericalError.  Each excursion is then one
-inverse-CDF draw from that law; a replicate of the persistency table
-maps only the uniforms whose ranks its tail fit reads, the upper half
-of the sorted draws less the top few.  Checking the law's
-empirical transform against Psi_+ and Psi_-, which come from the
-clipped means alone, is the package's core cross-validation; the tests
-keep the geometric sum itself as a reference sampler.
+1e-10 and as S(t_k) e^{-lambda (t - t_k)} past that knot t_k.  The grid
+is therefore sized from the covariance before any clipped mean is
+computed: r and r' bound both survivals to first order, and a level's
+grid ends once that bound is below half of 1e-10, a little past t_k;
+``t_max`` only caps it.  The law's survival then decays as
+C e^{-theta t}, with theta the Lundberg root of b E[e^{theta Y}] = 1,
+which lies below lambda (Cramer-Lundberg asymptotics of geometric sums);
+:func:`persistency_exponent` finds it on the same lumped divisors before
+any transform, and the FFT is sized from it to hold all but 1e-10 of the
+mass in one solve; a solve that leaves more past its end is a
+NumericalError.  Each excursion is then one inverse-CDF draw from that
+law; a replicate of the persistency table maps only the uniforms whose
+ranks its tail fit reads, the upper half of the sorted draws less the
+top few.  Checking the law's empirical transform against Psi_+ and
+Psi_-, which come from the clipped means alone, is the package's core
+cross-validation; the tests keep the geometric sum itself as a
+reference sampler.
 """
 
 from __future__ import annotations
@@ -143,40 +147,86 @@ def build_iia(model: CovarianceModel, u: float, t_max: float = 200.0,
 
     Tabulates the clipped means, verifies the monotonicity conditions
     that make the matched switching times genuine distributions, and
-    integrates the divisor densities in closed form.  Raises
-    :class:`MonotonicityViolation` when a curve runs the wrong way
-    (down-crossing curves do for levels above roughly 5/4 with the
-    d = 2 diffusion model) and :class:`GridTooShort` when the grid does
-    not reach the asymptotic regime within 1e-6.  A level at which
-    Phi(u) rounds to 0 or 1, so that one side has no mass, is a
-    :class:`DomainError`.
+    integrates the divisor densities in closed form.  The grid has knots
+    ``0, step, ...`` and ends where both divisor survivals are below
+    1e-10, which the covariance alone sizes (see :func:`_sized_ends`);
+    past that end each divisor is read from its exponential tail at the
+    covariance's decay rate.  ``t_max`` caps the grid: a cap before the
+    sized end is :class:`GridTooShort`, and a level whose survivals are
+    not below 1e-10 at the sized end is a :class:`NumericalError`.
+    Raises :class:`MonotonicityViolation` when a curve runs the wrong way
+    on the grid (down-crossing curves do for levels above roughly 5/4
+    with the d = 2 diffusion model).  A level at which Phi(u) rounds to
+    0 or 1, so that one side has no mass, is a :class:`DomainError`.
     """
     return _build_levels(model, [u], t_max, step)[0]
 
 
+def _sized_ends(model: CovarianceModel, t: np.ndarray, r: np.ndarray, levels,
+                alphas, decay_rate: float) -> list[int]:
+    """Per level, the grid knot past which neither divisor survival reaches ``_CUT``.
+
+    As r and r' vanish, E_u^+ - (1 - 2 Phi(u)) = phi(u) (2 u r + sqrt(2 pi)
+    (-r') / g) to first order, with g = sqrt(-r''(0)), and E_u^- is the
+    same at -u, so both divisor survivals are at most
+
+        B(t) = phi(u) (2 |u| |r| + sqrt(2 pi) |r'| / g) / (2 min(alpha, beta)).
+
+    The remainder is relatively O((1 + u^2) (|r| + |r'| / g)), below 1e-9
+    where B nears ``_CUT`` at the paper's levels, and the clipped means
+    round to about 1e-16 / min(alpha, beta).  A level's end is the knot after the last
+    one where B is at least ``_CUT / 2``.  That factor of 2 is the margin
+    that covers both terms, and costs ln 2 / lambda of grid: 139 knots of
+    0.01 at d = 2.  A cap that ends the grid sooner is
+    :class:`GridTooShort`, naming the cap and where B would fall below
+    ``_CUT / 2`` at the decay rate lambda.
+    """
+    g = math.sqrt(-model.r_pp0)
+    abs_r = np.abs(r)
+    abs_rp = np.abs(np.asarray(model.r_prime(t), dtype=float)) / g
+    ends = []
+    for u, alpha in zip(levels, alphas):
+        scale = math.exp(-0.5 * u * u) / (2.0 * min(alpha, 1.0 - alpha))
+        bound = scale * (2.0 * abs(u) / math.sqrt(2.0 * math.pi) * abs_r + abs_rp)
+        hits = np.flatnonzero(bound >= 0.5 * _CUT)
+        end = int(hits[-1]) + 1 if len(hits) else 1
+        if end >= len(t):
+            where = (f"near t = {t[-1] + math.log(2.0 * bound[-1] / _CUT) / decay_rate:.4g} "
+                     f"at the decay rate {decay_rate:.4g}" if decay_rate > 0.0 else "past it")
+            raise GridTooShort(
+                f"u = {u:g}: the grid cap t_max = {t[-1]:g} falls before the sized end of "
+                f"the divisor grid, {where}: the divisors' survival bound is "
+                f"{bound[-1]:.2e} at the cap, not below {0.5 * _CUT:g}")
+        ends.append(end)
+    return ends
+
+
 def _build_levels(model: CovarianceModel, levels, t_max: float,
                   step: float) -> list[IIAModel]:
-    # build_iia at each level, with the level-free Slepian terms and the
-    # covariance's decay rate computed once
-    t = terms = decay_rate = None
-    out = []
+    # build_iia at each level, each on the grid sized for it, with the
+    # level-free Slepian terms and the covariance's decay rate computed once
+    levels, alphas = [float(u) for u in levels], []
     for u in levels:
         if not math.isfinite(u):
-            raise DomainError(f"level must be finite, got {float(u)!r}")
+            raise DomainError(f"level must be finite, got {u!r}")
         alpha = float(norm_cdf(u))
         if alpha in (0.0, 1.0):
-            raise DomainError(f"level {float(u)!r}: Phi(u) rounds to {alpha:g}, so the "
+            raise DomainError(f"level {u!r}: Phi(u) rounds to {alpha:g}, so the "
                               f"excursions {'above' if alpha else 'below'} it have no mass")
-        if terms is None:
-            if not (step > 0.0 and t_max > 10.0 * step):
-                raise DomainError("need step > 0 and t_max well above the step")
-            t = uniform_grid(t_max, step)
-            terms = _clipped_terms(model, t[1:])
-            r = np.asarray(model.r(t), dtype=float)
-            k = int(np.flatnonzero(r >= _CUT)[-1])
-            decay_rate = -float(model.r_prime(t[k])) / float(r[k])
-        out.append(_build_level(float(u), alpha, t, terms, decay_rate))
-    return out
+        alphas.append(alpha)
+    if not (step > 0.0 and t_max > 10.0 * step):
+        raise DomainError("need step > 0 and t_max well above the step")
+    t = uniform_grid(t_max, step)
+    r = np.asarray(model.r(t), dtype=float)
+    k = int(np.flatnonzero(r >= _CUT)[-1])
+    decay_rate = -float(model.r_prime(t[k])) / float(r[k])
+    ends = _sized_ends(model, t, r, levels, alphas, decay_rate)
+    terms = _clipped_terms(model, t[1:max(ends, default=1) + 1])
+    # the terms are elementwise in t, so a level's are a prefix of them
+    return [_build_level(u, alpha, t[:end + 1],
+                         tuple(x[:end] if isinstance(x, np.ndarray) else x for x in terms),
+                         decay_rate)
+            for u, alpha, end in zip(levels, alphas, ends)]
 
 
 def _build_level(u: float, alpha: float, t: np.ndarray, terms,
@@ -191,19 +241,16 @@ def _build_level(u: float, alpha: float, t: np.ndarray, terms,
     e_dn[1:] = _clipped_up_from(terms, -u)
     np.negative(e_dn[1:], out=e_dn[1:])
 
-    e_inf = 1.0 - 2.0 * alpha
-    if abs(e_up[-1] - e_inf) >= 1e-6 or abs(e_dn[-1] - e_inf) >= 1e-6:
-        raise GridTooShort(
-            f"clipped means at t_max = {t[-1]:g} are {abs(e_up[-1] - e_inf):.2e} / "
-            f"{abs(e_dn[-1] - e_inf):.2e} away from the limit (need < 1e-6)")
-
     _check_monotone(e_up, t, direction=-1, which="up-crossing mean")
     _check_monotone(e_dn, t, direction=+1, which="down-crossing mean")
 
+    e_inf = 1.0 - 2.0 * alpha
     surv_x = np.maximum((e_up - e_inf) / (2.0 * alpha), 0.0)
     surv_y = np.maximum((e_inf - e_dn) / (2.0 * beta), 0.0)
-    if surv_x[-1] >= 1e-6 or surv_y[-1] >= 1e-6:
-        raise GridTooShort("divisor CDFs do not reach one at the grid end")
+    if surv_x[-1] >= _CUT or surv_y[-1] >= _CUT:
+        raise NumericalError(
+            f"u = {u:g}: the divisor survivals are {surv_x[-1]:.2e} / {surv_y[-1]:.2e} "
+            f"at the sized grid end t = {t[-1]:g}, not below {_CUT:g}")
 
     f_x = np.minimum(np.maximum.accumulate(1.0 - surv_x), 1.0)
     f_y = np.minimum(np.maximum.accumulate(1.0 - surv_y), 1.0)
@@ -416,10 +463,11 @@ def persistency_table(model: CovarianceModel, levels, samples: int, reps: int,
 
     Level k's seed is the k-th spawned from ``seed`` (``seed`` itself for
     a single level); it spawns a seed per side and each of those a seed
-    per replicate of ``samples`` draws.  The levels share one grid, and
-    the level-free terms of the clipped means on it are computed once
-    for all levels and both signs; each model equals :func:`build_iia`'s
-    bit for bit.  Every (level, side) law is solved once, at the size
+    per replicate of ``samples`` draws.  Each level's grid is sized from
+    the covariance, as :func:`build_iia` sizes it, and capped at
+    ``t_max``; the grids are prefixes of one grid, on which the level-free
+    terms of the clipped means are computed once for all levels and both
+    signs, so each model equals :func:`build_iia`'s bit for bit.  Every (level, side) law is solved once, at the size
     its persistency exponent gives, by the first of that side's
     replicates to start, and shared by the rest; the pool starts
     replicate 0 of every side first, so the solves overlap one

@@ -304,6 +304,43 @@ def test_importing_the_cli_loads_no_fractions(tmp_path):
     assert proc.stdout.splitlines()[-1] == "False"
 
 
+_IIA_FILES = ["--out", "res.json", "--cdf-csv", "cdf.csv", "--samples-csv", "draws"]
+
+
+def test_run_freezes_what_the_imports_made_and_writes_the_same_files(tmp_path, monkeypatch):
+    # a fresh interpreter exits without collecting what was alive when run
+    # began; the files it writes are closed and are the in-process run's,
+    # but for the manifest's wall clock
+    args = ["iia", "--level", "0.5", "--seed", "5"] + FAST_IIA + _IIA_FILES
+    script = f"""
+import gc
+import excursions.cli
+made = gc.get_objects()     # held, so that none of them is freed during the run
+assert excursions.cli.run({args!r}) == 0
+tracked = {{id(x) for x in gc.get_objects()}}
+print(len(made), gc.get_freeze_count(), sum(id(x) in tracked for x in made))
+"""
+    fresh, here = tmp_path / "fresh", tmp_path / "here"
+    fresh.mkdir()
+    here.mkdir()
+    proc = subprocess.run([sys.executable, "-c", script], cwd=fresh,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    made, frozen, unfrozen = map(int, proc.stdout.split())
+    assert frozen >= made
+    assert unfrozen == 0
+    monkeypatch.chdir(here)
+    assert run(args) == 0
+    names = ["res.json", "cdf.csv", "draws.above.csv", "draws.below.csv"]
+    assert sorted(p.name for p in fresh.iterdir()) == sorted(names + ["res.json.manifest.json"])
+    for name in names:
+        assert (fresh / name).read_bytes() == (here / name).read_bytes(), name
+    manifests = [json.loads((d / "res.json.manifest.json").read_text()) for d in (fresh, here)]
+    for manifest in manifests:
+        del manifest["wall_clock_seconds"]
+    assert manifests[0] == manifests[1]
+
+
 @pytest.mark.parametrize("args, message", [
     (["iia", "--level", "1e308"] + FAST_IIA,
      "level 1e+308: Phi(u) rounds to 1, so the excursions above it have no mass"),

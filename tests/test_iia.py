@@ -122,13 +122,18 @@ def _reference_divisors(u):
 
 def test_built_divisors_equal_the_public_clipped_means_bitwise():
     # build_iia and persistency_table share the level-free Slepian terms
-    # across levels and signs; neither may move a bit
+    # across levels and signs, on a grid sized from the covariance; neither
+    # may move a bit of the full grid's divisors, and past the sized end
+    # the full grid's survivals are below the cut
     rows = persistency_table(M2, list(BENCH_LEVELS), 1000, 2, 3)
     for u, (table_iia, _, _) in zip(BENCH_LEVELS, rows):
         f_x, f_y = _reference_divisors(u)
         for iia in (build_iia(M2, u), table_iia):
-            assert np.array_equal(iia.f_x_cdf.values.view(np.int64), f_x.view(np.int64))
-            assert np.array_equal(iia.f_y_cdf.values.view(np.int64), f_y.view(np.int64))
+            n = len(iia.f_x_cdf)
+            assert n < len(f_x)
+            assert np.array_equal(iia.f_x_cdf.values.view(np.int64), f_x[:n].view(np.int64))
+            assert np.array_equal(iia.f_y_cdf.values.view(np.int64), f_y[:n].view(np.int64))
+            assert max(1.0 - f_x[n - 1], 1.0 - f_y[n - 1]) < excursions.iia._CUT
 
 
 @pytest.mark.parametrize("u", [math.inf, -math.inf, math.nan])
@@ -279,6 +284,18 @@ def test_each_benchmark_law_takes_one_solve(monkeypatch):
             assert 1.0 - cdf.values[-1] <= 1e-10
 
 
+def _right_way_models():
+    # (d, model, iia) over dimensions and levels, for every level whose
+    # curves run the right way; d = 1 runs the wrong way at |u| >= 1
+    for d in (1, 2, 3, 6):
+        model = diffusion_covariance(d)
+        for u in np.arange(-5, 6) * 0.25:
+            try:
+                yield d, model, build_iia(model, float(u))
+            except MonotonicityViolation:
+                continue
+
+
 def test_every_law_is_one_solve_decaying_below_the_divisor_rate(monkeypatch):
     # over dimensions and levels, every law whose curves run the right way
     # decays at a root below the rate its divisors share, and holds all but
@@ -291,21 +308,67 @@ def test_every_law_is_one_solve_decaying_below_the_divisor_rate(monkeypatch):
 
     monkeypatch.setattr(np.fft, "irfft", counting)
     laws = 0
-    for d in (1, 2, 3, 6):
-        for u in np.arange(-5, 6) * 0.25:
-            try:
-                iia = build_iia(diffusion_covariance(d), float(u))
-            except MonotonicityViolation:
-                continue
-            for side in ("above", "below"):
-                del solves[:]
-                cdf, theta = excursion_law(iia, side)
-                assert len(solves) == 1
-                assert theta < iia.decay_rate
-                assert 1.0 - cdf.values[-1] <= 1e-10
-                laws += 1
-    # d = 1 runs the wrong way at |u| >= 1
+    for _, _, iia in _right_way_models():
+        for side in ("above", "below"):
+            del solves[:]
+            cdf, theta = excursion_law(iia, side)
+            assert len(solves) == 1
+            assert theta < iia.decay_rate
+            assert 1.0 - cdf.values[-1] <= 1e-10
+            laws += 1
     assert laws == 80
+
+
+def test_every_law_equals_its_full_grid_reference_bitwise():
+    # the divisor grid ends where the covariance sizes it; the same 80 laws
+    # built on the whole default grid, which the divisors read only up to a
+    # survival of 1e-10, are the same to the bit, and so are their roots
+    t = uniform_grid(200.0, 0.01)
+    terms, laws = {}, 0
+    for d, model, iia in _right_way_models():
+        if d not in terms:
+            terms[d] = excursions.slepian._clipped_terms(model, t[1:])
+        ref = excursions.iia._build_level(iia.level, iia.alpha, t, terms[d], iia.decay_rate)
+        assert len(iia.f_x_cdf) < len(t)
+        for side in ("above", "below"):
+            (cdf, theta), (ref_cdf, ref_theta) = excursion_law(iia, side), excursion_law(ref, side)
+            assert theta == ref_theta
+            assert np.array_equal(cdf.points, ref_cdf.points)
+            assert np.array_equal(cdf.values.view(np.int64), ref_cdf.values.view(np.int64))
+            laws += 1
+    assert laws == 80
+
+
+def test_the_paper_levels_evaluate_a_quarter_of_the_default_grid(monkeypatch):
+    # the default grid has 20001 knots; the divisors at the paper's levels
+    # read at most 5176 of them
+    clipped, knots = excursions.iia._clipped_up_from, []
+
+    def counting(terms, u):
+        knots.append(len(terms[0]))
+        return clipped(terms, u)
+
+    monkeypatch.setattr(excursions.iia, "_clipped_up_from", counting)
+    excursions.iia._build_levels(M2, list(BENCH_LEVELS), 200.0, 0.01)
+    assert len(knots) == 2 * len(BENCH_LEVELS)
+    assert max(knots) < 6000
+
+
+def test_a_cap_before_the_sized_end_is_grid_too_short():
+    # at u = 1.25 the divisor grid is sized to end at t = 51.76
+    assert build_iia(M2, 1.25, t_max=52.0).f_x_cdf.points[-1] == pytest.approx(51.76)
+    with pytest.raises(GridTooShort, match=r"u = 1.25: the grid cap t_max = 50 falls before "
+                                           r"the sized end of the divisor grid, near t = 51\.7"):
+        build_iia(M2, 1.25, t_max=50.0)
+
+
+def test_a_sized_end_that_leaves_a_survival_above_the_cut_is_a_numerical_error(monkeypatch):
+    # the bound sizes the grid; the end is checked against the survivals built
+    monkeypatch.setattr(excursions.iia, "_sized_ends",
+                        lambda model, t, r, levels, *args: [4000] * len(levels))
+    with pytest.raises(NumericalError, match=r"u = 1: the divisor survivals are .* at the "
+                                             r"sized grid end t = 40, not below 1e-10"):
+        build_iia(M2, 1.0)
 
 
 def _mass_past(iia, side, knots):
@@ -389,6 +452,45 @@ def test_psi_hat_in_unit_interval(iia_u1):
     for s in (0.1, 1.0, 10.0):
         for side in ("above", "below"):
             assert 0.0 < psi_hat(iia_u1, side, s) < 1.0
+
+
+def _law_transform(cdf, theta, s):
+    # E[e^{-sT}] of a law whose CDF is piecewise linear on its grid and whose
+    # survival decays as e^{-theta t} past it, cell by cell in closed form
+    t, f = cdf.points, cdf.values
+    h = np.diff(t)
+    cells = np.diff(f) * np.exp(-s * t[:-1]) * -np.expm1(-s * h) / (s * h)
+    return math.fsum(cells) + (1.0 - f[-1]) * theta / (s + theta) * math.exp(-s * t[-1])
+
+
+@pytest.fixture(scope="module")
+def transform_gaps():
+    # step -> |L(law) - psi_hat| per paper level, side and s in 0.5, 1, 2
+    gaps = {}
+    for step in (0.04, 0.02, 0.01):
+        row = []
+        for u in BENCH_LEVELS:
+            iia = build_iia(M2, u, step=step)
+            for side in ("above", "below"):
+                cdf, theta = excursion_law(iia, side)
+                row += [abs(_law_transform(cdf, theta, s) - psi_hat(iia, side, s))
+                        for s in (0.5, 1.0, 2.0)]
+        gaps[step] = np.array(row)
+    return gaps
+
+
+def test_law_transform_meets_psi_hat_without_draws(transform_gaps):
+    # the solved law against the transform of the clipped means alone; the
+    # largest gap reads 4.9e-6 at the default step
+    assert transform_gaps[0.01].max() <= 1e-5
+
+
+def test_law_transform_gap_falls_at_order_two(transform_gaps):
+    # the trapezoid lumping is second order: each halving of the step
+    # divides every gap by about four (3.94 to 3.99 measured)
+    for coarse, fine in ((0.04, 0.02), (0.02, 0.01)):
+        ratio = transform_gaps[coarse] / transform_gaps[fine]
+        assert np.all((ratio >= 3.5) & (ratio <= 4.5))
 
 
 def test_psi_hat_domain(iia_u0):
