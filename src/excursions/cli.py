@@ -26,8 +26,10 @@ explicit flags win.  Each value it sets must have the declared type
 float, so it records and hashes as the flag would.  A negative seed,
 from either source, is a ``DomainError``.
 
-Exit codes: 0 on success, 1 for bad input (``DomainError``), 2 for a
-numerical failure (other ``ExcursionError``) and 64 for a usage error.
+Exit codes: 0 on success, 1 for bad input (``DomainError``) or a run
+that runs out of memory (``MemoryError``, reported on one line as
+``error: out of memory: ...``), 2 for a numerical failure (other
+``ExcursionError``) and 64 for a usage error.
 A reader that closes stdout early, as ``| head`` does, also ends the run
 with 0 and nothing on stderr: the rest of the output is discarded.
 
@@ -472,6 +474,10 @@ def run(argv) -> int:
     at entry is never collected.  Frozen objects may also not be
     finalised at exit, so every file the run writes is closed before it
     returns.
+
+    A run that runs out of memory, such as ``table1`` with more samples
+    than the host can hold, ends with exit 1 and one ``error: out of
+    memory`` line on stderr, not a traceback.
     """
     gc.freeze()
     try:
@@ -492,6 +498,9 @@ def run(argv) -> int:
         return 0
     except DomainError as exc:
         sys.stderr.write(f"error: {exc}\n")
+        return 1
+    except MemoryError as exc:
+        sys.stderr.write(f"error: out of memory: {str(exc) or 'allocation failed'}\n")
         return 1
     except ExcursionError as exc:
         sys.stderr.write(f"numerical error: {exc}\n")

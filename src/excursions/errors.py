@@ -4,6 +4,9 @@ Callers can rely on two broad categories: ``DomainError`` for contract
 violations on inputs (bad arguments, unusable sample sets) and
 ``NumericalError`` for failures of the numerical machinery itself
 (factorization breakdown, unresolvable grids, vanishing denominators).
+The other classes name one failure each: a curve that must be monotone
+and is not, a grid capped short of its sized end, a tail window with
+no decay to fit, and a trajectory with no complete excursion.
 """
 
 
@@ -38,17 +41,6 @@ class MonotonicityViolation(ExcursionError):
         self.which = which
         self.index = index
         self.t = t
-
-
-class ValidationError(ExcursionError):
-    """A model failed one or more consistency checks.
-
-    Carries the list of failed check descriptions in ``failures``.
-    """
-
-    def __init__(self, failures: list[str]):
-        super().__init__("validation failed: " + "; ".join(failures))
-        self.failures = list(failures)
 
 
 class GridTooShort(ExcursionError):

@@ -33,10 +33,6 @@ into the buffer's real or imaginary part, transforms the buffer in place
 and hands out the chunk's windows as views of it.  A consumer that reads
 each path once, such as crossing extraction, so holds no path matrix.
 
-A spectral synthesis route is available as an independent cross-check
-for models that carry a spectrum, so simulator bias can be bounded by
-comparing the two.
-
 Crossings of a level are located by linear interpolation between
 bracketing samples; the first and last (incomplete) intervals are
 discarded, and two crossings that round to one instant are dropped as a
@@ -75,7 +71,6 @@ from .persistency import BatchEstimate, replicate_estimates
 
 __all__ = [
     "simulate_gp_batch",
-    "simulate_gp_spectral",
     "extract_excursions",
     "rice_crossing_rate",
     "persistency_from_trajectories",
@@ -183,34 +178,6 @@ def simulate_gp_batch(model: CovarianceModel, dt: float, n: int,
         out[done:done + len(paths)] = paths
         done += len(paths)
     return out
-
-
-def simulate_gp_spectral(model: CovarianceModel, dt: float, n: int, seed) -> np.ndarray:
-    """Spectral synthesis route; requires the model to carry a spectrum.
-
-    Independent of the circulant path, hence usable to bound simulator
-    bias.  Each FFT frequency bin carries Gaussian amplitude with
-    variance ``S(w_k) dw`` (split between the two quadrature phases),
-    so the realized covariance is the Riemann-sum approximation of the
-    target; bias is O(dw^2) plus the spectral mass beyond the Nyquist
-    frequency.
-    """
-    if model.spectrum is None:
-        raise DomainError(f"model {model.name} has no spectral density")
-    _check_grid(dt, n)
-    m = 1 << int(math.ceil(math.log2(4 * n)))
-    dw = 2.0 * math.pi / (m * dt)
-    w = np.arange(m // 2 + 1) * dw
-    bin_var = np.asarray(model.spectrum(w), dtype=float) * dw
-    rng = np.random.default_rng(seed)
-    re = rng.standard_normal(m // 2 + 1)
-    im = rng.standard_normal(m // 2 + 1)
-    # two-sided bins at 0 < k < m/2 put half of 2 S dw in each phase;
-    # the real dc and Nyquist bins carry S dw outright
-    coeff = np.sqrt(bin_var / 2.0) * (re - 1j * im)
-    coeff[0] = math.sqrt(bin_var[0]) * re[0]
-    coeff[-1] = math.sqrt(bin_var[-1]) * re[-1]
-    return (np.fft.irfft(coeff, n=m) * m)[:n]
 
 
 def _excursions(paths: np.ndarray, u: float, dt: float):

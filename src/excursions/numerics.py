@@ -6,10 +6,10 @@ bivariate orthant-style integral
     B(u, rho) = P(rho*Z + sqrt(1-rho^2)*Y <= u, Z <= u)
 
 in closed form through Owen's T function, numerical Laplace transforms
-of tabulated functions with exponential tail corrections,
-Gaver-Stehfest inversion, monotone inverse-CDF sampling with tail
-extrapolation, and laws lumped on grid knots for FFT convolution.  These
-are the kernels every other module builds on.
+of tabulated functions with exponential tail corrections, monotone
+inverse-CDF sampling with tail extrapolation, and laws lumped on grid
+knots for FFT convolution.  These are the kernels every other module
+builds on.
 
 A :class:`Grid` exposes read-only copies of its arrays, so anything
 derived from them can be computed once and cached on the grid: the
@@ -43,7 +43,6 @@ __all__ = [
     "lumped_cdf",
     "b_integral",
     "numerical_laplace",
-    "gaver_stehfest_invert",
     "inverse_cdf_sample",
     "spawn_seeds",
     "uniform_grid",
@@ -300,50 +299,6 @@ def numerical_laplace(f: Grid, s: float, tail_rate: float | None = None) -> floa
     if tail_rate is not None:
         val += float(y[-1]) / (s + tail_rate)
     return val
-
-
-# ---------------------------------------------------------------------------
-# Gaver-Stehfest inversion
-# ---------------------------------------------------------------------------
-
-@lru_cache(maxsize=8)
-def _stehfest_weights(order: int) -> tuple[float, ...]:
-    # Salzer weights computed in exact rational arithmetic; they grow to
-    # ~1e8 at order 14 and alternate in sign, so exactness here keeps the
-    # only rounding in the final fsum.  fractions is imported here, where
-    # it is used, so that importing the package does not load it.
-    from fractions import Fraction
-
-    half = order // 2
-    fact = [Fraction(1)]
-    for i in range(1, 2 * half + 1):
-        fact.append(fact[-1] * i)
-    weights = []
-    for k in range(1, order + 1):
-        acc = Fraction(0)
-        for j in range((k + 1) // 2, min(k, half) + 1):
-            acc += (Fraction(j) ** half * fact[2 * j]
-                    / (fact[half - j] * fact[j] * fact[j - 1]
-                       * fact[k - j] * fact[2 * j - k]))
-        weights.append(float(acc * (-1) ** (k + half)))
-    return tuple(weights)
-
-
-def gaver_stehfest_invert(psi, t: float, order: int = 14) -> float:
-    """Gaver-Stehfest estimate of the original function at ``t``.
-
-    ``psi`` is evaluated at the real abscissae ``k*ln(2)/t``.  The order
-    must be even and between 8 and 18; 14 is a good default in double
-    precision (roughly six significant digits on smooth transforms,
-    degrading in the deep tail where the inverse is far below its peak).
-    """
-    if order % 2 != 0 or not 8 <= order <= 18:
-        raise DomainError(f"order must be even and in [8, 18], got {order}")
-    if not t > 0.0:
-        raise DomainError(f"time must be positive, got {t}")
-    w = _stehfest_weights(order)
-    ln2_t = math.log(2.0) / t
-    return ln2_t * math.fsum(w[k - 1] * psi(k * ln2_t) for k in range(1, order + 1))
 
 
 # ---------------------------------------------------------------------------

@@ -61,6 +61,9 @@ __all__ = [
 T_EPS = 1e-8
 # square-root arguments this far below zero are treated as roundoff
 CLAMP = -1e-12
+# most entries of the sampler's residual covariance: 4096 interior points,
+# a 128 MiB matrix; building and factorizing it hold several such at once
+MAX_COV_ENTRIES = 1 << 24
 
 
 def _clipped_terms(model: CovarianceModel, t: np.ndarray) -> tuple:
@@ -147,16 +150,8 @@ def conditional_expected_clipped(model: CovarianceModel, u: float, t, s):
     if np.any(sa <= 0.0):
         raise DomainError("slope factor must be strictly positive")
 
-    g2 = -model.r_pp0
-    r = np.asarray(model.r(ta), dtype=float)
-    m = np.asarray(model.one_minus(ta), dtype=float)
-    rp = np.asarray(model.r_prime(ta), dtype=float)
-    var = m * (1.0 + r) - rp * rp / g2
-    if np.any(var < CLAMP):
-        raise NumericalError("residual variance below clamp tolerance")
-    degenerate = (ta <= T_EPS) | (var <= 0.0)
-    var_safe = np.where(degenerate, 1.0, var)
-    arg = (u * m + sa * rp / math.sqrt(g2)) / np.sqrt(var_safe)
+    m, _, rp, sD, _, _, degenerate, sqrt_g2 = _clipped_terms(model, ta)
+    arg = (u * m + sa * rp / sqrt_g2) / sD
     out = np.where(degenerate, 1.0, 1.0 - 2.0 * ndtr(arg))
     if ta.ndim == 0 and sa.ndim == 0:
         return float(out)
@@ -188,7 +183,9 @@ def sample_slepian_path(model: CovarianceModel, u: float, grid,
 
     The covariance factorization retries with escalating diagonal
     jitter from 1e-14 to 1e-10 and raises :class:`NumericalError`
-    beyond that.
+    beyond that.  A grid of more than 4097 points, whose interior
+    covariance would exceed ``MAX_COV_ENTRIES`` entries, is a
+    :class:`DomainError`, raised before anything is allocated.
     """
     t = np.asarray(grid, dtype=float)
     if t.ndim != 1 or len(t) < 2:
@@ -197,6 +194,12 @@ def sample_slepian_path(model: CovarianceModel, u: float, grid,
         raise DomainError("grid must start at zero")
     if not np.all(np.diff(t) > 0):
         raise DomainError("grid must be strictly increasing")
+    n = len(t) - 1
+    if n * n > MAX_COV_ENTRIES:
+        raise DomainError(
+            f"the grid's {n} interior points need a {n} x {n} residual covariance, "
+            f"more than the {MAX_COV_ENTRIES} entries ({math.isqrt(MAX_COV_ENTRIES)} "
+            "points) allowed")
     if count < 1:
         raise DomainError("count must be positive")
     if not math.isfinite(u):
@@ -207,7 +210,7 @@ def sample_slepian_path(model: CovarianceModel, u: float, grid,
     chol = None
     for jitter in (0.0, 1e-14, 1e-13, 1e-12, 1e-11, 1e-10):
         try:
-            chol = np.linalg.cholesky(cov + jitter * np.eye(len(interior)))
+            chol = np.linalg.cholesky(cov + jitter * np.eye(n))
             break
         except np.linalg.LinAlgError:
             continue

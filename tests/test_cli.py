@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from excursions import __version__
+from excursions import __version__, cli
 from excursions.cli import run
 
 FAST_IIA = ["--samples", "20000", "--reps", "3", "--grid-max", "120",
@@ -296,7 +296,7 @@ print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 
 
 def test_importing_the_cli_loads_no_fractions(tmp_path):
-    # a fresh interpreter; only the Gaver-Stehfest weights need fractions
+    # a fresh interpreter; no package code needs fractions
     script = "import sys, excursions.cli; print('fractions' in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path,
                           capture_output=True, text=True)
@@ -701,4 +701,34 @@ def test_switch_sim_with_an_empty_initial_state_exits_one(tmp_path, capsys, p0, 
     assert "Traceback" not in err
     assert err == (f"error: no path starts in state {state}, so its columns would be "
                    "empty; give --p0 strictly between 0 and 1 and enough --paths\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("error, line", [
+    (MemoryError("Unable to allocate 37.3 GiB for an array with shape (4999999951,) "
+                 "and data type int64"),
+     "error: out of memory: Unable to allocate 37.3 GiB for an array with shape "
+     "(4999999951,) and data type int64\n"),
+    (MemoryError(), "error: out of memory: allocation failed\n"),
+], ids=["numpy", "bare"])
+def test_running_out_of_memory_exits_one_on_one_line(tmp_path, monkeypatch, capsys,
+                                                     error, line):
+    def handler(cfg):
+        raise error
+
+    _, help_, rows = cli._COMMANDS["table1"]
+    monkeypatch.setitem(cli._COMMANDS, "table1", (handler, help_, rows))
+    out = tmp_path / "t1.json"
+    assert run(["table1", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == line
+    assert not out.exists()
+
+
+def test_a_slepian_grid_past_the_covariance_bound_exits_one(tmp_path, capsys):
+    out = tmp_path / "paths.csv"
+    assert run(["slepian-sample", "--level", "0", "--grid-step", "0.001",
+                "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: the grid's 20000 interior points need a 20000 x 20000 residual "
+        "covariance, more than the 16777216 entries (4096 points) allowed\n")
     assert not out.exists()

@@ -9,7 +9,7 @@ from excursions.covmodel import CovarianceModel, diffusion_covariance
 from excursions.errors import DomainError, EmptyExcursionSet
 from excursions.gpsim import (_embedding, extract_excursions,
                               persistency_from_trajectories, rice_crossing_rate,
-                              simulate_gp_batch, simulate_gp_spectral)
+                              simulate_gp_batch)
 from excursions.persistency import aggregate_fits, fit_persistency
 
 M2 = diffusion_covariance(2)
@@ -56,22 +56,6 @@ def test_marginal_normality_moments():
     paths = simulate_gp_batch(M2, 0.05, 10_000, 1000, seed=4)
     assert abs(_z((paths ** 3).mean(axis=1), 0.0)) < 3.0
     assert abs(_z((paths ** 4).mean(axis=1), 3.0)) < 3.0
-
-
-def test_spectral_route_agrees():
-    paths = np.stack([
-        simulate_gp_spectral(M2, 0.05, 10_000, seed=s)
-        for s in range(200)])
-    flat = paths.ravel()
-    assert abs(flat.var() - 1.0) < 0.02
-    k = int(round(1.0 / 0.05))
-    est = (paths[:, :-k] * paths[:, k:]).mean()
-    assert abs(est - float(M2.r(1.0))) < 0.02
-
-
-def test_spectral_requires_spectrum():
-    with pytest.raises(DomainError):
-        simulate_gp_spectral(diffusion_covariance(3), 0.05, 100, seed=0)
 
 
 def test_extract_excursions_sine_wave():
@@ -440,5 +424,3 @@ def test_grid_checked_before_simulation(dt, n):
         simulate_gp_batch(M2, dt, n, 4, seed=0)
     with pytest.raises(DomainError):
         simulate_gp_batch(M2, dt, n, 1, seed=0)
-    with pytest.raises(DomainError):
-        simulate_gp_spectral(M2, dt, n, seed=0)

@@ -15,13 +15,13 @@ from scipy.stats import ks_2samp
 import excursions.iia
 import excursions.persistency
 import excursions.slepian
+from _oracles import gaver_stehfest_invert
 from excursions.covmodel import CovarianceModel, diffusion_covariance
 from excursions.errors import (DomainError, GridTooShort, MonotonicityViolation,
                                NumericalError)
 from excursions.iia import (build_iia, excursion_law, persistency_exponent,
                             persistency_table, psi_hat, sample_excursion)
-from excursions.numerics import (gaver_stehfest_invert, inverse_cdf_sample, norm_cdf,
-                                 uniform_grid)
+from excursions.numerics import inverse_cdf_sample, norm_cdf, uniform_grid
 from excursions.persistency import aggregate_fits, fit_persistency
 from excursions.slepian import expected_clipped_down, expected_clipped_up
 

@@ -11,12 +11,13 @@ from scipy.integrate import quad
 from scipy.stats import kstest
 
 import excursions.slepian
+from _oracles import gaver_stehfest_invert
 from excursions.covmodel import diffusion_covariance
 from excursions.errors import DomainError, MonotonicityViolation
 from excursions.iia import build_iia
-from excursions.numerics import (Grid, b_integral, gaver_stehfest_invert,
-                                 inverse_cdf_sample, lump_cells, lumped_cdf, ndtr,
-                                 next_fast_len, norm_cdf, numerical_laplace)
+from excursions.numerics import (Grid, b_integral, inverse_cdf_sample, lump_cells,
+                                 lumped_cdf, ndtr, next_fast_len, norm_cdf,
+                                 numerical_laplace)
 
 
 # ---------------------------------------------------------------- norm_cdf
@@ -180,6 +181,7 @@ def test_laplace_tail_correction_matters():
 
 
 # ------------------------------------------------------------ Gaver-Stehfest
+# the inversion oracle of test_iia and test_switchproc, kept in _oracles
 
 def test_gaver_stehfest_exponential_pair():
     est = gaver_stehfest_invert(lambda s: 1.0 / (1.0 + s), 1.0)

@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import excursions.slepian
 from excursions.covmodel import diffusion_covariance
 from excursions.errors import DomainError
 from excursions.numerics import norm_cdf
@@ -144,3 +146,31 @@ def test_sampler_grid_validation():
         sample_slepian_path(M2, 0.0, np.array([0.5, 1.0]), 1, seed=0)
     with pytest.raises(DomainError):
         sample_slepian_path(M2, 0.0, np.array([0.0, 0.0, 1.0]), 1, seed=0)
+
+
+class _Reached(Exception):
+    pass
+
+
+def test_sampler_rejects_a_covariance_past_its_bound_before_allocating(monkeypatch):
+    def reached(*_):
+        raise _Reached
+
+    monkeypatch.setattr(excursions.slepian, "_residual_covariance", reached)
+    # 4096 interior points, a 2**24-entry matrix, is the largest grid it builds
+    with pytest.raises(_Reached):
+        sample_slepian_path(M2, 0.0, np.linspace(0.0, 20.0, 4097), 1, seed=0)
+    with pytest.raises(DomainError, match="4097 interior points"):
+        sample_slepian_path(M2, 0.0, np.linspace(0.0, 20.0, 4098), 1, seed=0)
+    # the 20001-point grid of --grid-step 0.001 would need a 3.2 GB matrix
+    tracemalloc.start()
+    try:
+        with pytest.raises(DomainError) as err:
+            sample_slepian_path(M2, 0.0, np.linspace(0.0, 20.0, 20_001), 1, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(err.value) == (
+        "the grid's 20000 interior points need a 20000 x 20000 residual covariance, "
+        "more than the 16777216 entries (4096 points) allowed")
+    assert peak < 2 ** 20

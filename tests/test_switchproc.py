@@ -6,8 +6,8 @@ from scipy.integrate import quad
 from scipy.stats import kstest
 
 import excursions.switchproc
+from _oracles import gaver_stehfest_invert
 from excursions.errors import DomainError, NumericalError
-from excursions.numerics import gaver_stehfest_invert
 from excursions.switchproc import (IntervalDistribution, deterministic_interval,
                                    erlang_interval, estimate_characteristics,
                                    exponential_interval, interval_from_spec,
