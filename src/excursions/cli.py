@@ -434,13 +434,20 @@ def _options(command: str) -> tuple:
     return (_SEED,) + _COMMANDS[command][2]
 
 
-def _build_parser() -> _Parser:
+def _build_parser(command: str | None = None) -> _Parser:
+    """The parser of every subcommand, or only of ``command``'s options.
+
+    Every subcommand is listed with its one-line help either way, so the
+    top-level help and ``command``'s own parse and help are the same.
+    """
     parser = _Parser(prog="excursions",
                      description="Level-excursion approximation toolkit")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, help_, _) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_)
+        if command not in (None, name):
+            continue
         p.add_argument("--config", default=None,
                        help="JSON config merged under explicit flags")
         for key, kind, default, *text in _options(name):
@@ -464,6 +471,9 @@ def _build_parser() -> _Parser:
 def run(argv) -> int:
     """Parse and dispatch; returns the process exit code.
 
+    When ``argv[0]`` names a subcommand, the parser holds that
+    subcommand's options alone; its parse and help are the full parser's.
+
     ``run`` first calls :func:`gc.freeze`, which moves every object alive
     at entry, those the imports and the caller made, into the collector's
     permanent generation.  A process that exits after the run then skips
@@ -481,7 +491,8 @@ def run(argv) -> int:
     """
     gc.freeze()
     try:
-        ns = _build_parser().parse_args(argv)
+        ns = _build_parser(argv[0] if argv and argv[0] in _COMMANDS else None
+                           ).parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else USAGE_EXIT
     started = time.monotonic()

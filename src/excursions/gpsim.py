@@ -24,14 +24,29 @@ covariance at lag ``n - 1 + pad`` is dead or the cap is reached.
 
 The embedding is exact as long as its eigenvalues are non-negative;
 tiny negative eigenvalues (total magnitude below 1e-8 of the trace) are
-clipped, anything worse raises.  A ``dt`` so large that the lags up to
-the padding cap overflow is a :class:`DomainError`, raised before the
-covariance is evaluated.  Paths are made in chunks of up to 32
-complex rows.  A path stream holds one complex chunk buffer and one row
-of normals: it draws the normals row by row, scales each row straight
-into the buffer's real or imaginary part, transforms the buffer in place
-and hands out the chunk's windows as views of it.  A consumer that reads
-each path once, such as crossing extraction, so holds no path matrix.
+clipped, anything worse raises.  The FFT of the embedded row ``c``
+computes its eigenvalues to within ``delta = eps log2(M) ||c||_2``, with
+``eps`` the machine epsilon, so an eigenvalue at or below ``delta`` is
+zero to working precision.  The sampled spectrum is the band of folded
+frequencies ``min(k, M - k) <= K``, for ``K`` the largest folded
+frequency whose eigenvalue exceeds ``delta``; every eigenvalue outside
+it is set to 0.  A smooth covariance on a fine grid has a narrow band:
+at d = 2, dt = 0.05 and n = 1e4 it holds 4291 of the M = 23040 modes.
+The embedding returns the sampled spectrum, so its inverse FFT is the
+covariance of the paths.  A ``dt`` so large that the lags up to the
+padding cap overflow is a :class:`DomainError`, raised before the
+covariance is evaluated.
+
+Paths are made in chunks of up to 32 complex rows.  A path stream holds
+one complex chunk buffer and ``2K + 1`` normals: row by row, all real
+parts of a chunk and then all imaginary parts, it draws the band's
+normals and scales them straight into the columns ``[0, K]`` and
+``[M - K, M)`` of the buffer, whose columns between are zero; then it
+transforms the buffer in place and hands out the chunk's windows as
+views of it.  When the band is the whole row (``K = M/2``), a row takes
+one normal per column in column order, as if every mode were drawn.  A
+consumer that reads each path once, such as crossing extraction, so
+holds no path matrix.
 
 Crossings of a level are located by linear interpolation between
 bracketing samples; the first and last (incomplete) intervals are
@@ -66,7 +81,7 @@ import numpy as np
 
 from .covmodel import CovarianceModel
 from .errors import DomainError, EmptyExcursionSet, NumericalError
-from .numerics import next_fast_len
+from .numerics import level_mass, next_fast_len
 from .persistency import BatchEstimate, replicate_estimates
 
 __all__ = [
@@ -100,7 +115,12 @@ def _dead_lag(model: CovarianceModel, dt: float, last: int, block: int):
 
 @functools.lru_cache(maxsize=8)
 def _embedding(model: CovarianceModel, dt: float, n: int):
-    """Read-only circulant eigenvalues and the window offsets of a path."""
+    """The sampled circulant spectrum, read-only, and the window offsets.
+
+    The spectrum is the FFT of the embedded covariance row, its tiny
+    negative eigenvalues clipped and every eigenvalue outside the band
+    of folded frequencies above the FFT's roundoff bound set to 0.
+    """
     block = max(64, n // 8)
     cap = 60 * block
     if not math.isfinite(dt * (n - 1 + cap)):
@@ -122,7 +142,8 @@ def _embedding(model: CovarianceModel, dt: float, n: int):
         half = n + pad
         starts = (0,)
     c = np.asarray(model.r(np.arange(half + 1) * dt), dtype=float)
-    lam = np.fft.fft(np.concatenate((c, c[-2:0:-1]))).real
+    c = np.concatenate((c, c[-2:0:-1]))
+    lam = np.fft.fft(c).real
     neg = lam < 0.0
     if neg.any():
         deficit = -lam[neg].sum()
@@ -131,6 +152,12 @@ def _embedding(model: CovarianceModel, dt: float, n: int):
                 f"circulant embedding not nonnegative definite "
                 f"(deficit {deficit:.3e}); enlarge the embedding")
         lam[neg] = 0.0
+    # the band: folded frequencies up to the last eigenvalue above the
+    # FFT's roundoff bound; the rest are zero within that bound
+    m = len(c)
+    folded = np.minimum(np.arange(m), m - np.arange(m))
+    delta = np.finfo(float).eps * math.log2(m) * np.linalg.norm(c)
+    lam[folded > folded[lam > delta].max()] = 0.0
     lam.flags.writeable = False
     return lam, starts
 
@@ -138,24 +165,33 @@ def _embedding(model: CovarianceModel, dt: float, n: int):
 def _iter_paths(lam: np.ndarray, starts: tuple, n: int, count: int, rng):
     """Yield ``count`` paths as ``(rows, n)`` views of one complex buffer.
 
-    A chunk's normals are all its real parts, then all its imaginary
-    parts; its paths are its real parts at each window start in turn,
-    then its imaginary parts likewise.  The next chunk overwrites the
-    views, so a caller copies what it keeps.
+    The band is read from ``lam``: its largest folded frequency ``K``
+    with a nonzero eigenvalue.  A chunk's normals are all its real parts,
+    then all its imaginary parts, ``2K + 1`` per part-row (``M`` for a
+    full band), in the columns ``[0, K]`` and then ``[M - K, M)``; its
+    paths are its real parts at each window start in turn, then its
+    imaginary parts likewise.  The next chunk overwrites the views, so a
+    caller copies what it keeps.
     """
     m = len(lam)
+    nonzero = np.flatnonzero(lam)
+    band = int(np.minimum(nonzero, m - nonzero).max())
+    # columns [0, lo) and [hi, m) hold the band; a full band is the whole row
+    lo, hi = band + 1, max(band + 1, m - band)
     per_row = 2 * len(starts)
     scale = np.sqrt(lam / m)
     rows = min(_CHUNK_ROWS, -(-count // per_row))
-    normal = np.empty(m)
+    normal = np.empty(lo + m - hi)
     z_buf = np.empty((rows, m), dtype=complex)
     left = count
     while left > 0:
         w = z_buf[:min(rows, -(-left // per_row))]
+        w[:, lo:hi] = 0.0
         for part in (w.real, w.imag):
             for row in part:
                 rng.standard_normal(out=normal)
-                np.multiply(normal, scale, out=row)
+                np.multiply(normal[:lo], scale[:lo], out=row[:lo])
+                np.multiply(normal[lo:], scale[hi:], out=row[hi:])
         np.fft.fft(w, axis=1, out=w)
         for part in (w.real, w.imag):
             for s in starts:
@@ -269,10 +305,12 @@ def persistency_from_trajectories(model: CovarianceModel, levels, n_traj: int,
     with that level alone.  Each replicate streams its trajectories once;
     every chunk of up to 32 of them goes whole through crossing
     extraction at every level, and each level's pooled above and below
-    lengths are fitted.  A level must be finite.  The replicates are the
-    tasks of the one pool of :func:`persistency.replicate_estimates`, so
-    at most ``reps`` threads are busy, and ``EXCURSION_IIA_THREADS`` caps
-    them.
+    lengths are fitted.  A level must be finite, and Phi(u) must not
+    round to 0 or 1, as for :func:`iia.build_iia`; either is a
+    :class:`DomainError`, raised before any path is drawn.  The
+    replicates are the tasks of the one pool of
+    :func:`persistency.replicate_estimates`, so at most ``reps`` threads
+    are busy, and ``EXCURSION_IIA_THREADS`` caps them.
     The trajectories take one complex chunk buffer per thread, whatever
     ``n_traj`` is.  Trajectories without complete excursions raise
     through from the extraction step.
@@ -285,10 +323,9 @@ def persistency_from_trajectories(model: CovarianceModel, levels, n_traj: int,
         raise DomainError(
             f"{n_traj} trajectories do not split evenly into {reps} replicates")
     _check_grid(dt, traj_len)
-    levels = [levels] if np.ndim(levels) == 0 else list(levels)
+    levels = [float(u) for u in ([levels] if np.ndim(levels) == 0 else levels)]
     for u in levels:
-        if not math.isfinite(u):
-            raise DomainError(f"level must be finite, got {u!r}")
+        level_mass(u)
     lam, starts = _embedding(model, dt, traj_len)
 
     def draw(_, rep_seed):

@@ -67,7 +67,7 @@ import numpy as np
 from .covmodel import CovarianceModel
 from .errors import DomainError, GridTooShort, MonotonicityViolation, NumericalError
 from .numerics import (NEGATIVE_MASS_TOL, Grid, inverse_cdf_sample, lump_cells,
-                       next_fast_len, norm_cdf, numerical_laplace, spawn_seeds,
+                       level_mass, next_fast_len, numerical_laplace, spawn_seeds,
                        uniform_grid)
 from .persistency import BatchEstimate, _fit_window, _tail_ranks, replicate_estimates
 from .slepian import _clipped_terms, _clipped_up_from
@@ -205,15 +205,8 @@ def _build_levels(model: CovarianceModel, levels, t_max: float,
                   step: float) -> list[IIAModel]:
     # build_iia at each level, each on the grid sized for it, with the
     # level-free Slepian terms and the covariance's decay rate computed once
-    levels, alphas = [float(u) for u in levels], []
-    for u in levels:
-        if not math.isfinite(u):
-            raise DomainError(f"level must be finite, got {u!r}")
-        alpha = float(norm_cdf(u))
-        if alpha in (0.0, 1.0):
-            raise DomainError(f"level {u!r}: Phi(u) rounds to {alpha:g}, so the "
-                              f"excursions {'above' if alpha else 'below'} it have no mass")
-        alphas.append(alpha)
+    levels = [float(u) for u in levels]
+    alphas = [level_mass(u) for u in levels]
     if not (step > 0.0 and t_max > 10.0 * step):
         raise DomainError("need step > 0 and t_max well above the step")
     t = uniform_grid(t_max, step)

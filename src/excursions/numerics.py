@@ -38,6 +38,7 @@ __all__ = [
     "Grid",
     "ndtr",
     "norm_cdf",
+    "level_mass",
     "next_fast_len",
     "lump_cells",
     "lumped_cdf",
@@ -224,6 +225,22 @@ def norm_cdf(x):
     if np.isscalar(x):
         return float(ndtr(x))
     return ndtr(x)
+
+
+def level_mass(u: float) -> float:
+    """``Phi(u)``, the mass below a level that both sides of it can reach.
+
+    A level must be finite, and ``Phi(u)`` must not round to 0 or 1, which
+    would leave the excursions on one side of it with no mass; either is a
+    :class:`DomainError` that names the level.
+    """
+    if not math.isfinite(u):
+        raise DomainError(f"level must be finite, got {u!r}")
+    alpha = norm_cdf(u)
+    if alpha in (0.0, 1.0):
+        raise DomainError(f"level {u!r}: Phi(u) rounds to {alpha:g}, so the "
+                          f"excursions {'above' if alpha else 'below'} it have no mass")
+    return alpha
 
 
 @lru_cache(maxsize=None)

@@ -44,6 +44,18 @@ def test_help_exits_zero(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command", [None, *cli._COMMANDS])
+def test_help_is_the_full_parsers(capsys, command):
+    # run builds the options of the subcommand it is given alone; the
+    # top-level help and each subcommand's read as the full parser prints them
+    args = ["--help"] if command is None else [command, "--help"]
+    assert run(args) == 0
+    printed = capsys.readouterr().out
+    with pytest.raises(SystemExit):
+        cli._build_parser().parse_args(args)
+    assert printed == capsys.readouterr().out
+
+
 def test_domain_error_exit_code(tmp_path):
     # unknown model name is a domain error: exit 1
     cfg = tmp_path / "cfg.json"
@@ -352,7 +364,14 @@ print(len(made), gc.get_freeze_count(), sum(id(x) in tracked for x in made))
      "dt = 1e+308 is too large: the lag grid's span dt * 67999 is not finite"),
     (["gp-sim", "--level", "0", "--dt", "1e308"] + FAST_TRAJ,
      "dt = 1e+308 is too large: the lag grid's span dt * 67999 is not finite"),
-], ids=["iia-level", "table1-levels", "iia-negative-level", "table2-dt", "gp-sim-dt"])
+    (["gp-sim", "--level", "1e308"] + FAST_TRAJ,
+     "level 1e+308: Phi(u) rounds to 1, so the excursions above it have no mass"),
+    (["gp-sim", "--level=-1e308"] + FAST_TRAJ,
+     "level -1e+308: Phi(u) rounds to 0, so the excursions below it have no mass"),
+    (["table2", "--levels", "0,1e308"] + FAST_TRAJ,
+     "level 1e+308: Phi(u) rounds to 1, so the excursions above it have no mass"),
+], ids=["iia-level", "table1-levels", "iia-negative-level", "table2-dt", "gp-sim-dt",
+        "gp-sim-level", "gp-sim-negative-level", "table2-levels"])
 def test_huge_level_or_step_is_a_domain_error_without_warnings(tmp_path, args, message):
     # a fresh interpreter, so that a warning would reach its stderr
     out = tmp_path / "res.json"

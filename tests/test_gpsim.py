@@ -344,17 +344,23 @@ def test_trajectory_validation():
 
 def _out_of_place(model, dt, n, count, seed, windows):
     # the layout: chunks of up to 32 complex rows of length m, drawn as
-    # all real parts then all imaginary parts; a chunk's paths are the
-    # real parts at offset 0, then at m/2, then the imaginary parts at 0,
-    # then at m/2 (only offset 0 with one window per path)
+    # all real parts then all imaginary parts, each part-row 2 K + 1
+    # normals for the band of folded frequencies 0..K (the whole row when
+    # K = m/2), scattered into a zero row; a chunk's paths are the real
+    # parts at offset 0, then at m/2, then the imaginary parts at 0, then
+    # at m/2 (only offset 0 with one window per path)
     lam, starts = _embedding(model, dt, n)
     m = len(lam)
     assert starts == (0, m // 2)[:windows]
+    band = max(min(k, m - k) for k in np.flatnonzero(lam))
+    cols = [k for k in range(m) if min(k, m - k) <= band]
     rng = np.random.default_rng(seed)
     blocks, left = [], count
     while left > 0:
         k = min(32, -(-left // (2 * windows)))
-        z = rng.standard_normal((k, m)) + 1j * rng.standard_normal((k, m))
+        z = np.zeros((k, m), dtype=complex)
+        z.real[:, cols] = rng.standard_normal((k, len(cols)))
+        z.imag[:, cols] = rng.standard_normal((k, len(cols)))
         w = np.fft.fft(z * np.sqrt(lam / m), axis=1)
         blocks += [part[:, s:s + n] for part in (w.real, w.imag) for s in starts]
         left -= 2 * windows * k
@@ -397,6 +403,31 @@ def test_embedding_covariance_exact_within_and_dead_between_windows(d, dt, n):
     between = np.arange(m // 2 - n + 1, m // 2 + 1)
     assert np.abs(model.r(between * dt)).max() < 1e-16
     assert np.abs(cov[m // 2 - n + 1:m // 2 + n]).max() <= 1e-15
+
+
+@pytest.mark.parametrize("d, dt, n", [
+    *((d, dt, n) for d in (1, 2, 3)
+      for dt, n in ((0.05, 2), (0.05, 300), (0.05, 10_000), (0.2, 300), (1.0, 1000))),
+    ("cauchy", 0.2, 1000)])
+def test_embedding_zeroes_only_roundoff_eigenvalues(d, dt, n):
+    model = CAUCHY if d == "cauchy" else diffusion_covariance(d)
+    lam, _ = _embedding(model, dt, n)
+    m = len(lam)
+    # the embedded row and its unclipped spectrum, as the embedding makes them
+    c = np.asarray(model.r(np.arange(m // 2 + 1) * dt), dtype=float)
+    c = np.concatenate((c, c[-2:0:-1]))
+    raw = np.fft.fft(c).real
+    delta = np.finfo(float).eps * math.log2(m) * np.linalg.norm(c)
+    kept = lam != 0.0
+    assert np.all(raw[~kept] <= delta)
+    assert np.array_equal(lam[kept], raw[kept])
+    # the band is symmetric: frequencies k and m - k are kept alike
+    assert np.array_equal(kept, kept[-np.arange(m) % m])
+    band = max(min(k, m - k) for k in np.flatnonzero(kept))
+    if (d, dt, n) == (2, 0.05, 10_000):
+        assert 2 * band + 1 <= 0.2 * m
+    if d == "cauchy":
+        assert band == m // 2
 
 
 def test_slow_decay_takes_one_padded_window():
