@@ -36,10 +36,12 @@ with 0 and nothing on stderr: the rest of the output is discarded.
 ``table1``/``iia`` and ``table2``/``gp-sim`` each make one call of
 :func:`iia.persistency_table` or :func:`gpsim.persistency_from_trajectories`,
 which own the seed tree and the thread pool.  ``table2`` reads every
-level from the same trajectories, so its row for a level equals
-``gp-sim`` at that level with the same seed and sizes.  For ``iia`` and
-``table1``, ``--grid-max`` caps the divisor grid, which the covariance
-sizes, so ``iia --cdf-csv`` writes the grid up to its sized end.
+level from the same trajectories, and ``table1`` every level from the
+same uniforms, one set per side and replicate, so a row of either
+table equals ``gp-sim`` or ``iia`` at that level with the same seed and
+sizes.  For ``iia`` and ``table1``, ``--grid-max`` caps the divisor
+grid, which the covariance sizes, so ``iia --cdf-csv`` writes the grid
+up to its sized end.
 
 :func:`run` freezes the garbage collector's view of everything alive
 when it starts (:func:`gc.freeze`), so that a process which exits after
@@ -231,7 +233,7 @@ def _parse_levels(text) -> list[float]:
 
 def _cmd_iia(cfg: dict) -> None:
     [(iia, above, below)] = persistency_table(
-        _model_from(cfg), cfg["level"], cfg["samples"], cfg["reps"], cfg["seed"],
+        _model_from(cfg), [cfg["level"]], cfg["samples"], cfg["reps"], cfg["seed"],
         cfg["grid_max"], cfg["grid_step"])
     result = {
         "level": cfg["level"],
@@ -435,19 +437,20 @@ def _options(command: str) -> tuple:
 
 
 def _build_parser(command: str | None = None) -> _Parser:
-    """The parser of every subcommand, or only of ``command``'s options.
+    """The parser of every subcommand, or of ``command`` alone.
 
-    Every subcommand is listed with its one-line help either way, so the
-    top-level help and ``command``'s own parse and help are the same.
+    A subcommand's parser is the same either way, so ``command``'s own
+    parse, help and errors are the full parser's, and none of them lists
+    the other subcommands.
     """
     parser = _Parser(prog="excursions",
                      description="Level-excursion approximation toolkit")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, help_, _) in _COMMANDS.items():
-        p = sub.add_parser(name, help=help_)
         if command not in (None, name):
             continue
+        p = sub.add_parser(name, help=help_)
         p.add_argument("--config", default=None,
                        help="JSON config merged under explicit flags")
         for key, kind, default, *text in _options(name):
@@ -472,7 +475,7 @@ def run(argv) -> int:
     """Parse and dispatch; returns the process exit code.
 
     When ``argv[0]`` names a subcommand, the parser holds that
-    subcommand's options alone; its parse and help are the full parser's.
+    subcommand alone; its parse and help are the full parser's.
 
     ``run`` first calls :func:`gc.freeze`, which moves every object alive
     at entry, those the imports and the caller made, into the collector's

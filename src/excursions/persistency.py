@@ -14,10 +14,11 @@ Samples that arrive sorted are not sorted again.
 
 The fit reads only the ranks ``[n - 1 - n//2, n - min_tail_count)`` of
 a sorted sample of ``n``, and the log survival there depends on ``n``
-alone.  The replicates of :func:`iia.persistency_table` therefore draw
-only that window and fit it with a log survival computed once for the
-table; :func:`fit_persistency` sorts a whole sample and fits the same
-window the same way.
+alone.  A replicate of :func:`iia.persistency_table` therefore keeps
+only that window of its sorted uniforms, maps it through the law of
+every level, and fits each mapped window with a log survival computed
+once for the table; :func:`fit_persistency` sorts a whole sample and
+fits the same window the same way.
 
 Confidence intervals come from independent replicates via the t
 distribution.  Its quantile, :func:`t_quantile`, solves the closed-form
@@ -117,11 +118,12 @@ def _fit_window(window: np.ndarray, ranks: _TailRanks) -> SurvivalFit:
         raise FitError(f"tail window holds one distinct value, {float(window[0])!r}; no slope")
     # np.sum of products, not @ or lstsq: BLAS threads oversubscribe the pool
     t_mean = window.mean()
-    tc = window - t_mean
-    # both products in one buffer: one window-sized temporary fewer per fit
-    prod = tc * tc
-    sxx = np.sum(prod)
-    sxy = np.sum(np.multiply(tc, ranks.l_centred, out=prod))
+    # one window-sized buffer for both products: the centred times by the
+    # centred log survivals, then the centred times again, squared
+    buf = np.subtract(window, t_mean)
+    sxy = np.sum(np.multiply(buf, ranks.l_centred, out=buf))
+    np.subtract(window, t_mean, out=buf)
+    sxx = np.sum(np.multiply(buf, buf, out=buf))
     slope = sxy / sxx
     if not slope < 0.0:
         raise FitError("tail slope is not negative; no exponential decay")

@@ -62,8 +62,11 @@ T_EPS = 1e-8
 # square-root arguments this far below zero are treated as roundoff
 CLAMP = -1e-12
 # most entries of the sampler's residual covariance: 4096 interior points,
-# a 128 MiB matrix; building and factorizing it hold several such at once
+# a 128 MiB matrix; factorizing it holds three such at once (the matrix,
+# its factor and LAPACK's working copy)
 MAX_COV_ENTRIES = 1 << 24
+# entries of the blocks of rows in which the residual covariance is filled
+_BLOCK_ENTRIES = 1 << 16
 
 
 def _clipped_terms(model: CovarianceModel, t: np.ndarray) -> tuple:
@@ -159,12 +162,24 @@ def conditional_expected_clipped(model: CovarianceModel, u: float, t, s):
 
 
 def _residual_covariance(model: CovarianceModel, t: np.ndarray) -> np.ndarray:
-    tt = t[:, None]
-    ss = t[None, :]
-    cov = (np.asarray(model.r(np.abs(tt - ss)))
-           - np.asarray(model.r(tt)) * np.asarray(model.r(ss))
-           + np.asarray(model.r_prime(tt)) * np.asarray(model.r_prime(ss)) / model.r_pp0)
-    return 0.5 * (cov + cov.T)
+    """r_Delta(t_i, t_j) in one n x n matrix, filled in place.
+
+    Each block of rows is r(|t - s|), less r(t) r(s), plus
+    r'(t) r'(s) / r''(0), in that order, so no n x n temporary is made.
+    The matrix is exactly symmetric: |t_i - t_j| and |t_j - t_i| are the
+    same float, and both products commute.
+    """
+    n = len(t)
+    r = np.asarray(model.r(t), dtype=float)
+    rp = np.asarray(model.r_prime(t), dtype=float)
+    cov = np.empty((n, n))
+    rows = max(1, _BLOCK_ENTRIES // n)
+    for i in range(0, n, rows):
+        block = cov[i:i + rows]
+        block[...] = model.r(np.abs(t[i:i + rows, None] - t))
+        block -= r[i:i + rows, None] * r
+        block += rp[i:i + rows, None] * rp / model.r_pp0
+    return cov
 
 
 def sample_slepian_path(model: CovarianceModel, u: float, grid,
@@ -207,10 +222,12 @@ def sample_slepian_path(model: CovarianceModel, u: float, grid,
 
     interior = t[1:]
     cov = _residual_covariance(model, interior)
+    diagonal = cov.diagonal().copy()
     chol = None
     for jitter in (0.0, 1e-14, 1e-13, 1e-12, 1e-11, 1e-10):
+        np.fill_diagonal(cov, diagonal + jitter)
         try:
-            chol = np.linalg.cholesky(cov + jitter * np.eye(n))
+            chol = np.linalg.cholesky(cov)
             break
         except np.linalg.LinAlgError:
             continue

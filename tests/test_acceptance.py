@@ -16,8 +16,7 @@ from scipy.integrate import quad
 from excursions.cli import run
 from excursions.covmodel import diffusion_covariance
 from excursions.errors import MonotonicityViolation
-from excursions.gpsim import (extract_excursions, persistency_from_trajectories,
-                              rice_crossing_rate, simulate_gp_batch)
+from excursions.gpsim import persistency_from_trajectories, rice_crossing_rate
 from excursions.iia import build_iia, persistency_table, psi_hat, sample_excursion
 from excursions.numerics import norm_cdf
 from excursions.slepian import (conditional_expected_clipped,
@@ -203,7 +202,7 @@ def test_criterion_10_transform_consistency():
             f"empirical vs analytic transform, max |z| = {worst_z:.2f} (< 3)")
 
 
-def test_criterion_11_trajectory_side(table2_estimates):
+def test_criterion_11_trajectory_side(table2_estimates, rice_crossings):
     devs = {}
     for level in LEVELS:
         above, below = table2_estimates[level]
@@ -213,11 +212,11 @@ def test_criterion_11_trajectory_side(table2_estimates):
                        abs(below.mean_theta - ref_m), tol)
     ok_theta = all(dp < tol and dm < tol for dp, dm, tol in devs.values())
 
+    # dt and n of the rice_crossings path
     dt, n = 0.05, 4_000_000
-    path = simulate_gp_batch(M2, dt, n, 1, seed=7)[0]
     worst_rate = 0.0
     for u in (0.0, 1.0):
-        _, _, crossings = extract_excursions(path, u, dt)
+        crossings = rice_crossings[u]
         rate = crossings / (dt * (n - 1))
         worst_rate = max(worst_rate,
                          abs(rate / rice_crossing_rate(M2, u) - 1.0))

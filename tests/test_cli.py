@@ -56,6 +56,14 @@ def test_help_is_the_full_parsers(capsys, command):
     assert printed == capsys.readouterr().out
 
 
+@pytest.mark.parametrize("command, required", [
+    ("iia", ["--level", "0"]), ("persistency", ["--samples", "x.csv"]), ("table2", [])])
+def test_a_subcommands_usage_error_lists_no_sibling(capsys, command, required):
+    assert run([command, *required, "--no-such-option"]) == 64
+    # the usage lists the subcommands as {a,b,...}: here only the one given
+    assert "{%s}" % command in capsys.readouterr().err
+
+
 def test_domain_error_exit_code(tmp_path):
     # unknown model name is a domain error: exit 1
     cfg = tmp_path / "cfg.json"
@@ -197,6 +205,18 @@ def test_table2_row_equals_gp_sim_at_the_same_seed(tmp_path):
     [row] = [r for r in json.loads((tmp_path / "t2.json").read_text())["rows"]
              if r["level"] == 1.0]
     alone = json.loads((tmp_path / "gp.json").read_text())
+    for key in ("theta_plus", "theta_minus", "ci_plus", "ci_minus"):
+        assert row[key] == alone[key]
+
+
+def test_table1_row_equals_iia_at_the_same_seed(tmp_path):
+    sizes = ["--samples", "20000", "--reps", "3", "--grid-max", "120", "--grid-step", "0.02",
+             "--seed", "6"]
+    assert run(["table1", "--levels", "0,1", "--out", str(tmp_path / "t1.json")] + sizes) == 0
+    assert run(["iia", "--level", "1", "--out", str(tmp_path / "iia.json")] + sizes) == 0
+    [row] = [r for r in json.loads((tmp_path / "t1.json").read_text())["rows"]
+             if r["level"] == 1.0]
+    alone = json.loads((tmp_path / "iia.json").read_text())
     for key in ("theta_plus", "theta_minus", "ci_plus", "ci_minus"):
         assert row[key] == alone[key]
 

@@ -206,11 +206,11 @@ def test_rice_rate_values():
         rice_crossing_rate(M2, 0.0) * math.exp(-0.5), abs=1e-12)
 
 
-def test_empirical_crossing_rate_matches_rice():
+def test_empirical_crossing_rate_matches_rice(rice_crossings):
+    # dt and n of the rice_crossings path
     dt, n = 0.05, 4_000_000
-    path = simulate_gp_batch(M2, dt, n, 1, seed=7)[0]
     for u in (0.0, 1.0):
-        _, _, crossings = extract_excursions(path, u, dt)
+        crossings = rice_crossings[u]
         rate = crossings / (dt * (n - 1))
         assert rate == pytest.approx(rice_crossing_rate(M2, u), rel=0.02)
 

@@ -532,24 +532,55 @@ def _assert_same_estimate(est, ref):
 
 @pytest.mark.parametrize("threads", ["1", "3"])
 def test_persistency_table_equals_a_sequential_reference(monkeypatch, threads):
-    # each level seed spawns a seed per side, each side seed one per replicate
+    # the seed spawns a seed per side and each side seed one per replicate,
+    # however many levels there are
     monkeypatch.setenv("EXCURSION_IIA_THREADS", threads)
     samples, reps, grid = 5000, 3, {"t_max": 120.0, "step": 0.02}
-    cases = [((0.0, 1.0), np.random.SeedSequence(41).spawn(2)),
-             (0.5, [np.random.SeedSequence(41)])]     # one level: the seed itself
-    for levels, level_seeds in cases:
+    rep_seeds = [side_seed.spawn(reps) for side_seed in np.random.SeedSequence(41).spawn(2)]
+    for levels in ((0.0, 1.0), (0.5,)):
         rows = persistency_table(M2, levels, samples, reps, 41, **grid)
-        assert len(rows) == len(level_seeds)
-        for u, level_seed, (iia, above, below) in zip(np.atleast_1d(levels),
-                                                      level_seeds, rows):
+        assert len(rows) == len(levels)
+        for u, (iia, above, below) in zip(levels, rows):
             ref_iia = build_iia(M2, u, **grid)
             assert iia.level == u
             assert np.array_equal(iia.f_x_cdf.values, ref_iia.f_x_cdf.values)
-            for side, side_seed, est in zip(("above", "below"), level_seed.spawn(2),
-                                            (above, below)):
+            for side, seeds, est in zip(("above", "below"), rep_seeds, (above, below)):
                 _assert_same_estimate(est, aggregate_fits([
                     fit_persistency(sample_excursion(ref_iia, side, samples, s))
-                    for s in side_seed.spawn(reps)]))
+                    for s in seeds]))
+
+
+def test_each_level_of_a_multi_level_table_equals_its_one_level_call():
+    levels, grid = (0.0, 0.5, 1.25), {"t_max": 120.0, "step": 0.02}
+    rows = persistency_table(M2, levels, 3000, 3, 17, **grid)
+    for u, (_, above, below) in zip(levels, rows):
+        [(_, above_alone, below_alone)] = persistency_table(M2, [u], 3000, 3, 17, **grid)
+        _assert_same_estimate(above, above_alone)
+        _assert_same_estimate(below, below_alone)
+
+
+def test_every_level_reads_the_same_window(monkeypatch):
+    # one generator per side and replicate, whose one window every level maps
+    default_rng, sample = np.random.default_rng, excursions.iia.inverse_cdf_sample
+    generators, windows = [], []
+
+    def counting_rng(seed):
+        generators.append(seed)
+        return default_rng(seed)
+
+    def recording(cdf, tail_rate, uniform):
+        windows.append(uniform)
+        return sample(cdf, tail_rate, uniform)
+
+    monkeypatch.setenv("EXCURSION_IIA_THREADS", "2")
+    monkeypatch.setattr(np.random, "default_rng", counting_rng)
+    monkeypatch.setattr(excursions.iia, "inverse_cdf_sample", recording)
+    persistency_table(M2, [0.0, 0.5, 1.0, 1.25], 2000, 3, 5, t_max=120.0, step=0.02)
+    assert len(generators) == 2 * 3
+    assert len(windows) == 2 * 3 * 4
+    assert len({id(w) for w in windows}) == 2 * 3
+    for w in windows:
+        assert sum(v is w for v in windows) == 4
 
 
 def test_persistency_table_shares_one_law_per_level_and_side(monkeypatch):
@@ -627,7 +658,7 @@ def test_persistency_table_checks_replicates_before_building():
 
 def test_persistency_table_draws_are_sorted_sample_excursion_draws(monkeypatch):
     # replicate i of a side draws from the i-th seed its side seed spawns and
-    # fits only the ranks [lo, hi) of those lengths, sorted
+    # fits, level by level, only the ranks [lo, hi) of those lengths, sorted
     fit_window = excursions.iia._fit_window
     fitted = []
 
@@ -640,17 +671,17 @@ def test_persistency_table_draws_are_sorted_sample_excursion_draws(monkeypatch):
     samples, reps = 20_000, 3
     lo, hi = samples - 1 - samples // 2, samples - 50
     rows = persistency_table(M2, [0.0, 1.25], samples, reps, 43, t_max=120.0, step=0.02)
-    sides = [(iia, side, side_seed.spawn(reps))
-             for (iia, _, _), level_seed in zip(rows, np.random.SeedSequence(43).spawn(2))
-             for side, side_seed in zip(("above", "below"), level_seed.spawn(2))]
+    sides = [(side, side_seed.spawn(reps))
+             for side, side_seed in zip(("above", "below"), np.random.SeedSequence(43).spawn(2))]
     fitted = iter(fitted)
-    # the tasks run replicate-major: replicate 0 of every side, then replicate 1
+    # the tasks run replicate-major: replicate 0 of both sides, then replicate 1
     for i in range(reps):
-        for iia, side, rep_seeds in sides:
-            window, n = next(fitted)
-            want = np.sort(sample_excursion(iia, side, samples, rep_seeds[i]))[lo:hi]
-            assert n == samples
-            assert np.array_equal(window.view(np.int64), want.view(np.int64))
+        for side, rep_seeds in sides:
+            for iia, _, _ in rows:
+                window, n = next(fitted)
+                want = np.sort(sample_excursion(iia, side, samples, rep_seeds[i]))[lo:hi]
+                assert n == samples
+                assert np.array_equal(window.view(np.int64), want.view(np.int64))
     assert next(fitted, None) is None
 
 

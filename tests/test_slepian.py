@@ -141,6 +141,30 @@ def test_residual_covariance_monte_carlo():
     assert np.max(np.abs(emp - target)) < 3.0 * se
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_residual_covariance_is_exactly_symmetric(d):
+    # the sampler factorizes it as it is, with no symmetrizing pass
+    model = diffusion_covariance(d)
+    rng = np.random.default_rng(d)
+    for t in (np.linspace(0.05, 20.0, 400), np.sort(rng.uniform(0.0, 30.0, 333))):
+        cov = excursions.slepian._residual_covariance(model, t)
+        assert np.array_equal(cov, cov.T)
+
+
+def test_sampler_holds_at_most_two_and_a_half_covariances():
+    # the covariance is filled in place and jittered on its diagonal, so the
+    # factor is the only other matrix alive
+    grid = np.linspace(0.0, 20.0, 2049)
+    matrix = 8 * 2048 ** 2
+    tracemalloc.start()
+    try:
+        sample_slepian_path(M2, 0.5, grid, 2, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * matrix
+
+
 def test_sampler_grid_validation():
     with pytest.raises(DomainError):
         sample_slepian_path(M2, 0.0, np.array([0.5, 1.0]), 1, seed=0)
