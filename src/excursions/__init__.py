@@ -17,4 +17,4 @@ imported from its submodule, the one whose ``__all__`` lists it, as in
 ``from excursions.iia import build_iia``.
 """
 
-__version__ = "0.19.0"
+__version__ = "0.20.0"

@@ -33,15 +33,20 @@ that runs out of memory (``MemoryError``, reported on one line as
 A reader that closes stdout early, as ``| head`` does, also ends the run
 with 0 and nothing on stderr: the rest of the output is discarded.
 
-``table1``/``iia`` and ``table2``/``gp-sim`` each make one call of
-:func:`iia.persistency_table` or :func:`gpsim.persistency_from_trajectories`,
-which own the seed tree and the thread pool.  ``table2`` reads every
-level from the same trajectories, and ``table1`` every level from the
-same uniforms, one set per side and replicate, so a row of either
-table equals ``gp-sim`` or ``iia`` at that level with the same seed and
-sizes.  For ``iia`` and ``table1``, ``--grid-max`` caps the divisor
-grid, which the covariance sizes, so ``iia --cdf-csv`` writes the grid
-up to its sized end.
+A subcommand of either family makes that family's one estimator call,
+:func:`iia.persistency_table` for ``iia`` and ``table1`` and
+:func:`gpsim.persistency_from_trajectories` for ``gp-sim`` and
+``table2``, which own the seed tree and the thread pool, through one
+helper that returns a row per level: ``level``, ``theta_plus``,
+``ci_plus``, ``theta_minus`` and ``ci_minus``.  The tables print and
+write those rows; ``iia`` and ``gp-sim`` read the one row of their
+``--level`` and add their own fields.  ``table2`` reads every level from
+the same trajectories, and ``table1`` every level from the same
+uniforms, one set per side and replicate, so a row of either table
+equals ``gp-sim`` or ``iia`` at that level with the same seed and sizes.
+For ``iia`` and ``table1``, ``--grid-max`` caps the divisor grid, which
+the covariance sizes; ``iia --cdf-csv`` writes that grid up to its sized
+end, and ``--samples-csv`` draws from the laws the row's model solved.
 
 :func:`run` freezes the garbage collector's view of everything alive
 when it starts (:func:`gc.freeze`), so that a process which exits after
@@ -231,23 +236,32 @@ def _parse_levels(text) -> list[float]:
     return levels
 
 
+def _level_rows(cfg: dict, levels: list) -> tuple:
+    """The covariance model and one entry per level of ``levels``.
+
+    The entries come from the family's one estimator call: ``(row, iia)``
+    from :func:`iia.persistency_table` for ``iia`` and ``table1``, and
+    ``(row,)`` from :func:`gpsim.persistency_from_trajectories` for
+    ``gp-sim`` and ``table2``.  A row holds ``level``, ``theta_plus``,
+    ``ci_plus``, ``theta_minus`` and ``ci_minus``.
+    """
+    model = _model_from(cfg)
+    if "samples" in cfg:        # iia and table1; gp-sim and table2 size trajectories
+        estimates = persistency_table(model, levels, cfg["samples"], cfg["reps"],
+                                      cfg["seed"], cfg["grid_max"], cfg["grid_step"])
+    else:
+        estimates = persistency_from_trajectories(model, levels, cfg["n_traj"], cfg["len"],
+                                                  cfg["dt"], cfg["seed"], cfg["reps"])
+    return model, [({"level": level,
+                     "theta_plus": above.mean_theta, "ci_plus": above.half_width,
+                     "theta_minus": below.mean_theta, "ci_minus": below.half_width}, *iia)
+                    for level, (*iia, above, below) in zip(levels, estimates)]
+
+
 def _cmd_iia(cfg: dict) -> None:
-    [(iia, above, below)] = persistency_table(
-        _model_from(cfg), [cfg["level"]], cfg["samples"], cfg["reps"], cfg["seed"],
-        cfg["grid_max"], cfg["grid_step"])
-    result = {
-        "level": cfg["level"],
-        "alpha": iia.alpha,
-        "theta_plus": above.mean_theta,
-        "theta_minus": below.mean_theta,
-        "ci_plus": above.half_width,
-        "ci_minus": below.half_width,
-        "n_samples": cfg["samples"],
-        "reps": cfg["reps"],
-        "seed": cfg["seed"],
-        "config_hash": _config_hash(cfg),
-    }
-    _write_json(result, cfg["out"])
+    _, [(row, iia)] = _level_rows(cfg, [cfg["level"]])
+    _write_json({**row, "alpha": iia.alpha, "n_samples": cfg["samples"], "reps": cfg["reps"],
+                 "seed": cfg["seed"], "config_hash": _config_hash(cfg)}, cfg["out"])
     if cfg["cdf_csv"]:
         _write_csv(cfg["cdf_csv"], "t,f_x,f_y",
                    zip(iia.f_x_cdf.points, iia.f_x_cdf.values, iia.f_y_cdf.values))
@@ -260,24 +274,16 @@ def _cmd_iia(cfg: dict) -> None:
 
 
 def _cmd_gp_sim(cfg: dict) -> None:
-    model = _model_from(cfg)
-    [(above, below)] = persistency_from_trajectories(
-        model, cfg["level"], cfg["n_traj"], cfg["len"], cfg["dt"], cfg["seed"],
-        cfg["reps"])
-    result = {
-        "level": cfg["level"],
-        "theta_plus": above.mean_theta,
-        "theta_minus": below.mean_theta,
-        "ci_plus": above.half_width,
-        "ci_minus": below.half_width,
-        "n_traj": cfg["n_traj"],
-        "traj_len": cfg["len"],
-        "dt": cfg["dt"],
-        "rice_rate": rice_crossing_rate(model, cfg["level"]),
-        "seed": cfg["seed"],
-        "config_hash": _config_hash(cfg),
-    }
-    _write_json(result, cfg["out"])
+    model, [(row,)] = _level_rows(cfg, [cfg["level"]])
+    _write_json({**row, "n_traj": cfg["n_traj"], "traj_len": cfg["len"], "dt": cfg["dt"],
+                 "rice_rate": rice_crossing_rate(model, cfg["level"]),
+                 "seed": cfg["seed"], "config_hash": _config_hash(cfg)}, cfg["out"])
+
+
+# the CharacteristicEstimate fields that switch-sim writes after its grid t
+_SWITCH_COLUMNS = ("p_plus", "se_p_plus", "p_minus", "se_p_minus", "e_plus", "se_e_plus",
+                   "e_minus", "se_e_minus", "covariance", "se_covariance",
+                   "counts_plus", "se_counts_plus", "counts_minus", "se_counts_minus")
 
 
 def _cmd_switch_sim(cfg: dict) -> None:
@@ -295,15 +301,8 @@ def _cmd_switch_sim(cfg: dict) -> None:
             raise DomainError(f"no path starts in state {state}, so its columns "
                               "would be empty; give --p0 strictly between 0 and 1 "
                               "and enough --paths")
-    _write_csv(cfg["out"],
-               "t,p_plus,se_p_plus,p_minus,se_p_minus,e_plus,se_e_plus,"
-               "e_minus,se_e_minus,covariance,se_covariance,"
-               "counts_plus,se_counts_plus,counts_minus,se_counts_minus",
-               zip(est.grid, est.p_plus, est.se_p_plus, est.p_minus, est.se_p_minus,
-                   est.e_plus, est.se_e_plus, est.e_minus, est.se_e_minus,
-                   est.covariance, est.se_covariance,
-                   est.counts_plus, est.se_counts_plus,
-                   est.counts_minus, est.se_counts_minus))
+    _write_csv(cfg["out"], ",".join(("t", *_SWITCH_COLUMNS)),
+               zip(est.grid, *(getattr(est, name) for name in _SWITCH_COLUMNS)))
 
 
 def _cmd_clipped_cov(cfg: dict) -> None:
@@ -369,19 +368,7 @@ def _cmd_persistency(cfg: dict) -> None:
 
 def _cmd_table(cfg: dict) -> None:
     """``table1`` (approximation side) or ``table2`` (trajectory side)."""
-    levels = _parse_levels(cfg["levels"])
-    if cfg["command"] == "table1":
-        estimates = persistency_table(_model_from(cfg), levels, cfg["samples"], cfg["reps"],
-                                      cfg["seed"], cfg["grid_max"], cfg["grid_step"])
-    else:
-        estimates = persistency_from_trajectories(
-            _model_from(cfg), levels, cfg["n_traj"], cfg["len"], cfg["dt"], cfg["seed"],
-            cfg["reps"])
-    rows = [{
-        "level": level,
-        "theta_plus": above.mean_theta, "ci_plus": above.half_width,
-        "theta_minus": below.mean_theta, "ci_minus": below.half_width,
-    } for level, (*_, above, below) in zip(levels, estimates)]
+    rows = [row for row, *_ in _level_rows(cfg, _parse_levels(cfg["levels"]))[1]]
     line = "u = %-5g  theta+ = %.4f (+-%.4f)   theta- = %.4f (+-%.4f)"
     for r in rows:
         print(line % (r["level"], r["theta_plus"], r["ci_plus"],

@@ -297,7 +297,8 @@ def rice_crossing_rate(model: CovarianceModel, u: float) -> float:
 def persistency_from_trajectories(model: CovarianceModel, levels, n_traj: int,
                                   traj_len: int, dt: float, seed, reps: int = 10
                                   ) -> list[tuple[BatchEstimate, BatchEstimate]]:
-    """``(above, below)`` persistency per level from simulated trajectories.
+    """``(above, below)`` persistency per level of the sequence ``levels``,
+    from simulated trajectories.
 
     ``n_traj`` trajectories of ``traj_len`` steps form ``reps`` replicates
     of ``n_traj / reps``.  ``seed`` spawns one seed per replicate, whatever
@@ -323,7 +324,7 @@ def persistency_from_trajectories(model: CovarianceModel, levels, n_traj: int,
         raise DomainError(
             f"{n_traj} trajectories do not split evenly into {reps} replicates")
     _check_grid(dt, traj_len)
-    levels = [float(u) for u in ([levels] if np.ndim(levels) == 0 else levels)]
+    levels = [float(u) for u in levels]
     for u in levels:
         level_mass(u)
     lam, starts = _embedding(model, dt, traj_len)

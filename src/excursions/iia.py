@@ -116,18 +116,6 @@ class IIAModel:
     def beta(self) -> float:
         return 1.0 - self.alpha
 
-    def __post_init__(self):
-        if not (self.decay_rate > 0.0 and math.isfinite(self.decay_rate)):
-            raise DomainError(f"the covariance's decay rate -r'/r must be positive and "
-                              f"finite, got {self.decay_rate!r}")
-        for name, g in (("F_X", self.f_x_cdf), ("F_Y", self.f_y_cdf)):
-            if g.values[0] != 0.0:
-                raise DomainError(f"{name} must start at zero")
-            if g.values[-1] < 1.0 - 1e-6:
-                raise DomainError(f"{name} does not reach one at the grid end")
-            if np.any(np.diff(g.values) < 0.0):
-                raise DomainError(f"{name} is not nondecreasing")
-
 
 def _check_monotone(values: np.ndarray, t: np.ndarray, direction: int,
                     which: str) -> None:
@@ -192,11 +180,11 @@ def _sized_ends(model: CovarianceModel, t: np.ndarray, r: np.ndarray, levels,
         hits = np.flatnonzero(bound >= 0.5 * _CUT)
         end = int(hits[-1]) + 1 if len(hits) else 1
         if end >= len(t):
-            where = (f"near t = {t[-1] + math.log(2.0 * bound[-1] / _CUT) / decay_rate:.4g} "
-                     f"at the decay rate {decay_rate:.4g}" if decay_rate > 0.0 else "past it")
+            near = t[-1] + math.log(2.0 * bound[-1] / _CUT) / decay_rate
             raise GridTooShort(
                 f"u = {u:g}: the grid cap t_max = {t[-1]:g} falls before the sized end of "
-                f"the divisor grid, {where}: the divisors' survival bound is "
+                f"the divisor grid, near t = {near:.4g} at the decay rate "
+                f"{decay_rate:.4g}: the divisors' survival bound is "
                 f"{bound[-1]:.2e} at the cap, not below {0.5 * _CUT:g}")
         ends.append(end)
     return ends
@@ -214,6 +202,9 @@ def _build_levels(model: CovarianceModel, levels, t_max: float,
     r = np.asarray(model.r(t), dtype=float)
     k = int(np.flatnonzero(r >= _CUT)[-1])
     decay_rate = -float(model.r_prime(t[k])) / float(r[k])
+    if not (decay_rate > 0.0 and math.isfinite(decay_rate)):
+        raise DomainError(f"the covariance's decay rate -r'/r must be positive and "
+                          f"finite, got {decay_rate!r}")
     ends = _sized_ends(model, t, r, levels, alphas, decay_rate)
     terms = _clipped_terms(model, t[1:max(ends, default=1) + 1])
     # the terms are elementwise in t, so a level's are a prefix of them

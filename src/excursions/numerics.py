@@ -51,8 +51,16 @@ __all__ = [
 
 
 def spawn_seeds(seed, n: int) -> list:
-    """Derive ``n`` independent child seeds from any seed-like object."""
-    if not isinstance(seed, np.random.SeedSequence):
+    """Derive ``n`` independent child seeds from any seed-like object.
+
+    A :class:`numpy.random.SeedSequence` is spawned from a fresh copy (same
+    entropy, spawn key and pool size), not in place, so the same object
+    gives the same children at every call, as an integer seed does.
+    """
+    if isinstance(seed, np.random.SeedSequence):
+        seed = np.random.SeedSequence(seed.entropy, spawn_key=seed.spawn_key,
+                                      pool_size=seed.pool_size)
+    else:
         seed = np.random.SeedSequence(seed)
     return seed.spawn(n)
 

@@ -10,7 +10,6 @@ noise and would otherwise bias the slope).  The slope is the centred
 closed form of simple regression, written with ``np.sum`` of products
 and no BLAS call: the fits run in the replicate pool's threads, where
 BLAS would start threads of its own and oversubscribe the CPUs.
-Samples that arrive sorted are not sorted again.
 
 The fit reads only the ranks ``[n - 1 - n//2, n - min_tail_count)`` of
 a sorted sample of ``n``, and the log survival there depends on ``n``
@@ -141,9 +140,8 @@ def fit_persistency(samples, min_tail_count: int = MIN_TAIL_COUNT) -> SurvivalFi
 
     Uses the sorted sample points with S(t) <= 1/2 and at least
     ``min_tail_count`` samples beyond t; needs at least 10 such points,
-    not all equal.  Samples already in nondecreasing order skip the
-    sort.  With ``tc`` and ``lc`` the window's times and log survivals
-    less their means, the fit is the closed form
+    not all equal.  With ``tc`` and ``lc`` the window's times and log
+    survivals less their means, the fit is the closed form
 
         slope = Sxy / Sxx,   intercept = mean(l) - slope mean(t),
         r^2 = Sxy^2 / (Sxx Syy),
@@ -153,9 +151,7 @@ def fit_persistency(samples, min_tail_count: int = MIN_TAIL_COUNT) -> SurvivalFi
     x = np.asarray(samples, dtype=float)
     n = len(x)
     _check_sizes(n, min_tail_count)
-    # a NaN fails the comparison, so it takes the sort
-    if not np.all(x[1:] >= x[:-1]):
-        x = np.sort(x)
+    x = np.sort(x)
     # NaNs sort last, so the two ends decide
     if not (x[0] > 0.0 and np.isfinite(x[-1])):
         raise DomainError("samples must be positive and finite")

@@ -231,7 +231,7 @@ def test_persistency_from_trajectories_equals_a_sequential_reference(monkeypatch
     # pools each level's lengths and fits both sides
     monkeypatch.setenv("EXCURSION_IIA_THREADS", threads)
     n_traj, n, dt, reps = 40, 8000, 0.05, 4
-    for levels in ((0.0, 0.5), 1.0):       # one level: a scalar
+    for levels in ((0.0, 0.5), [1.0]):     # two levels, then one
         rows = persistency_from_trajectories(M2, levels, n_traj, n, dt, 43, reps)
         us = np.atleast_1d(levels)
         assert len(rows) == len(us)
@@ -313,14 +313,14 @@ def test_persistency_from_trajectories_memory_is_flat_in_the_trajectory_count(
     # the paths would take 5.9 MiB more; the margin is 1 MiB
     monkeypatch.setenv("EXCURSION_IIA_THREADS", "1")
     sizes = dict(traj_len=2000, dt=0.05, seed=9, reps=2)
-    persistency_from_trajectories(M2, 0.0, n_traj=256, **sizes)    # warm the cache
+    persistency_from_trajectories(M2, [0.0], n_traj=256, **sizes)  # warm the cache
     peaks = []
     tracemalloc.start()
     try:
         for per_rep in (128, 512):
             tracemalloc.reset_peak()
             base = tracemalloc.get_traced_memory()[0]
-            persistency_from_trajectories(M2, 0.0, n_traj=2 * per_rep, **sizes)
+            persistency_from_trajectories(M2, [0.0], n_traj=2 * per_rep, **sizes)
             peaks.append(tracemalloc.get_traced_memory()[1] - base)
     finally:
         tracemalloc.stop()

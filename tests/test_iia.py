@@ -559,6 +559,19 @@ def test_each_level_of_a_multi_level_table_equals_its_one_level_call():
         _assert_same_estimate(below, below_alone)
 
 
+def test_a_seed_sequence_gives_the_same_table_at_every_call():
+    # spawning must not advance the caller's SeedSequence: the same object
+    # twice reads what the integer it was made from reads
+    grid = {"t_max": 120.0, "step": 0.02}
+    ss = np.random.SeedSequence(7)
+    [(_, above_int, below_int)] = persistency_table(M2, [0.5], 2000, 2, 7, **grid)
+    for _ in range(2):
+        [(_, above, below)] = persistency_table(M2, [0.5], 2000, 2, ss, **grid)
+        _assert_same_estimate(above, above_int)
+        _assert_same_estimate(below, below_int)
+    assert ss.n_children_spawned == 0
+
+
 def test_every_level_reads_the_same_window(monkeypatch):
     # one generator per side and replicate, whose one window every level maps
     default_rng, sample = np.random.default_rng, excursions.iia.inverse_cdf_sample
