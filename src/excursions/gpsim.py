@@ -37,16 +37,18 @@ covariance of the paths.  A ``dt`` so large that the lags up to the
 padding cap overflow is a :class:`DomainError`, raised before the
 covariance is evaluated.
 
-Paths are made in chunks of up to 32 complex rows.  A path stream holds
-one complex chunk buffer and ``2K + 1`` normals: row by row, all real
-parts of a chunk and then all imaginary parts, it draws the band's
-normals and scales them straight into the columns ``[0, K]`` and
-``[M - K, M)`` of the buffer, whose columns between are zero; then it
-transforms the buffer in place and hands out the chunk's windows as
-views of it.  When the band is the whole row (``K = M/2``), a row takes
-one normal per column in column order, as if every mode were drawn.  A
-consumer that reads each path once, such as crossing extraction, so
-holds no path matrix.
+Paths are made in chunks of up to 32 complex rows, in three steps over
+one buffer per path stream.  Draw: one call fills the chunk's band
+normals, ``2K + 1`` per part-row, all real parts and then all imaginary
+parts.  Transform: 8 complex rows at a time, the block's normals are
+scaled into the columns ``[0, K]`` and ``[M - K, M)`` of an 8-row
+complex buffer, whose columns between are zero, and the buffer is
+transformed in place.  Window: the block's windows, up to 32 paths, are
+copied into one contiguous block of paths, handed out with their
+positions in the stream.  When the band is the whole row (``K = M/2``),
+a row takes one normal per column in column order, as if every mode
+were drawn.  A consumer that reads each path once, such as crossing
+extraction, so holds no path matrix, and reads contiguous rows.
 
 Crossings of a level are located by linear interpolation between
 bracketing samples; the first and last (incomplete) intervals are
@@ -54,12 +56,12 @@ discarded, and two crossings that round to one instant are dropped as a
 touch, so the extracted above/below lengths are positive and strictly
 alternate.  A crossing is a change of side, read by comparing samples
 with the level, so a product of two tiny differences that underflows to
-zero cannot hide one.  Extraction runs once per chunk of paths and
-level: a few passes over the whole chunk find every row's crossings
+zero cannot hide one.  Extraction runs once per block of paths and
+level: a few passes over the whole block find every row's crossings
 with no per-row loop, and only the rare irregular cases (a sample on
 the level next to a crossing, two crossings at one instant, a row with
 fewer than two crossings) take slower rules; one path is extracted as a
-one-row chunk.  The Rice crossing intensity
+one-row block.  The Rice crossing intensity
 
     (1/pi) sqrt(-r''(0)) exp(-u^2 / 2)
 
@@ -93,7 +95,8 @@ __all__ = [
 
 _COV_FLOOR = 1e-16          # treat the covariance as dead beyond this
 _NEG_EIG_BUDGET = 1e-8      # relative to the embedding trace
-_CHUNK_ROWS = 32            # complex rows transformed together
+_CHUNK_ROWS = 32            # complex rows drawn together
+_BLOCK_ROWS = 8             # complex rows transformed together
 
 
 def _check_grid(dt: float, n: int) -> None:
@@ -163,42 +166,69 @@ def _embedding(model: CovarianceModel, dt: float, n: int):
 
 
 def _iter_paths(lam: np.ndarray, starts: tuple, n: int, count: int, rng):
-    """Yield ``count`` paths as ``(rows, n)`` views of one complex buffer.
+    """Yield ``(index, windows)`` until ``count`` paths are made.
 
-    The band is read from ``lam``: its largest folded frequency ``K``
-    with a nonzero eigenvalue.  A chunk's normals are all its real parts,
-    then all its imaginary parts, ``2K + 1`` per part-row (``M`` for a
-    full band), in the columns ``[0, K]`` and then ``[M - K, M)``; its
-    paths are its real parts at each window start in turn, then its
-    imaginary parts likewise.  The next chunk overwrites the views, so a
-    caller copies what it keeps.
+    ``windows`` is a contiguous ``(rows, n)`` block of paths and
+    ``index`` their positions in the stream.  The band is read from
+    ``lam``: its largest folded frequency ``K`` with a nonzero
+    eigenvalue.  A chunk of up to ``_CHUNK_ROWS`` complex rows draws its
+    normals in one call, all its real parts, then all its imaginary
+    parts, ``2K + 1`` per part-row (``M`` for a full band), in the
+    columns ``[0, K]`` and then ``[M - K, M)``.  Its paths are, in
+    stream order, its real parts at each window start in turn, then its
+    imaginary parts likewise, cut after ``count`` in the last chunk.
+    The chunk is transformed ``_BLOCK_ROWS`` complex rows at a time, and
+    each block's windows are copied into the one window buffer, so a
+    block yields up to four paths per complex row, not in stream order.
+    The next block overwrites the windows, so a caller copies what it
+    keeps.
     """
     m = len(lam)
     nonzero = np.flatnonzero(lam)
     band = int(np.minimum(nonzero, m - nonzero).max())
     # columns [0, lo) and [hi, m) hold the band; a full band is the whole row
     lo, hi = band + 1, max(band + 1, m - band)
+    width = lo + m - hi
     per_row = 2 * len(starts)
     scale = np.sqrt(lam / m)
     rows = min(_CHUNK_ROWS, -(-count // per_row))
-    normal = np.empty(lo + m - hi)
-    z_buf = np.empty((rows, m), dtype=complex)
-    left = count
-    while left > 0:
-        w = z_buf[:min(rows, -(-left // per_row))]
-        w[:, lo:hi] = 0.0
-        for part in (w.real, w.imag):
-            for row in part:
-                rng.standard_normal(out=normal)
-                np.multiply(normal[:lo], scale[:lo], out=row[:lo])
-                np.multiply(normal[lo:], scale[hi:], out=row[hi:])
-        np.fft.fft(w, axis=1, out=w)
-        for part in (w.real, w.imag):
-            for s in starts:
-                if left > 0:
-                    paths = part[:left, s:s + n]
-                    left -= len(paths)
-                    yield paths
+    block = min(_BLOCK_ROWS, rows)
+    # One allocation carved into the three buffers, not three.  Once
+    # glibc's malloc frees a mapped block it maps only larger ones and
+    # keeps up to twice that size free in its heap.  With three buffers
+    # (2.2 to 2.9 MB at n = 1e4, M = 23040) the 7.7 MB a stream frees is
+    # over that, so every stream faults its buffers in again: 31-32k minor
+    # page faults per fresh-process table2 benchmark job, against 13-14k
+    # with one allocation, which the next stream reuses.
+    sizes = np.cumsum([2 * block * m, 2 * rows * width, per_row * block * n])
+    buf = np.empty(sizes[-1])
+    z_buf = buf[:sizes[0]].view(complex).reshape(block, m)
+    normals = buf[sizes[0]:sizes[1]]
+    windows = buf[sizes[1]:].reshape(-1, n)
+    done = 0
+    while done < count:
+        k = min(rows, -(-(count - done) // per_row))
+        drawn = normals[:2 * k * width].reshape(2, k, width)
+        rng.standard_normal(out=drawn)
+        for first in range(0, k, block):
+            w = z_buf[:min(block, k - first)]
+            w[:, lo:hi] = 0.0
+            for part, normal in zip((w.real, w.imag), drawn[:, first:]):
+                np.multiply(normal[:len(w), :lo], scale[:lo], out=part[:, :lo])
+                np.multiply(normal[:len(w), lo:], scale[hi:], out=part[:, hi:])
+            np.fft.fft(w, axis=1, out=w)
+            index, filled = [], 0
+            views = [part[:, s:s + n] for part in (w.real, w.imag) for s in starts]
+            for g, view in enumerate(views):
+                # the view's rows are the chunk's paths from done + g k + first
+                at = done + g * k + first
+                take = min(len(w), count - at)
+                if take > 0:
+                    windows[filled:filled + take] = view[:take]
+                    index.append(np.arange(at, at + take))
+                    filled += take
+            yield np.concatenate(index), windows[:filled]
+        done += min(per_row * k, count - done)
 
 
 def simulate_gp_batch(model: CovarianceModel, dt: float, n: int,
@@ -209,10 +239,8 @@ def simulate_gp_batch(model: CovarianceModel, dt: float, n: int,
         raise DomainError("count must be positive")
     rng = np.random.default_rng(seed)
     out = np.empty((count, n))
-    done = 0
-    for paths in _iter_paths(*_embedding(model, dt, n), n, count, rng):
-        out[done:done + len(paths)] = paths
-        done += len(paths)
+    for index, windows in _iter_paths(*_embedding(model, dt, n), n, count, rng):
+        out[index] = windows
     return out
 
 
@@ -222,10 +250,10 @@ def _excursions(paths: np.ndarray, u: float, dt: float):
     Returns ``(above, below, crossings)``: each side's lengths in row
     order, as if each row were extracted alone and the results pooled,
     and the number of crossings over all rows.  Three passes over the
-    whole chunk find the crossings: the side of every sample, the flat
+    whole block find the crossings: the side of every sample, the flat
     positions where the side changes, and their split into (row, index),
     which drops the changes from the end of one row to the start of the
-    next.  A sample on the level next to a crossing sends the chunk
+    next.  A sample on the level next to a crossing sends the block
     through the rule that skips such samples; tied instants are dropped
     in place, and a row left with fewer than two crossings raises.
     """
@@ -278,7 +306,7 @@ def extract_excursions(values, u: float, dt: float):
     rounding: both are dropped and the intervals on either side merge,
     so every length is positive.  Raises :class:`EmptyExcursionSet` when
     fewer than two crossings exist.  This is the one-row case of the
-    chunk extraction that the table estimator runs.
+    block extraction that the table estimator runs.
     """
     values = np.asarray(values, dtype=float)
     if values.ndim != 1:
@@ -304,15 +332,15 @@ def persistency_from_trajectories(model: CovarianceModel, levels, n_traj: int,
     of ``n_traj / reps``.  ``seed`` spawns one seed per replicate, whatever
     the number of levels, so a level's estimates equal those of a call
     with that level alone.  Each replicate streams its trajectories once;
-    every chunk of up to 32 of them goes whole through crossing
-    extraction at every level, and each level's pooled above and below
-    lengths are fitted.  A level must be finite, and Phi(u) must not
+    every contiguous block of up to 32 of them goes whole through
+    crossing extraction at every level, and each level's pooled above and
+    below lengths are fitted.  A level must be finite, and Phi(u) must not
     round to 0 or 1, as for :func:`iia.build_iia`; either is a
     :class:`DomainError`, raised before any path is drawn.  The
     replicates are the tasks of the one pool of
     :func:`persistency.replicate_estimates`, so at most ``reps`` threads
     are busy, and ``EXCURSION_IIA_THREADS`` caps them.
-    The trajectories take one complex chunk buffer per thread, whatever
+    The trajectories take one stream buffer per thread, whatever
     ``n_traj`` is.  Trajectories without complete excursions raise
     through from the extraction step.
     """
@@ -332,7 +360,7 @@ def persistency_from_trajectories(model: CovarianceModel, levels, n_traj: int,
     def draw(_, rep_seed):
         lengths = [([], []) for _ in levels]
         rng = np.random.default_rng(rep_seed)
-        for paths in _iter_paths(lam, starts, traj_len, n_traj // reps, rng):
+        for _, paths in _iter_paths(lam, starts, traj_len, n_traj // reps, rng):
             for u, (above, below) in zip(levels, lengths):
                 a, b, _ = _excursions(paths, u, dt)
                 above.append(a)

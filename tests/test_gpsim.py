@@ -270,9 +270,9 @@ def test_every_level_reads_the_same_paths(monkeypatch):
 
     def counted(*args, **kwargs):
         counts["entries"] += 1
-        for paths in real(*args, **kwargs):
+        for index, paths in real(*args, **kwargs):
             counts["rows"] += len(paths)
-            yield paths
+            yield index, paths
 
     monkeypatch.setattr(gpsim, "_iter_paths", counted)
     sizes = dict(n_traj=40, traj_len=8000, dt=0.05, seed=45, reps=4)
@@ -306,8 +306,9 @@ def test_persistency_needs_trajectories_that_split_evenly_into_replicates():
 
 def test_persistency_from_trajectories_memory_is_flat_in_the_trajectory_count(
         monkeypatch):
-    # one thread streams each replicate through one complex chunk of 32
-    # rows, 128 paths; past that only the pooled length lists grow.  At
+    # one thread streams each replicate through one buffer: the normals
+    # of a chunk of 32 complex rows, an 8-row complex block and its 32
+    # windows; past 128 paths only the pooled length lists grow.  At
     # about 16 crossings per path they take some 0.1 MiB more for 384
     # more paths per replicate, list overhead included, where a matrix of
     # the paths would take 5.9 MiB more; the margin is 1 MiB
@@ -377,6 +378,44 @@ def test_batch_equals_out_of_place_reference(count):
 def test_one_window_batch_equals_out_of_place_reference(count):
     assert np.array_equal(simulate_gp_batch(CAUCHY, 0.2, 1000, count, seed=17),
                           _out_of_place(CAUCHY, 0.2, 1000, count, 17, windows=1))
+
+
+@pytest.mark.parametrize("block", [1, 3, 32])
+def test_the_block_size_changes_no_path_and_no_estimate(monkeypatch, block):
+    # the block is how many complex rows are transformed and extracted
+    # together, a memory layout: the paths and their estimates stay
+    sizes = dict(n_traj=40, traj_len=8000, dt=0.05, seed=46, reps=4)
+    levels = (0.0, 1.0)
+    ref = persistency_from_trajectories(M2, levels, **sizes)
+    monkeypatch.setattr(gpsim, "_BLOCK_ROWS", block)
+    for count in (1, 65, 150):
+        assert np.array_equal(simulate_gp_batch(M2, 0.05, 300, count, seed=17),
+                              _out_of_place(M2, 0.05, 300, count, 17, windows=2))
+        assert np.array_equal(simulate_gp_batch(CAUCHY, 0.2, 1000, count, seed=17),
+                              _out_of_place(CAUCHY, 0.2, 1000, count, 17, windows=1))
+    rows = persistency_from_trajectories(M2, levels, **sizes)
+    for estimates, expected in zip(rows, ref):
+        for est, exp in zip(estimates, expected):
+            assert est.mean_theta == exp.mean_theta
+            assert est.half_width == exp.half_width
+            assert est.replicates == exp.replicates
+
+
+def test_a_table2_replicate_traces_under_10_mib(monkeypatch):
+    # one thread holds one stream: a 32-row chunk of band normals
+    # (2.2 MB), an 8-row complex block (2.9 MB) and its 32 windows
+    # (2.6 MB), 7.7 MB in all, against 11.8 MB for a 32-row complex chunk
+    monkeypatch.setenv("EXCURSION_IIA_THREADS", "1")
+    sizes = dict(n_traj=300, traj_len=10_000, dt=0.05, seed=3, reps=2)
+    persistency_from_trajectories(M2, [0.0], **sizes)   # warm the cache
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        persistency_from_trajectories(M2, [0.0], **sizes)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2 ** 20
 
 
 @pytest.mark.parametrize("model, dt, n, windows", [(M2, 0.05, 300, 2),
