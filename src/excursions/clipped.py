@@ -20,19 +20,17 @@ import numpy as np
 
 from .covmodel import CovarianceModel
 from .errors import DomainError
-from .numerics import b_integral, norm_cdf
+from .numerics import b_integral, finite_level, norm_cdf
 
 __all__ = ["clipped_covariance", "arcsin_covariance"]
 
 
 def clipped_covariance(model: CovarianceModel, u: float, t):
     """Covariance of sgn(X - u) at lag ``t`` (scalar or array, t >= 0)."""
-    if not math.isfinite(u):
-        raise DomainError(f"level must be finite, got {u!r}")
+    phi_u = norm_cdf(finite_level(u))
     ta = np.asarray(t, dtype=float)
-    if np.any(ta < 0.0):
+    if not np.all(ta >= 0.0):
         raise DomainError("lag must be non-negative")
-    phi_u = float(norm_cdf(u))
     rho = np.asarray(model.r(np.atleast_1d(ta)), dtype=float)
     out = 4.0 * (b_integral(u, rho) - phi_u * phi_u)
     return float(out[0]) if ta.ndim == 0 else out

@@ -37,18 +37,18 @@ covariance of the paths.  A ``dt`` so large that the lags up to the
 padding cap overflow is a :class:`DomainError`, raised before the
 covariance is evaluated.
 
-Paths are made in chunks of up to 32 complex rows, in three steps over
-one buffer per path stream.  Draw: one call fills the chunk's band
-normals, ``2K + 1`` per part-row, all real parts and then all imaginary
-parts.  Transform: 8 complex rows at a time, the block's normals are
-scaled into the columns ``[0, K]`` and ``[M - K, M)`` of an 8-row
-complex buffer, whose columns between are zero, and the buffer is
-transformed in place.  Window: the block's windows, up to 32 paths, are
-copied into one contiguous block of paths, handed out with their
-positions in the stream.  When the band is the whole row (``K = M/2``),
-a row takes one normal per column in column order, as if every mode
-were drawn.  A consumer that reads each path once, such as crossing
-extraction, so holds no path matrix, and reads contiguous rows.
+The path stream is made row by row.  Complex row i draws its band
+normals, ``2K + 1`` for its real part and then as many for its imaginary
+part, and its paths are its real part at each window start, then its
+imaginary part likewise.  A block of up to 8 rows is drawn, scaled into
+the band columns ``[0, K]`` and ``[M - K, M)`` of a zeroed complex
+buffer, transformed in place and copied into one contiguous block of
+paths, in one step over one buffer per stream.  The block size is a
+memory layout only: a smaller batch is a prefix of a larger one at the
+same seed.  When the band is the whole row (``K = M/2``), a row takes
+one normal per column in column order, as if every mode were drawn.  A
+consumer that reads each path once, such as crossing extraction, so
+holds no path matrix, and reads contiguous rows.
 
 Crossings of a level are located by linear interpolation between
 bracketing samples; the first and last (incomplete) intervals are
@@ -83,7 +83,7 @@ import numpy as np
 
 from .covmodel import CovarianceModel
 from .errors import DomainError, EmptyExcursionSet, NumericalError
-from .numerics import level_mass, next_fast_len
+from .numerics import finite_level, level_mass, next_fast_len
 from .persistency import BatchEstimate, replicate_estimates
 
 __all__ = [
@@ -95,8 +95,7 @@ __all__ = [
 
 _COV_FLOOR = 1e-16          # treat the covariance as dead beyond this
 _NEG_EIG_BUDGET = 1e-8      # relative to the embedding trace
-_CHUNK_ROWS = 32            # complex rows drawn together
-_BLOCK_ROWS = 8             # complex rows transformed together
+_BLOCK_ROWS = 8             # complex rows drawn and transformed together
 
 
 def _check_grid(dt: float, n: int) -> None:
@@ -166,22 +165,15 @@ def _embedding(model: CovarianceModel, dt: float, n: int):
 
 
 def _iter_paths(lam: np.ndarray, starts: tuple, n: int, count: int, rng):
-    """Yield ``(index, windows)`` until ``count`` paths are made.
+    """Yield contiguous ``(rows, n)`` blocks of the stream's first ``count`` paths.
 
-    ``windows`` is a contiguous ``(rows, n)`` block of paths and
-    ``index`` their positions in the stream.  The band is read from
-    ``lam``: its largest folded frequency ``K`` with a nonzero
-    eigenvalue.  A chunk of up to ``_CHUNK_ROWS`` complex rows draws its
-    normals in one call, all its real parts, then all its imaginary
-    parts, ``2K + 1`` per part-row (``M`` for a full band), in the
-    columns ``[0, K]`` and then ``[M - K, M)``.  Its paths are, in
-    stream order, its real parts at each window start in turn, then its
-    imaginary parts likewise, cut after ``count`` in the last chunk.
-    The chunk is transformed ``_BLOCK_ROWS`` complex rows at a time, and
-    each block's windows are copied into the one window buffer, so a
-    block yields up to four paths per complex row, not in stream order.
-    The next block overwrites the windows, so a caller copies what it
-    keeps.
+    The band is read from ``lam``: its largest folded frequency ``K``
+    with a nonzero eigenvalue.  Each complex row draws ``2K + 1``
+    normals per part (``M`` for a full band), in the columns ``[0, K]``
+    and then ``[M - K, M)``, and gives its real part at each window
+    start, then its imaginary part likewise.  A block is up to
+    ``_BLOCK_ROWS`` rows, and the next one overwrites it, so a caller
+    copies what it keeps.
     """
     m = len(lam)
     nonzero = np.flatnonzero(lam)
@@ -191,56 +183,46 @@ def _iter_paths(lam: np.ndarray, starts: tuple, n: int, count: int, rng):
     width = lo + m - hi
     per_row = 2 * len(starts)
     scale = np.sqrt(lam / m)
-    rows = min(_CHUNK_ROWS, -(-count // per_row))
-    block = min(_BLOCK_ROWS, rows)
+    block = min(_BLOCK_ROWS, -(-count // per_row))
     # One allocation carved into the three buffers, not three.  Once
     # glibc's malloc frees a mapped block it maps only larger ones and
     # keeps up to twice that size free in its heap.  With three buffers
-    # (2.2 to 2.9 MB at n = 1e4, M = 23040) the 7.7 MB a stream frees is
-    # over that, so every stream faults its buffers in again: 31-32k minor
-    # page faults per fresh-process table2 benchmark job, against 13-14k
-    # with one allocation, which the next stream reuses.
-    sizes = np.cumsum([2 * block * m, 2 * rows * width, per_row * block * n])
+    # (0.55 to 2.9 MB at n = 1e4, M = 23040) the 6.1 MB a stream frees is
+    # over that, so every stream faults its buffers in again: 22-23k minor
+    # page faults per table2 benchmark call in a fresh process, against
+    # 7.5-8.8k with one allocation, which the next stream reuses.
+    sizes = np.cumsum([2 * block * m, 2 * block * width, per_row * block * n])
     buf = np.empty(sizes[-1])
     z_buf = buf[:sizes[0]].view(complex).reshape(block, m)
-    normals = buf[sizes[0]:sizes[1]]
-    windows = buf[sizes[1]:].reshape(-1, n)
-    done = 0
-    while done < count:
-        k = min(rows, -(-(count - done) // per_row))
-        drawn = normals[:2 * k * width].reshape(2, k, width)
+    normals = buf[sizes[0]:sizes[1]].reshape(block, 2, width)
+    windows = buf[sizes[1]:].reshape(block, per_row, n)
+    for done in range(0, count, per_row * block):
+        k = min(block, -(-(count - done) // per_row))
+        z, drawn = z_buf[:k], normals[:k]
         rng.standard_normal(out=drawn)
-        for first in range(0, k, block):
-            w = z_buf[:min(block, k - first)]
-            w[:, lo:hi] = 0.0
-            for part, normal in zip((w.real, w.imag), drawn[:, first:]):
-                np.multiply(normal[:len(w), :lo], scale[:lo], out=part[:, :lo])
-                np.multiply(normal[:len(w), lo:], scale[hi:], out=part[:, hi:])
-            np.fft.fft(w, axis=1, out=w)
-            index, filled = [], 0
-            views = [part[:, s:s + n] for part in (w.real, w.imag) for s in starts]
-            for g, view in enumerate(views):
-                # the view's rows are the chunk's paths from done + g k + first
-                at = done + g * k + first
-                take = min(len(w), count - at)
-                if take > 0:
-                    windows[filled:filled + take] = view[:take]
-                    index.append(np.arange(at, at + take))
-                    filled += take
-            yield np.concatenate(index), windows[:filled]
-        done += min(per_row * k, count - done)
+        z[:, lo:hi] = 0.0
+        for p, part in enumerate((z.real, z.imag)):
+            np.multiply(drawn[:, p, :lo], scale[:lo], out=part[:, :lo])
+            np.multiply(drawn[:, p, lo:], scale[hi:], out=part[:, hi:])
+        np.fft.fft(z, axis=1, out=z)
+        views = (part[:, s:s + n] for part in (z.real, z.imag) for s in starts)
+        for j, view in enumerate(views):
+            windows[:k, j] = view
+        yield windows[:k].reshape(-1, n)[:count - done]
 
 
 def simulate_gp_batch(model: CovarianceModel, dt: float, n: int,
                       count: int, seed) -> np.ndarray:
-    """``count`` independent trajectories as a (count, n) array."""
+    """The stream's first ``count`` trajectories as a (count, n) array."""
     _check_grid(dt, n)
     if count < 1:
         raise DomainError("count must be positive")
     rng = np.random.default_rng(seed)
     out = np.empty((count, n))
-    for index, windows in _iter_paths(*_embedding(model, dt, n), n, count, rng):
-        out[index] = windows
+    done = 0
+    for paths in _iter_paths(*_embedding(model, dt, n), n, count, rng):
+        out[done:done + len(paths)] = paths
+        done += len(paths)
     return out
 
 
@@ -305,7 +287,8 @@ def extract_excursions(values, u: float, dt: float):
     crossings that round to the same instant are such a touch, within
     rounding: both are dropped and the intervals on either side merge,
     so every length is positive.  Raises :class:`EmptyExcursionSet` when
-    fewer than two crossings exist.  This is the one-row case of the
+    fewer than two crossings exist, and :class:`DomainError` for a level
+    that is not finite.  This is the one-row case of the
     block extraction that the table estimator runs.
     """
     values = np.asarray(values, dtype=float)
@@ -314,7 +297,7 @@ def extract_excursions(values, u: float, dt: float):
     _check_grid(dt, len(values))
     if not np.isfinite(values).all():
         raise DomainError("path values must be finite")
-    return _excursions(values[None, :], u, dt)
+    return _excursions(values[None, :], finite_level(u), dt)
 
 
 def rice_crossing_rate(model: CovarianceModel, u: float) -> float:
@@ -331,18 +314,17 @@ def persistency_from_trajectories(model: CovarianceModel, levels, n_traj: int,
     ``n_traj`` trajectories of ``traj_len`` steps form ``reps`` replicates
     of ``n_traj / reps``.  ``seed`` spawns one seed per replicate, whatever
     the number of levels, so a level's estimates equal those of a call
-    with that level alone.  Each replicate streams its trajectories once;
-    every contiguous block of up to 32 of them goes whole through
-    crossing extraction at every level, and each level's pooled above and
-    below lengths are fitted.  A level must be finite, and Phi(u) must not
-    round to 0 or 1, as for :func:`iia.build_iia`; either is a
-    :class:`DomainError`, raised before any path is drawn.  The
-    replicates are the tasks of the one pool of
-    :func:`persistency.replicate_estimates`, so at most ``reps`` threads
-    are busy, and ``EXCURSION_IIA_THREADS`` caps them.
-    The trajectories take one stream buffer per thread, whatever
-    ``n_traj`` is.  Trajectories without complete excursions raise
-    through from the extraction step.
+    with that level alone.  Each replicate streams its trajectories once,
+    each block of them goes whole through crossing extraction at every
+    level, and each level's pooled above and below lengths are fitted.
+    A level must be finite, and Phi(u) must not round to 0 or 1, as for
+    :func:`iia.build_iia`; either is a :class:`DomainError`, raised
+    before any path is drawn.  The replicates are the tasks of the one
+    pool of :func:`persistency.replicate_estimates`, so at most ``reps``
+    threads are busy, and ``EXCURSION_IIA_THREADS`` caps them.  The
+    trajectories take one stream buffer per thread, whatever ``n_traj``
+    is.  Trajectories without complete excursions raise through from the
+    extraction step.
     """
     if reps < 2:
         raise DomainError("need at least two replicates")
@@ -360,7 +342,7 @@ def persistency_from_trajectories(model: CovarianceModel, levels, n_traj: int,
     def draw(_, rep_seed):
         lengths = [([], []) for _ in levels]
         rng = np.random.default_rng(rep_seed)
-        for _, paths in _iter_paths(lam, starts, traj_len, n_traj // reps, rng):
+        for paths in _iter_paths(lam, starts, traj_len, n_traj // reps, rng):
             for u, (above, below) in zip(levels, lengths):
                 a, b, _ = _excursions(paths, u, dt)
                 above.append(a)

@@ -38,6 +38,7 @@ __all__ = [
     "Grid",
     "ndtr",
     "norm_cdf",
+    "finite_level",
     "level_mass",
     "next_fast_len",
     "lump_cells",
@@ -235,6 +236,13 @@ def norm_cdf(x):
     return ndtr(x)
 
 
+def finite_level(u: float) -> float:
+    """``u`` as a float; a level that is not finite is a :class:`DomainError`."""
+    if not math.isfinite(u):
+        raise DomainError(f"level must be finite, got {u!r}")
+    return float(u)
+
+
 def level_mass(u: float) -> float:
     """``Phi(u)``, the mass below a level that both sides of it can reach.
 
@@ -242,9 +250,7 @@ def level_mass(u: float) -> float:
     would leave the excursions on one side of it with no mass; either is a
     :class:`DomainError` that names the level.
     """
-    if not math.isfinite(u):
-        raise DomainError(f"level must be finite, got {u!r}")
-    alpha = norm_cdf(u)
+    alpha = norm_cdf(finite_level(u))
     if alpha in (0.0, 1.0):
         raise DomainError(f"level {u!r}: Phi(u) rounds to {alpha:g}, so the "
                           f"excursions {'above' if alpha else 'below'} it have no mass")

@@ -48,7 +48,7 @@ import numpy as np
 
 from .covmodel import CovarianceModel
 from .errors import DomainError, NumericalError
-from .numerics import ndtr
+from .numerics import finite_level, ndtr
 
 __all__ = [
     "expected_clipped_up",
@@ -118,10 +118,11 @@ def expected_clipped_up(model: CovarianceModel, u: float, t):
     [-1, 1]; the t -> 0 limit is 1 and the large-t limit is
     ``1 - 2*Phi(u)``.
     """
+    u = finite_level(u)
     ta = np.asarray(t, dtype=float)
-    if np.any(ta <= 0.0):
+    if not np.all(ta > 0.0):
         raise DomainError("time must be strictly positive")
-    out = _clipped_up_from(_clipped_terms(model, np.atleast_1d(ta)), float(u))
+    out = _clipped_up_from(_clipped_terms(model, np.atleast_1d(ta)), u)
     return float(out[0]) if ta.ndim == 0 else out
 
 
@@ -132,7 +133,7 @@ def expected_clipped_down(model: CovarianceModel, u: float, t):
     symmetry of the Gaussian law; limits are -1 at 0+ and
     ``1 - 2*Phi(u)`` at infinity.
     """
-    return -expected_clipped_up(model, -u, t)
+    return -expected_clipped_up(model, -finite_level(u), t)
 
 
 def conditional_expected_clipped(model: CovarianceModel, u: float, t, s):
@@ -146,11 +147,12 @@ def conditional_expected_clipped(model: CovarianceModel, u: float, t, s):
     check.  When the residual variance degenerates (t -> 0) the limit
     is +1 for every s > 0: the path has just crossed upward.
     """
+    u = finite_level(u)
     ta = np.asarray(t, dtype=float)
     sa = np.asarray(s, dtype=float)
-    if np.any(ta <= 0.0):
+    if not np.all(ta > 0.0):
         raise DomainError("time must be strictly positive")
-    if np.any(sa <= 0.0):
+    if not np.all(sa > 0.0):
         raise DomainError("slope factor must be strictly positive")
 
     m, _, rp, sD, _, _, degenerate, sqrt_g2 = _clipped_terms(model, ta)
@@ -217,8 +219,7 @@ def sample_slepian_path(model: CovarianceModel, u: float, grid,
             "points) allowed")
     if count < 1:
         raise DomainError("count must be positive")
-    if not math.isfinite(u):
-        raise DomainError(f"level must be finite, got {u!r}")
+    finite_level(u)
 
     interior = t[1:]
     cov = _residual_covariance(model, interior)

@@ -499,7 +499,8 @@ def estimate_characteristics(paths: SwitchPaths, grid) -> CharacteristicEstimate
     path counts there from the first grid time at or after it on, so the
     table is one bincount of the switches and a running sum over the
     sorted grid.  Summing by parts, the sums over a group of N, N^2 and
-    N mod 2 weight the table by 1, 2k + 1 and (-1)^k.
+    N mod 2 weight the table by 1, 2k + 1 and (-1)^k.  A grid time outside
+    the paths' ``[0, horizon]``, or NaN, is a :class:`DomainError`.
     """
     delta = paths.initial_states
     n = len(delta)
@@ -508,6 +509,8 @@ def estimate_characteristics(paths: SwitchPaths, grid) -> CharacteristicEstimate
     t = np.asarray(grid, dtype=float)
     if t.ndim != 1 or t.size == 0:
         raise DomainError("grid must be a 1-d array with at least one time")
+    if not ((t >= 0.0) & (t <= paths.horizon)).all():
+        raise DomainError(f"grid times must lie in [0, {paths.horizon!r}]")
     m, k_max = len(t), paths.epochs.shape[1]
     order = np.argsort(t)
     rows, rank = np.nonzero(paths.epochs <= t[order[-1]])

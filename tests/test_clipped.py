@@ -61,3 +61,19 @@ def test_vanishes_with_decorrelation():
 def test_negative_lag_rejected():
     with pytest.raises(DomainError):
         clipped_covariance(M2, 0.0, -0.5)
+
+
+@pytest.mark.parametrize("u, t, match", [
+    (0.0, math.nan, "lag must be non-negative"),
+    (0.5, [0.0, math.nan], "lag must be non-negative"),
+    (math.nan, 1.0, "level must be finite"),
+    (math.inf, 1.0, "level must be finite"),
+])
+def test_a_nan_lag_or_a_bad_level_is_a_domain_error(u, t, match):
+    # a NaN lag read NaN before it was checked
+    with pytest.raises(DomainError, match=match):
+        clipped_covariance(M2, u, t)
+
+
+def test_an_infinite_lag_gives_the_decorrelated_limit():
+    assert clipped_covariance(M2, 0.5, math.inf) == pytest.approx(0.0, abs=1e-15)

@@ -270,9 +270,9 @@ def test_every_level_reads_the_same_paths(monkeypatch):
 
     def counted(*args, **kwargs):
         counts["entries"] += 1
-        for index, paths in real(*args, **kwargs):
+        for paths in real(*args, **kwargs):
             counts["rows"] += len(paths)
-            yield index, paths
+            yield paths
 
     monkeypatch.setattr(gpsim, "_iter_paths", counted)
     sizes = dict(n_traj=40, traj_len=8000, dt=0.05, seed=45, reps=4)
@@ -306,12 +306,12 @@ def test_persistency_needs_trajectories_that_split_evenly_into_replicates():
 
 def test_persistency_from_trajectories_memory_is_flat_in_the_trajectory_count(
         monkeypatch):
-    # one thread streams each replicate through one buffer: the normals
-    # of a chunk of 32 complex rows, an 8-row complex block and its 32
-    # windows; past 128 paths only the pooled length lists grow.  At
-    # about 16 crossings per path they take some 0.1 MiB more for 384
-    # more paths per replicate, list overhead included, where a matrix of
-    # the paths would take 5.9 MiB more; the margin is 1 MiB
+    # one thread streams each replicate through one buffer: an 8-row
+    # block of band normals, its complex rows and their 32 windows; past
+    # 32 paths only the pooled length lists grow.  At about 16 crossings
+    # per path they take some 0.1 MiB more for 384 more paths per
+    # replicate, list overhead included, where a matrix of the paths
+    # would take 5.9 MiB more; the margin is 1 MiB
     monkeypatch.setenv("EXCURSION_IIA_THREADS", "1")
     sizes = dict(traj_len=2000, dt=0.05, seed=9, reps=2)
     persistency_from_trajectories(M2, [0.0], n_traj=256, **sizes)  # warm the cache
@@ -343,29 +343,32 @@ def test_trajectory_validation():
         simulate_gp_batch(M2, 0.1, 1, 1, seed=0)
 
 
+@pytest.mark.parametrize("level", [math.nan, math.inf, -math.inf])
+def test_extract_excursions_rejects_a_non_finite_level(level):
+    # it raised EmptyExcursionSet, as if a finite level had no crossing
+    with pytest.raises(DomainError, match="level must be finite"):
+        extract_excursions(np.array([1.0, -1.0, 1.0, -1.0]), level, 0.1)
+
+
 def _out_of_place(model, dt, n, count, seed, windows):
-    # the layout: chunks of up to 32 complex rows of length m, drawn as
-    # all real parts then all imaginary parts, each part-row 2 K + 1
-    # normals for the band of folded frequencies 0..K (the whole row when
-    # K = m/2), scattered into a zero row; a chunk's paths are the real
-    # parts at offset 0, then at m/2, then the imaginary parts at 0, then
-    # at m/2 (only offset 0 with one window per path)
+    # the layout: complex rows of length m, each drawing 2 K + 1 normals
+    # for its real part and then as many for its imaginary part, for the
+    # band of folded frequencies 0..K (the whole row when K = m/2),
+    # scattered into a zero row; a row's paths are its real part at
+    # offset 0, then at m/2, then its imaginary part at 0, then at m/2
+    # (only offset 0 with one window per path)
     lam, starts = _embedding(model, dt, n)
     m = len(lam)
     assert starts == (0, m // 2)[:windows]
     band = max(min(k, m - k) for k in np.flatnonzero(lam))
     cols = [k for k in range(m) if min(k, m - k) <= band]
-    rng = np.random.default_rng(seed)
-    blocks, left = [], count
-    while left > 0:
-        k = min(32, -(-left // (2 * windows)))
-        z = np.zeros((k, m), dtype=complex)
-        z.real[:, cols] = rng.standard_normal((k, len(cols)))
-        z.imag[:, cols] = rng.standard_normal((k, len(cols)))
-        w = np.fft.fft(z * np.sqrt(lam / m), axis=1)
-        blocks += [part[:, s:s + n] for part in (w.real, w.imag) for s in starts]
-        left -= 2 * windows * k
-    return np.concatenate(blocks)[:count]
+    rows = -(-count // (2 * windows))
+    normals = np.random.default_rng(seed).standard_normal((rows, 2, len(cols)))
+    z = np.zeros((rows, m), dtype=complex)
+    z.real[:, cols], z.imag[:, cols] = normals[:, 0], normals[:, 1]
+    w = np.fft.fft(z * np.sqrt(lam / m), axis=1)
+    paths = [part[:, s:s + n] for part in (w.real, w.imag) for s in starts]
+    return np.stack(paths, axis=1).reshape(-1, n)[:count]
 
 
 @pytest.mark.parametrize("count", [1, 2, 3, 4, 5, 63, 64, 65, 127, 128, 129, 150])
@@ -382,8 +385,8 @@ def test_one_window_batch_equals_out_of_place_reference(count):
 
 @pytest.mark.parametrize("block", [1, 3, 32])
 def test_the_block_size_changes_no_path_and_no_estimate(monkeypatch, block):
-    # the block is how many complex rows are transformed and extracted
-    # together, a memory layout: the paths and their estimates stay
+    # the block is how many complex rows are drawn, transformed and
+    # extracted together, a memory layout: the paths and their estimates stay
     sizes = dict(n_traj=40, traj_len=8000, dt=0.05, seed=46, reps=4)
     levels = (0.0, 1.0)
     ref = persistency_from_trajectories(M2, levels, **sizes)
@@ -401,10 +404,17 @@ def test_the_block_size_changes_no_path_and_no_estimate(monkeypatch, block):
             assert est.replicates == exp.replicates
 
 
-def test_a_table2_replicate_traces_under_10_mib(monkeypatch):
-    # one thread holds one stream: a 32-row chunk of band normals
-    # (2.2 MB), an 8-row complex block (2.9 MB) and its 32 windows
-    # (2.6 MB), 7.7 MB in all, against 11.8 MB for a 32-row complex chunk
+@pytest.mark.parametrize("model, dt, n", [(M2, 0.05, 300), (CAUCHY, 0.2, 1000)],
+                         ids=["two-windows", "one-window"])
+def test_a_smaller_batch_is_a_prefix_of_a_larger_one(model, dt, n):
+    assert np.array_equal(simulate_gp_batch(model, dt, n, 5, seed=17),
+                          simulate_gp_batch(model, dt, n, 200, seed=17)[:5])
+
+
+def test_a_table2_replicate_traces_under_7_5_mib(monkeypatch):
+    # one thread holds one stream: an 8-row block of band normals
+    # (0.55 MB), its complex rows (2.9 MB) and their 32 windows (2.6 MB),
+    # 6.1 MB in all
     monkeypatch.setenv("EXCURSION_IIA_THREADS", "1")
     sizes = dict(n_traj=300, traj_len=10_000, dt=0.05, seed=3, reps=2)
     persistency_from_trajectories(M2, [0.0], **sizes)   # warm the cache
@@ -415,7 +425,7 @@ def test_a_table2_replicate_traces_under_10_mib(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert peak < 10 * 2 ** 20
+    assert peak < 7.5 * 2 ** 20
 
 
 @pytest.mark.parametrize("model, dt, n, windows", [(M2, 0.05, 300, 2),

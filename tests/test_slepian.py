@@ -67,6 +67,40 @@ def test_domain_rejects_nonpositive_time():
         conditional_expected_clipped(M2, 0.0, 1.0, -1.0)
 
 
+_CLIPPED_MEANS = {
+    "up": lambda u, t, s: expected_clipped_up(M2, u, t),
+    "down": lambda u, t, s: expected_clipped_down(M2, u, t),
+    "conditional": lambda u, t, s: conditional_expected_clipped(M2, u, t, s),
+}
+
+
+@pytest.mark.parametrize("mean", sorted(_CLIPPED_MEANS))
+@pytest.mark.parametrize("u, t, match", [
+    (math.nan, 1.0, "level must be finite"),
+    (math.inf, 1.0, "level must be finite"),
+    (-math.inf, 1.0, "level must be finite"),
+    (0.5, math.nan, "time must be strictly positive"),
+    (0.5, [1.0, math.nan], "time must be strictly positive"),
+])
+def test_a_bad_level_or_time_is_a_domain_error(mean, u, t, match):
+    # a NaN level or time read NaN before it was checked
+    with pytest.raises(DomainError, match=match):
+        _CLIPPED_MEANS[mean](u, t, 1.0)
+
+
+@pytest.mark.parametrize("s", [math.nan, [1.0, math.nan]])
+def test_a_nan_slope_factor_is_a_domain_error(s):
+    with pytest.raises(DomainError, match="slope factor must be strictly positive"):
+        conditional_expected_clipped(M2, 0.5, 1.0, s)
+
+
+@pytest.mark.parametrize("mean", sorted(_CLIPPED_MEANS))
+@pytest.mark.parametrize("u", [0.0, 0.5, -1.0])
+def test_an_infinite_time_gives_the_decorrelated_limit(mean, u):
+    assert _CLIPPED_MEANS[mean](u, math.inf, 1.0) == pytest.approx(
+        1.0 - 2.0 * norm_cdf(u), abs=1e-15)
+
+
 def test_conditional_small_slope_zero_level():
     # with u = 0 and a vanishing slope draw the argument of Phi vanishes
     assert conditional_expected_clipped(M2, 0.0, 1.0, 1e-12) == pytest.approx(

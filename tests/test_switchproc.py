@@ -474,6 +474,15 @@ def test_estimate_needs_paths():
         estimate_characteristics(two, [])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -0.5, 5.5])
+def test_estimate_characteristics_rejects_a_grid_time_outside_the_horizon(bad):
+    # at a NaN every count read 0, and past the horizon the padded width
+    paths = simulate_switch_paths(EXP1, EXP1, 1000, 5.0, seed=13)
+    estimate_characteristics(paths, [0.0, 5.0])
+    with pytest.raises(DomainError, match=r"grid times must lie in \[0, 5.0\]"):
+        estimate_characteristics(paths, [0.0, 5.0, bad])
+
+
 def test_path_state_accounting():
     paths = simulate_switch_paths(EXP1, EXP2, 200, 20.0, seed=11, p0=1.0)
     for row in paths.epochs:
@@ -488,11 +497,11 @@ def test_path_state_accounting():
 @pytest.mark.parametrize("p0", [0.3, 1.0])
 def test_estimate_characteristics_equals_per_path_means(p0):
     # the estimator tallies switches per grid time; the oracle averages the
-    # per-path states and counts directly, on an unsorted grid with ties and
-    # times outside the horizon (p0 = 1 leaves the -1 group empty)
+    # per-path states and counts directly, on an unsorted grid with ties
+    # (p0 = 1 leaves the -1 group empty)
     paths = simulate_switch_paths(erlang_interval(2, 2.0), EXP1, 3000, 3.0, seed=12,
                                   p0=p0)
-    t = np.array([0.0, 3.0, 1.0, 1.0, 2.5, 0.25, 4.0, -1.0])
+    t = np.array([0.0, 3.0, 1.0, 1.0, 2.5, 0.25, 3.0, 0.0])
     est = estimate_characteristics(paths, t)
     states, counts = paths.state_at(t), paths.count_at(t)
     delta = paths.initial_states
