@@ -2,10 +2,12 @@
 
 Subcommands: ``iia``, ``gp-sim``, ``switch-sim``, ``clipped-cov``,
 ``slepian-sample``, ``persistency``, ``table1``, ``table2``.  Results
-go to JSON, curves and samples to CSV, and every file output gets a
-sidecar ``<out>.manifest.json`` with exactly the keys
-``artifact_version`` (the package version), ``config`` (the effective
-configuration), ``config_hash``, ``seed`` and ``wall_clock_seconds``.
+go to JSON, curves and samples to CSV, and every ``--out`` that names a
+regular file gets a sidecar ``<out>.manifest.json`` with exactly the
+keys ``artifact_version`` (the package version), ``config`` (the
+effective configuration), ``config_hash``, ``seed`` and
+``wall_clock_seconds``.  An ``--out`` that is not a regular file, such
+as a FIFO or ``/dev/null``, gets no sidecar.
 Result JSON contains only
 deterministic fields: identical configurations (seed included)
 reproduce it byte for byte.
@@ -193,7 +195,8 @@ def _write_json(payload: dict, out: str | None) -> None:
 
 
 def _write_manifest(cfg: dict, started: float) -> None:
-    if not cfg["out"]:
+    # a FIFO or a device, such as /dev/null, gets no sidecar beside it
+    if not (cfg["out"] and Path(cfg["out"]).is_file()):
         return
     _write_json({
         "artifact_version": __version__,

@@ -27,11 +27,14 @@ tiny negative eigenvalues (total magnitude below 1e-8 of the trace) are
 clipped, anything worse raises.  The FFT of the embedded row ``c``
 computes its eigenvalues to within ``delta = eps log2(M) ||c||_2``, with
 ``eps`` the machine epsilon, so an eigenvalue at or below ``delta`` is
-zero to working precision.  The sampled spectrum is the band of folded
-frequencies ``min(k, M - k) <= K``, for ``K`` the largest folded
-frequency whose eigenvalue exceeds ``delta``; every eigenvalue outside
-it is set to 0.  A smooth covariance on a fine grid has a narrow band:
-at d = 2, dt = 0.05 and n = 1e4 it holds 4291 of the M = 23040 modes.
+zero to working precision.  ``||c||_2`` is a numpy sum of squares with
+no BLAS call: BLAS would wake a thread of its own, which spins on after
+the call beside the replicate pool's threads and oversubscribes the
+CPUs.  The sampled spectrum is the band of folded frequencies
+``min(k, M - k) <= K``, for ``K`` the largest folded frequency whose
+eigenvalue exceeds ``delta``; every eigenvalue outside it is set to 0.
+A smooth covariance on a fine grid has a narrow band: at d = 2,
+dt = 0.05 and n = 1e4 it holds 4291 of the M = 23040 modes.
 The embedding returns the sampled spectrum, so its inverse FFT is the
 covariance of the paths.  A ``dt`` so large that the lags up to the
 padding cap overflow is a :class:`DomainError`, raised before the
@@ -145,6 +148,9 @@ def _embedding(model: CovarianceModel, dt: float, n: int):
         starts = (0,)
     c = np.asarray(model.r(np.arange(half + 1) * dt), dtype=float)
     c = np.concatenate((c, c[-2:0:-1]))
+    m = len(c)
+    # np.sum of squares, not np.linalg.norm: BLAS threads oversubscribe the pool
+    delta = np.finfo(float).eps * math.log2(m) * math.sqrt(float(np.sum(c * c)))
     lam = np.fft.fft(c).real
     neg = lam < 0.0
     if neg.any():
@@ -156,9 +162,7 @@ def _embedding(model: CovarianceModel, dt: float, n: int):
         lam[neg] = 0.0
     # the band: folded frequencies up to the last eigenvalue above the
     # FFT's roundoff bound; the rest are zero within that bound
-    m = len(c)
     folded = np.minimum(np.arange(m), m - np.arange(m))
-    delta = np.finfo(float).eps * math.log2(m) * np.linalg.norm(c)
     lam[folded > folded[lam > delta].max()] = 0.0
     lam.flags.writeable = False
     return lam, starts

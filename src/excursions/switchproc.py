@@ -192,6 +192,12 @@ def interval_from_spec(spec: str) -> IntervalDistribution:
 # simulation
 # ---------------------------------------------------------------------------
 
+def _check_times(t: np.ndarray, horizon: float, what: str) -> None:
+    # NaN fails both comparisons; past the horizon a count would read the padding
+    if not ((t >= 0.0) & (t <= horizon)).all():
+        raise DomainError(f"{what} must lie in [0, {horizon!r}]")
+
+
 @dataclass(frozen=True, eq=False)
 class SwitchPaths:
     """A batch of simulated switch paths on ``[0, horizon]``.
@@ -210,14 +216,17 @@ class SwitchPaths:
     def count_at(self, times):
         """Switches in ``(0, t]``, shape ``(paths, len(times))``.
 
+        A time outside ``[0, horizon]``, or NaN, is a :class:`DomainError`.
         The comparison holds ``paths * epochs.shape[1] * len(times)``
         booleans at once; :func:`estimate_characteristics` does not need it.
         """
         t = np.atleast_1d(np.asarray(times, dtype=float))
+        _check_times(t, self.horizon, "times")
         return np.count_nonzero(self.epochs[:, :, None] <= t, axis=1)
 
     def state_at(self, times):
-        """Right-continuous states, shape ``(paths, len(times))``."""
+        """Right-continuous states, shape ``(paths, len(times))``, at times
+        in ``[0, horizon]`` as for :meth:`count_at`."""
         return self.initial_states[:, None] * (1 - 2 * (self.count_at(times) % 2))
 
 
@@ -509,8 +518,7 @@ def estimate_characteristics(paths: SwitchPaths, grid) -> CharacteristicEstimate
     t = np.asarray(grid, dtype=float)
     if t.ndim != 1 or t.size == 0:
         raise DomainError("grid must be a 1-d array with at least one time")
-    if not ((t >= 0.0) & (t <= paths.horizon)).all():
-        raise DomainError(f"grid times must lie in [0, {paths.horizon!r}]")
+    _check_times(t, paths.horizon, "grid times")
     m, k_max = len(t), paths.epochs.shape[1]
     order = np.argsort(t)
     rows, rank = np.nonzero(paths.epochs <= t[order[-1]])

@@ -1,7 +1,9 @@
 import json
+import os
 import re
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -618,6 +620,29 @@ def test_effective_config_is_pinned(tmp_path, capsys, command):
     # 120 == 120.0, but the two hash differently
     assert {k: type(v) for k, v in config.items()} == \
         {k: type(v) for k, v in expected.items()}
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_an_out_that_is_not_a_regular_file_gets_no_sidecar(tmp_path):
+    args = ["switch-sim", "--paths", "200", "--horizon", "3", "--grid-points", "7",
+            "--seed", "3"]
+    regular = tmp_path / "res.csv"
+    assert run(args + ["--out", str(regular)]) == 0
+    manifest = json.loads((tmp_path / "res.csv.manifest.json").read_text())
+    assert sorted(manifest) == ["artifact_version", "config", "config_hash", "seed",
+                                "wall_clock_seconds"]
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    drained = []
+    reader = threading.Thread(target=lambda: drained.append(fifo.read_bytes()),
+                              daemon=True)
+    reader.start()
+    assert run(args + ["--out", str(fifo)]) == 0
+    reader.join(timeout=30)
+    assert not reader.is_alive()
+    assert drained == [regular.read_bytes()]
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "pipe", "res.csv", "res.csv.manifest.json"]
 
 
 @pytest.mark.parametrize("args", [

@@ -1,5 +1,10 @@
 import math
+import os
+import subprocess
+import sys
+import textwrap
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -477,6 +482,60 @@ def test_embedding_zeroes_only_roundoff_eigenvalues(d, dt, n):
         assert 2 * band + 1 <= 0.2 * m
     if d == "cauchy":
         assert band == m // 2
+
+
+def test_the_band_the_module_docstring_quotes():
+    lam, starts = _embedding(M2, 0.05, 10_000)
+    nonzero = np.flatnonzero(lam)
+    assert (len(lam), starts, len(nonzero)) == (23_040, (0, 11_520), 4291)
+    assert np.minimum(nonzero, len(lam) - nonzero).max() == 2145
+
+
+# A fresh process: once numpy's import-time spin has settled, a table2-sized
+# call (M = 23040 > 10 000, where OpenBLAS threads a dot product) and the
+# 0.25 s after it must leave every thread but the caller asleep.
+_IDLE_WORKER_SCRIPT = textwrap.dedent("""
+    import threading, time
+    from pathlib import Path
+    from excursions.covmodel import diffusion_covariance
+    from excursions.gpsim import persistency_from_trajectories
+
+    me = threading.get_native_id()
+
+    def others():
+        ticks = {}
+        for task in Path("/proc/self/task").iterdir():
+            if int(task.name) != me:
+                fields = (task / "stat").read_text().rsplit(")", 1)[1].split()
+                ticks[task.name] = int(fields[11]) + int(fields[12])  # utime + stime
+        return ticks
+
+    before = others()
+    if not before:
+        print("no thread")
+        raise SystemExit
+    for _ in range(100):
+        time.sleep(0.1)
+        before, settled = others(), before
+        if before == settled:
+            break
+    persistency_from_trajectories(diffusion_covariance(2), [0.0], 16, 10_000, 0.05,
+                                  seed=1, reps=2)
+    time.sleep(0.25)
+    after = others()
+    print(sum(t - before.get(tid, 0) for tid, t in after.items()))
+""")
+
+
+@pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="needs /proc/self/task")
+def test_a_trajectory_call_leaves_the_other_threads_idle():
+    proc = subprocess.run([sys.executable, "-c", _IDLE_WORKER_SCRIPT],
+                          capture_output=True, text=True,
+                          env=dict(os.environ, EXCURSION_IIA_THREADS="1"))
+    assert proc.returncode == 0, proc.stderr
+    if proc.stdout.strip() == "no thread":
+        pytest.skip("numpy started no second thread")
+    assert int(proc.stdout) <= 2
 
 
 def test_slow_decay_takes_one_padded_window():

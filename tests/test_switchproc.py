@@ -483,6 +483,18 @@ def test_estimate_characteristics_rejects_a_grid_time_outside_the_horizon(bad):
         estimate_characteristics(paths, [0.0, 5.0, bad])
 
 
+@pytest.mark.parametrize("read", ["count_at", "state_at"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -0.5, 5.5])
+def test_counts_and_states_reject_a_time_outside_the_horizon(read, bad):
+    # at a NaN every count read 0, and at inf the padded epoch width
+    paths = simulate_switch_paths(EXP1, EXP1, 100, 5.0, seed=13)
+    getattr(paths, read)([0.0, 5.0])
+    with pytest.raises(DomainError, match=r"times must lie in \[0, 5.0\]"):
+        getattr(paths, read)([0.0, bad])
+    with pytest.raises(DomainError, match=r"times must lie in \[0, 5.0\]"):
+        getattr(paths, read)(bad)
+
+
 def test_path_state_accounting():
     paths = simulate_switch_paths(EXP1, EXP2, 200, 20.0, seed=11, p0=1.0)
     for row in paths.epochs:
