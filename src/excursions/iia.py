@@ -41,20 +41,31 @@ model); each divisor is read on the grid while its survival is at least
 is therefore sized from the covariance before any clipped mean is
 computed: r and r' bound both survivals to first order, and a level's
 grid ends once that bound is below half of 1e-10, a little past t_k;
-``t_max`` only caps it.  The law's survival then decays as
-C e^{-theta t}, with theta the Lundberg root of b E[e^{theta Y}] = 1,
-which lies below lambda (Cramer-Lundberg asymptotics of geometric sums);
+``t_max`` only caps it.
+
+The law's knot masses then become geometric, q_k ~ C rho^k with
+rho = e^{-theta h}, so its survival decays as C e^{-theta t}, with theta
+the Lundberg root of b E[e^{theta Y}] = 1, which lies below lambda
+(Cramer-Lundberg asymptotics of geometric sums; Feller vol. II, XI.6);
 :func:`persistency_exponent` finds it on the same lumped divisors before
-any transform, and the FFT is sized from it to hold all but 1e-10 of the
-mass in one solve; a solve that leaves more past its end is a
-NumericalError.  Each excursion is then one inverse-CDF draw from that
-law; a replicate of the persistency table draws its uniforms once per
-side and keeps only those whose ranks its tail fit reads, the upper
-half of the sorted draws less the top few, which it maps through the
-law of every level.  Checking the law's empirical transform against
-Psi_+ and Psi_-, which come from the clipped means alone, is the
-package's core cross-validation; the tests keep the geometric sum
-itself as a reference sampler.
+any transform.  The law is therefore solved only up to a head of at least
+20 / lambda time units, where the divisors' own decay has died out, on a
+circle three times as long, with the masses tilted by e^{-sigma t} so
+that the circle aliases less than e^{-30} of them onto the head.  A head
+whose last quarter is geometric at rho to 1e-8 ends the law, and the
+mass past it is the closed form q_{H-1} rho / (1 - rho) of that
+geometric tail; a head that is not is doubled.  A law that no head of
+at most half its full size holds is solved in full, untilted, on the
+knots that leave at most 1e-10 of its mass past the last; a full solve
+that leaves more is a NumericalError.  Each excursion is then one
+inverse-CDF draw from that law, read past its grid from the exponential
+tail at rate theta; a replicate of the persistency table draws its
+uniforms once per side and keeps only those whose ranks its tail fit
+reads, the upper half of the sorted draws less the top few, which it
+maps through the law of every level.  Checking the law's empirical
+transform against Psi_+ and Psi_-, which come from the clipped means
+alone, is the package's core cross-validation; the tests keep the
+geometric sum itself as a reference sampler.
 """
 
 from __future__ import annotations
@@ -74,15 +85,24 @@ from .persistency import BatchEstimate, _fit_window, _tail_ranks, replicate_esti
 from .slepian import _clipped_terms, _clipped_up_from
 
 __all__ = ["IIAModel", "build_iia", "excursion_law", "persistency_exponent",
-           "sample_excursion", "persistency_table", "psi_hat"]
+           "window_exponent", "sample_excursion", "persistency_table", "psi_hat"]
 
 SIDES = ("above", "below")
 
 # per-step downticks smaller than this are roundoff, not violations
 MONOTONE_TOL = 1e-12
 
-# an excursion law is solved once, on the knots that its tail sizes to hold
-# all but _LAW_END of the mass, and fails past _LAW_MAX_KNOTS knots
+# an excursion law is solved on a head of at least _HEAD_SPAN / lambda time
+# units, on a circle tilted to alias less than e^{-_ALIAS} onto it, and ends
+# there if the head's last quarter is geometric to _HEAD_TOL; its tail then
+# moves no quantile by more than _TAIL_QUANTILE_TOL, relatively, from where
+# the full solve puts it.  Else the law is solved in full, on the knots that
+# its tail sizes to hold all but _LAW_END of the mass.  Neither solves more
+# than _LAW_MAX_KNOTS knots
+_HEAD_SPAN = 20.0
+_ALIAS = 30.0
+_HEAD_TOL = 1e-8
+_TAIL_QUANTILE_TOL = 5e-8
 _LAW_END = 1e-10
 _LAW_MAX_KNOTS = 1 << 21
 
@@ -327,12 +347,42 @@ def persistency_exponent(iia: IIAModel, side: str) -> float:
     Above, theta is the Lundberg root of beta E[e^{theta Y}] = 1, which
     lies below the decay rate both divisors share; below, X and Y swap,
     and so do alpha and beta.  The divisors are lumped on the grid knots
-    as :func:`excursion_law` lumps them, and the law is sized from this
-    same theta.
+    as :func:`excursion_law` lumps them, so the law's knot masses become
+    geometric at exactly e^{-theta h}: its head is checked against that
+    ratio, the mass past the head is that geometric tail's, and the law
+    is read past its grid at the rate theta.
     """
     if side not in SIDES:
         raise DomainError(f"side must be 'above' or 'below', got {side!r}")
     return float(_decay(*_divisors(iia, side))[0])
+
+
+def _renewal(a: float, b: float, first: _Divisor, extra: _Divisor, knots: int,
+             size: int, tilt: float) -> np.ndarray:
+    """The first ``knots`` knot masses of the geometric sum, on a circle of ``size``.
+
+    q = irfft(a rfft(p_X) / (1 - b rfft(p_Y))) is causal, so its first
+    ``knots`` masses need the divisors' first ``knots`` only; what the
+    circle aliases onto them is the law's mass ``size`` knots further on.
+    A ``tilt`` sigma solves for q_k e^{-sigma k h} from the divisors
+    tilted alike, which scales that alias down by e^{-sigma size h}.
+    """
+    p_first, p_extra = first.masses(knots), extra.masses(knots)
+    if tilt:
+        weight = np.exp(-tilt * first.step * np.arange(knots))
+        p_first *= weight
+        p_extra *= weight
+    first_hat = np.fft.rfft(p_first, size)
+    extra_hat = np.fft.rfft(p_extra, size)
+    # a first / (1 - b extra), in place
+    extra_hat *= -b
+    extra_hat += 1.0
+    first_hat *= a
+    first_hat /= extra_hat
+    q = np.fft.irfft(first_hat, size)[:knots]
+    if tilt:
+        q /= weight
+    return q
 
 
 def _solve_law(iia: IIAModel, side: str) -> tuple[Grid, float]:
@@ -341,37 +391,55 @@ def _solve_law(iia: IIAModel, side: str) -> tuple[Grid, float]:
     theta, amplitude = _decay(a, b, first, extra)
     # the knot past which C e^{-theta t} is below half of _LAW_END
     knots = max(2, math.ceil(math.log(2.0 * amplitude / _LAW_END) / (theta * step)) + 1)
+    # a head spans _HEAD_SPAN / lambda, past the divisors' own decay, and ends
+    # late enough that theta h^2 / 8, the most by which the tail's exponential
+    # and the full solve's linear cells part a quantile past it, is at most
+    # _TAIL_QUANTILE_TOL of its end time
+    rho = math.exp(-theta * step)
+    head = max(math.ceil(_HEAD_SPAN / (iia.decay_rate * step)),
+               math.ceil(theta * step / (8.0 * _TAIL_QUANTILE_TOL)))
+    while 2 * head < knots and head <= _LAW_MAX_KNOTS:
+        size = next_fast_len(3 * head, real=True)
+        q = _renewal(a, b, first, extra, head, size, max(0.0, _ALIAS / (size * step) - theta))
+        # the last quarter against the geometric tail that the last knot starts
+        k = np.arange(3 * head // 4, head)
+        if q[-1] > 0.0 and np.all(np.abs(q[k] / (q[-1] * rho ** (k - head + 1)) - 1.0)
+                                  <= _HEAD_TOL):
+            return _law_grid(iia, side, q, q[-1] * rho / (1.0 - rho), step), theta
+        head *= 2
     if knots > _LAW_MAX_KNOTS:
         raise NumericalError(
             f"u = {iia.level:g}, {side} side: the excursion law needs {knots} knots "
             f"of {step:g} to leave at most {_LAW_END:g} past its end, more than "
-            f"{_LAW_MAX_KNOTS}")
-    size = next_fast_len(2 * knots, real=True)
-    first_hat = np.fft.rfft(first.masses(knots), size)
-    extra_hat = np.fft.rfft(extra.masses(knots), size)
-    # a first / (1 - b extra), in place
-    extra_hat *= -b
-    extra_hat += 1.0
-    first_hat *= a
-    first_hat /= extra_hat
-    q = np.fft.irfft(first_hat, size)[:knots]
-    # the knot masses, then the mass past the last knot
-    mass = np.append(q, 1.0 - q.sum())
-    if mass[-1] > _LAW_END:
+            f"{_LAW_MAX_KNOTS}, and no head up to that many knots was geometric")
+    q = _renewal(a, b, first, extra, knots, next_fast_len(2 * knots, real=True), 0.0)
+    past = 1.0 - q.sum()
+    if past > _LAW_END:
         raise NumericalError(
             f"u = {iia.level:g}, {side} side: the excursion law on {knots} knots "
-            f"holds {mass[-1]:.2e} of its mass past its end t = {(knots - 1) * step:g}, "
+            f"holds {past:.2e} of its mass past its end t = {(knots - 1) * step:g}, "
             f"more than {_LAW_END:g}")
+    return _law_grid(iia, side, q, past, step), theta
+
+
+def _law_grid(iia: IIAModel, side: str, q: np.ndarray, past: float, step: float) -> Grid:
+    # the knot masses, then the mass past the last knot
+    mass = np.append(q, past)
     negative = -float(mass[mass < 0.0].sum())
     if negative > NEGATIVE_MASS_TOL:
         raise NumericalError(
             f"u = {iia.level:g}, {side} side: the excursion law has {negative:.2e} "
             f"of negative mass (round-off allows {NEGATIVE_MASS_TOL:g})")
-    # survival from the far end, so it resolves values far below 1e-14
-    surv = np.cumsum(np.maximum(mass, 0.0)[::-1])[::-1]
+    # the CDF summed from the start up to one half and, past that, one less
+    # the survival summed from the far end, so that both tails resolve values
+    # far below 1e-14 whatever the round-off in the total
+    np.maximum(mass, 0.0, out=mass)
+    cdf = np.cumsum(mass[:-1])
+    surv = np.cumsum(mass[::-1])[-2::-1]
+    values = np.append(0.0, np.where(cdf < 0.5, cdf, 1.0 - surv))
     # knot k's mass is spread over [(k - 1/2) h, (k + 1/2) h], cut at 0
-    points = np.append(0.0, (np.arange(knots) + 0.5) * step)
-    return Grid(points=points, values=np.append(0.0, 1.0 - surv[1:])), theta
+    points = np.append(0.0, (np.arange(len(q)) + 0.5) * step)
+    return Grid(points=points, values=values)
 
 
 def excursion_law(iia: IIAModel, side: str) -> tuple[Grid, float]:
@@ -384,17 +452,27 @@ def excursion_law(iia: IIAModel, side: str) -> tuple[Grid, float]:
 
         q = irfft(a rfft(p_X, L) / (1 - b rfft(p_Y, L))),
 
-    with a = alpha, b = beta above and X, Y and a, b swapped below, on
-    ``L = next_fast_len(2 n)``.  ``n`` is sized before the transform from
-    :func:`persistency_exponent`: the survival decays as C e^{-theta t},
-    and the law ends where that falls to half of 1e-10.  The law is solved
-    once, at that size.  More than 2**21 knots is a
-    :class:`NumericalError`, as are more than 1e-10 of the mass past the
-    last knot and round-off leaving over 1e-12 of negative mass.  Each
-    knot's mass is spread evenly over the half
-    steps either side of it, so the CDF is piecewise linear, zero at
-    t = 0, and ends within 1e-10 of one; the tail rate that extrapolates
-    it is theta, the rate at which its survival decays.  The law is
+    with a = alpha, b = beta above and X, Y and a, b swapped below.  The
+    survival decays as C e^{-theta t}, theta being
+    :func:`persistency_exponent`, and the masses become geometric at
+    rho = e^{-theta h}, so only a head of the law is solved: H knots,
+    20 / lambda time units for the divisors' decay rate lambda (at least
+    theta h / 4e-7 knots), on ``L = next_fast_len(3 H)`` with the masses
+    tilted by e^{-sigma k h}, sigma = max(0, 30 / (L h) - theta), and
+    untilted after.  If the head's last quarter is geometric at rho to
+    1e-8 the law ends there, and the mass past it is the closed form
+    q_{H-1} rho / (1 - rho); if not, H doubles.  A law whose full size,
+    the knots past which C e^{-theta t} falls to half of 1e-10, is not
+    over 2 H is solved in full on those knots, untilted, on
+    ``L = next_fast_len(2 n)``; more than 1e-10 of the mass past them is
+    then a :class:`NumericalError`.  Solving more than 2**21 knots, or
+    round-off leaving over 1e-12 of negative mass, is one as well.  Each
+    knot's mass is spread evenly over the half steps either side of it, so
+    the CDF is piecewise linear and zero at t = 0; it ends at one less the
+    mass past its last knot, within 1e-10 of one for a full solve, and the
+    tail rate that extrapolates it is theta.  Past a head, that
+    exponential tail and the full solve's linear cells place a quantile at
+    most theta h^2 / 8 apart, within 5e-8 of it.  The law is
     computed on the first request for each side and cached on ``iia``.
     Each side has a lock of its own, so the two sides can be solved at
     the same time from different threads, such as the tasks of
@@ -420,8 +498,9 @@ def sample_excursion(iia: IIAModel, side: str, n: int, seed) -> np.ndarray:
     """Draw ``n`` excursion lengths of one side, all positive.
 
     Each length is one inverse-CDF draw, from ``n`` uniforms of a
-    generator seeded with ``seed``, of :func:`excursion_law`, with its
-    exponential tail beyond the solved range.  The draws come in the
+    generator seeded with ``seed``, of :func:`excursion_law`: from its
+    head, and past that from the closed-form exponential tail at rate
+    theta.  The draws come in the
     order the uniforms were generated, not sorted: ``iia --samples-csv``
     writes them, and ``persistency --reps`` splits such a file into
     contiguous chunks, which are independent replicates only if the
@@ -439,6 +518,26 @@ def sample_excursion(iia: IIAModel, side: str, n: int, seed) -> np.ndarray:
     out = np.empty(n)
     out[order] = inverse_cdf_sample(cdf, tail_rate, u[order])
     return out
+
+
+def window_exponent(iia: IIAModel, side: str, n: int) -> float:
+    """The exponent that a tail fit of ``n`` draws of one side reads, without draws.
+
+    The fit of :func:`persistency_table` reads the sorted lengths at the
+    ranks ``[lo, hi)`` of a sample of ``n``, whose survivals are
+    ``(n - 1 - i) / n``.  This maps those survivals through the law's
+    quantile function and fits them as a replicate's window is fitted.
+    It draws no random numbers.  The replicate means of a table at ``n``
+    samples estimate it, up to a finite-sample bias, and it differs from
+    :func:`persistency_exponent` where the law's survival has not yet
+    reached its asymptote at those ranks.  Too few samples for a fit is a
+    :class:`DomainError`, as in :func:`persistency.fit_persistency`.
+    """
+    ranks = _tail_ranks(n)
+    cdf, tail_rate = excursion_law(iia, side)
+    # one less the survival (n - 1 - i) / n
+    levels = (np.arange(ranks.lo, ranks.hi) + 1.0) / n
+    return _fit_window(inverse_cdf_sample(cdf, tail_rate, levels), ranks).theta
 
 
 def persistency_table(model: CovarianceModel, levels, samples: int, reps: int,
@@ -470,9 +569,11 @@ def persistency_table(model: CovarianceModel, levels, samples: int, reps: int,
     the one pool of :func:`persistency.replicate_estimates`, which
     ``EXCURSION_IIA_THREADS`` caps, and start replicate 0 of both sides
     first.  A task takes its side's laws before it draws: every (level,
-    side) law is solved once, at the size its persistency exponent gives,
+    side) law is solved once, up to its geometric head and read past it
+    from the closed-form tail, or in full where no head is worth solving,
     by the first task of that side, and shared by the rest, so the two
-    sides solve at the same time.  Solving in the tasks, not in a stage
+    sides solve at the same time.  Most fitted ranks of a below-side law
+    lie in that tail.  Solving in the tasks, not in a stage
     of its own, lets the draws reuse the memory that the solves free in
     the same threads: a separate stage raised the peak resident set of a
     4-level job by about 1.2 MB.  No task solves while it holds its

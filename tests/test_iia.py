@@ -5,6 +5,7 @@ import math
 import sys
 import threading
 import tokenize
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from scipy.stats import ks_2samp
 import excursions.iia
 import excursions.persistency
 import excursions.slepian
-from _oracles import gaver_stehfest_invert
+from _oracles import gaver_stehfest_invert, reference_law
 from excursions.covmodel import CovarianceModel, diffusion_covariance
 from excursions.errors import (DomainError, GridTooShort, MonotonicityViolation,
                                NumericalError)
@@ -203,17 +204,32 @@ def _lundberg_root(iia, side):
     return brentq(lambda theta: (1.0 - p) * mgf(theta) - 1.0, 1e-6, rate - 1e-9)
 
 
+def _law_survival(cdf, theta, t):
+    # the law's survival at t: on its grid, and past it from its exponential tail
+    end = cdf.points[-1]
+    past = (1.0 - cdf.values[-1]) * np.exp(-theta * np.maximum(t - end, 0.0))
+    return np.where(t <= end, 1.0 - cdf.interpolate(np.minimum(t, end)), past)
+
+
 @pytest.mark.parametrize("side", ["above", "below"])
 @pytest.mark.parametrize("u", [0.0, 0.5, 1.0])
 def test_law_slope_matches_lundberg_root(u, side):
     # deep in the tail, where a second decay near the divisors' rate of 1/2
-    # has died out and the survival falls at the asymptotic theta
+    # has died out and the survival falls at the asymptotic theta; a law
+    # solved only up to a head reads that window past it, from its tail, and
+    # its head's last quarter, on its grid, falls at theta already
     iia = build_iia(M2, u)
-    cdf, _ = excursion_law(iia, side)
-    surv = 1.0 - cdf.values
+    cdf, theta = excursion_law(iia, side)
+    root = _lundberg_root(iia, side)
+    t = np.arange(0.0, cdf.points[-1] + math.log(1e10) / theta, 0.01)
+    surv = _law_survival(cdf, theta, t)
     window = (surv >= 1e-8) & (surv <= 1e-5)
-    slope = np.polyfit(cdf.points[window], np.log(surv[window]), 1)[0]
-    assert -slope == pytest.approx(_lundberg_root(iia, side), abs=1e-6)
+    slope = np.polyfit(t[window], np.log(surv[window]), 1)[0]
+    assert -slope == pytest.approx(root, abs=1e-6)
+    if 1.0 - cdf.values[-1] > excursions.iia._LAW_END:
+        quarter = slice(3 * len(cdf) // 4, None)
+        slope = np.polyfit(cdf.points[quarter], np.log(1.0 - cdf.values[quarter]), 1)[0]
+        assert -slope == pytest.approx(root, abs=1e-6)
 
 
 @pytest.mark.parametrize("side", ["above", "below"])
@@ -243,45 +259,101 @@ def test_persistency_exponent_ignores_round_off_past_the_grid():
     assert above == pytest.approx(0.35145, abs=1e-5)
 
 
+def _ends_well(cdf, theta):
+    # a law solved in full leaves at most 1e-10 past its end; a law solved up
+    # to a head is geometric at e^{-theta h} over the head's last quarter to
+    # 1e-8, and the mass past the head is that geometric tail's.  The knot
+    # masses are the CDF's cells
+    if 1.0 - cdf.values[-1] <= excursions.iia._LAW_END:
+        return True
+    q = np.diff(cdf.values)
+    rho = math.exp(-theta * (cdf.points[2] - cdf.points[1]))
+    k = np.arange(3 * len(q) // 4, len(q))
+    geometric = np.max(np.abs(q[k] / (q[-1] * rho ** (k - len(q) + 1)) - 1.0))
+    past = (1.0 - cdf.values[-1]) / (q[-1] * rho / (1.0 - rho))
+    return geometric <= 1e-8 and abs(past - 1.0) <= 1e-9
+
+
 def test_law_is_a_cdf_from_zero_to_one(iia_u1):
+    # u = 1 above is solved in full and below up to a head: the CDF and the
+    # mass past its end sum to one either way
+    past = {}
     for side in ("above", "below"):
         cdf, tail_rate = excursion_law(iia_u1, side)
         assert cdf.points[0] == 0.0 and cdf.values[0] == 0.0
         assert np.all(np.diff(cdf.values) >= 0.0)
-        assert abs(1.0 - cdf.values[-1]) <= 1e-10
+        assert _ends_well(cdf, tail_rate)
+        ref, _ = reference_law(iia_u1, side)
+        past[side] = 1.0 - cdf.values[-1]
+        assert past[side] == pytest.approx(1.0 - ref.interpolate(cdf.points[-1]), abs=1e-12)
         assert tail_rate == persistency_exponent(iia_u1, side)
         assert excursion_law(iia_u1, side) is excursion_law(iia_u1, side)
+    assert past["above"] <= 1e-10 < 1e-2 < past["below"]
 
 
-def test_law_needing_knots_past_the_cap_is_a_numerical_error(monkeypatch):
-    # u = 1.25 below is sized to about 5.8e4 knots of 0.01, which is refused
-    # before any transform
-    def no_fft(*args, **kwargs):
-        raise AssertionError("FFT before the knot cap was checked")
-
-    monkeypatch.setattr(excursions.iia, "_LAW_MAX_KNOTS", 50_000)
-    iia = build_iia(M2, 1.25)
-    with monkeypatch.context() as patch:
-        patch.setattr(np.fft, "rfft", no_fft)
-        with pytest.raises(NumericalError, match=r"u = 1.25, below side: .* needs \d+ knots"):
-            excursion_law(iia, "below")
-    assert excursion_law(iia, "above")[0].points[-1] < 201.0
-
-
-def test_each_benchmark_law_takes_one_solve(monkeypatch):
-    irfft, solves = np.fft.irfft, []
+@pytest.fixture
+def solves(monkeypatch):
+    """The circle sizes of the law solves that a test makes, one irfft each."""
+    irfft, sizes = np.fft.irfft, []
 
     def counting(*args, **kwargs):
-        solves.append(args[1])
+        sizes.append(args[1])
         return irfft(*args, **kwargs)
 
     monkeypatch.setattr(np.fft, "irfft", counting)
+    return sizes
+
+
+def test_law_needing_knots_past_the_cap_is_a_numerical_error(monkeypatch, solves):
+    # u = 1.25 below needs about 5.8e4 knots of 0.01 in full and a head of
+    # 4000; with no head taken as geometric, it solves heads up to the cap
+    # and then fails, and a cap below its first head fails before any transform
+    def no_fft(*args, **kwargs):
+        raise AssertionError("FFT before the knot cap was checked")
+
+    monkeypatch.setattr(excursions.iia, "_LAW_MAX_KNOTS", 5000)
+    monkeypatch.setattr(excursions.iia, "_HEAD_TOL", 0.0)
+    iia = build_iia(M2, 1.25)
+    with pytest.raises(NumericalError, match=r"u = 1.25, below side: .* needs \d+ knots .* "
+                                             r"more than 5000, and no head"):
+        excursion_law(iia, "below")
+    assert solves == [12000]
+    assert excursion_law(iia, "above")[0].points[-1] < 201.0
+    monkeypatch.setattr(excursions.iia, "_LAW_MAX_KNOTS", 3000)
+    with monkeypatch.context() as patch:
+        patch.setattr(np.fft, "rfft", no_fft)
+        with pytest.raises(NumericalError, match=r"u = 1.25, below side: .* needs \d+ knots"):
+            excursion_law(build_iia(M2, 1.25), "below")
+
+
+def test_a_head_that_is_not_yet_geometric_is_doubled(monkeypatch, solves):
+    # with heads of 5/lambda time units, 1000 knots, the tail's quantile
+    # bound sets the first at 1030 at u = 1.25 below; the law's masses are
+    # not yet geometric at t = 10 or 20, and are at 41
+    monkeypatch.setattr(excursions.iia, "_HEAD_SPAN", 5.0)
+    iia = build_iia(M2, 1.25)
+    cdf, theta = excursion_law(iia, "below")
+    assert len(cdf) - 1 == 4120
+    assert solves == [excursions.numerics.next_fast_len(3 * head, real=True)
+                      for head in (1030, 2060, 4120)]
+    assert _ends_well(cdf, theta)
+    ref, _ = reference_law(iia, "below")
+    assert np.max(np.abs(cdf.values - ref.values[:len(cdf)])) <= 1e-12
+
+
+def test_each_benchmark_law_takes_one_solve(solves):
+    # five laws are heads of 4000 or 4656 knots, on circles of 12000 and
+    # 14400; the other three are solved in full on at most 16875 points
     rows = persistency_table(M2, list(BENCH_LEVELS), 1000, 2, 9)
     assert len(solves) == 8
+    assert max(solves) <= 16875
+    heads = 0
     for iia, _, _ in rows:
         for side in ("above", "below"):
-            cdf, _ = excursion_law(iia, side)
-            assert 1.0 - cdf.values[-1] <= 1e-10
+            cdf, theta = excursion_law(iia, side)
+            assert _ends_well(cdf, theta)
+            heads += 1.0 - cdf.values[-1] > excursions.iia._LAW_END
+    assert heads == 5
 
 
 def _right_way_models():
@@ -296,17 +368,10 @@ def _right_way_models():
                 continue
 
 
-def test_every_law_is_one_solve_decaying_below_the_divisor_rate(monkeypatch):
+def test_every_law_is_one_solve_decaying_below_the_divisor_rate(solves):
     # over dimensions and levels, every law whose curves run the right way
-    # decays at a root below the rate its divisors share, and holds all but
-    # 1e-10 of its mass in the one solve that root sizes
-    irfft, solves = np.fft.irfft, []
-
-    def counting(*args, **kwargs):
-        solves.append(args[1])
-        return irfft(*args, **kwargs)
-
-    monkeypatch.setattr(np.fft, "irfft", counting)
+    # decays at a root below the rate its divisors share, and its one solve
+    # either holds all but 1e-10 of its mass or ends at a geometric head
     laws = 0
     for _, _, iia in _right_way_models():
         for side in ("above", "below"):
@@ -314,7 +379,25 @@ def test_every_law_is_one_solve_decaying_below_the_divisor_rate(monkeypatch):
             cdf, theta = excursion_law(iia, side)
             assert len(solves) == 1
             assert theta < iia.decay_rate
-            assert 1.0 - cdf.values[-1] <= 1e-10
+            assert _ends_well(cdf, theta)
+            laws += 1
+    assert laws == 80
+
+
+def test_every_law_matches_its_full_solve():
+    # each law against the same law solved in full: its CDF on the knots the
+    # two share, and its quantiles, which past a head it reads from the
+    # exponential tail where the full solve reads its cells
+    probes = np.concatenate((np.geomspace(1e-6, 0.5, 300), 1.0 - np.geomspace(0.5, 1e-9, 300)))
+    laws = 0
+    for _, _, iia in _right_way_models():
+        for side in ("above", "below"):
+            (cdf, theta), (ref, ref_theta) = excursion_law(iia, side), reference_law(iia, side)
+            assert theta == ref_theta
+            assert np.array_equal(cdf.points, ref.points[:len(cdf)])
+            assert np.max(np.abs(cdf.values - ref.values[:len(cdf)])) <= 1e-12
+            got, want = (inverse_cdf_sample(law, theta, probes) for law in (cdf, ref))
+            assert np.max(np.abs(got / want - 1.0)) <= 1e-7
             laws += 1
     assert laws == 80
 
@@ -385,29 +468,48 @@ def _mass_past(iia, side, knots):
 @pytest.mark.parametrize("u, side", [(u, side) for u in BENCH_LEVELS
                                      for side in ("above", "below")])
 def test_root_branch_laws_are_sized_without_waste(u, side):
-    # the law ends where at most 1e-10 is left past it, and a tenth fewer
-    # knots would leave more
+    # a law whose full solve is more than twice its first head ends at that
+    # head: 20 / lambda time units, or longer where theta h / (8 knots) would
+    # pass 5e-8.  Any other law ends where at most 1e-10 is left past it, and
+    # a tenth fewer knots would leave more.  Below, and at u = 0, the head is
+    # taken
     iia = build_iia(M2, u)
-    knots = len(excursion_law(iia, side)[0]) - 1
-    assert _mass_past(iia, side, knots) <= excursions.iia._LAW_END
-    assert _mass_past(iia, side, int(0.9 * knots)) > excursions.iia._LAW_END
+    cdf, theta = excursion_law(iia, side)
+    knots, full = len(cdf) - 1, len(reference_law(iia, side)[0]) - 1
+    head = max(math.ceil(20.0 / (iia.decay_rate * 0.01)), math.ceil(theta * 0.01 / 4e-7))
+    assert (2 * head < full) == (side == "below" or u == 0.0)
+    if 2 * head < full:
+        assert knots == head
+        assert _ends_well(cdf, theta)
+    else:
+        assert knots == full
+        assert _mass_past(iia, side, knots) <= excursions.iia._LAW_END
+        assert _mass_past(iia, side, int(0.9 * knots)) > excursions.iia._LAW_END
 
 
-def test_an_undersized_law_is_a_numerical_error(monkeypatch):
-    # the sizing is an asymptote; if it falls short, the one solve fails
+def test_an_undersized_law_is_a_numerical_error(monkeypatch, solves):
+    # the full size is an asymptote; if it falls short, the one solve fails.
+    # u = 0.5 above is solved in full: its first head would be over half of it
     decay = excursions.iia._decay
     monkeypatch.setattr(excursions.iia, "_decay", lambda *args: (decay(*args)[0], 1e-3))
-    irfft, solves = np.fft.irfft, []
-
-    def counting(*args, **kwargs):
-        solves.append(args[1])
-        return irfft(*args, **kwargs)
-
-    monkeypatch.setattr(np.fft, "irfft", counting)
-    with pytest.raises(NumericalError, match=r"u = 0\.5, below side: .* knots holds "
+    with pytest.raises(NumericalError, match=r"u = 0\.5, above side: .* knots holds "
                                              r".* of its mass past its end"):
-        excursion_law(build_iia(M2, 0.5), "below")
+        excursion_law(build_iia(M2, 0.5), "above")
     assert len(solves) == 1
+
+
+def test_the_longest_benchmark_law_solves_in_under_a_mebibyte():
+    # u = 1.25 below runs on to t = 576 before 1e-10 of it is left; its head
+    # ends at t = 40.  The first solve warms numpy's FFT up
+    excursion_law(build_iia(M2, 1.25), "below")
+    iia = build_iia(M2, 1.25)
+    tracemalloc.start()
+    try:
+        excursion_law(iia, "below")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_sample_mean_zero_level(iia_u0):
@@ -515,8 +617,8 @@ def test_sampling_deterministic_under_seed(iia_u1):
 
 @pytest.mark.parametrize("u, side", [(1.0, "above"), (1.25, "below")])
 def test_sorted_walk_draws_the_unsorted_lengths_bitwise(u, side):
-    # the reference is the draw in generation order; the 1.25 below law
-    # holds the most knots of the paper's levels, about 5.8e4
+    # the reference is the draw in generation order; 1.0 above is solved in
+    # full, and 1.25 below up to a head, past which its draws read the tail
     iia = build_iia(M2, u)
     cdf, tail_rate = excursion_law(iia, side)
     want = inverse_cdf_sample(cdf, tail_rate, np.random.default_rng(31).random(200_000))
@@ -751,3 +853,41 @@ def test_persistency_table_checks_the_sample_count_before_building():
     for samples in (0, -5):
         with pytest.raises(DomainError, match="sample count must be positive"):
             persistency_table(M2, [1.5], samples, 3, 3)
+
+
+def test_window_exponent_reads_the_fit_ranks_without_draws(monkeypatch):
+    # the paper's Table 1 is the window value at n = 1e6 (0.4225 and 0.0591
+    # at u = 1), which lies above the asymptotic root on the above side
+    def no_draws(*args, **kwargs):
+        raise AssertionError("random numbers drawn")
+
+    iia = build_iia(M2, 1.0)
+    monkeypatch.setattr(np.random, "default_rng", no_draws)
+    above, below = (excursions.iia.window_exponent(iia, side, 1_000_000)
+                    for side in ("above", "below"))
+    assert above == pytest.approx(0.42213, abs=1e-5)
+    assert below == pytest.approx(0.05913, abs=1e-5)
+    assert above > persistency_exponent(iia, "above") + 5e-4
+    with pytest.raises(DomainError):
+        excursions.iia.window_exponent(iia, "sideways", 1000)
+    for n in (-5, 0, 50):
+        with pytest.raises(DomainError, match="at least 100 samples"):
+            excursions.iia.window_exponent(iia, "above", n)
+
+
+def test_table_intervals_cover_the_window_exponent():
+    # 200 tables at one level, each of 6 replicates of 2e4 draws per side: the
+    # 95% half-widths hold the window exponent at that size in 95% of them,
+    # to within three standard errors; the levels of one table share their
+    # uniforms, so one level is one trial
+    n, reps, seeds = 20_000, 6, range(60_000, 60_200)
+    iia = build_iia(M2, 1.0)
+    window = {side: excursions.iia.window_exponent(iia, side, n) for side in ("above", "below")}
+    held = {"above": 0, "below": 0}
+    for seed in seeds:
+        [(_, above, below)] = persistency_table(M2, [1.0], n, reps, seed)
+        for side, est in (("above", above), ("below", below)):
+            held[side] += abs(est.mean_theta - window[side]) <= est.half_width
+    se = math.sqrt(0.95 * 0.05 / len(seeds))
+    for side in ("above", "below"):
+        assert abs(held[side] / len(seeds) - 0.95) <= 3.0 * se, (side, held[side])
